@@ -5,12 +5,14 @@ work (lint rules REP007/REP106 flag raw ``threading`` /
 ``concurrent.futures`` use for pricing anywhere else). It deliberately
 knows nothing about budgets, caches, stats, or events: callers hand it a
 pure *shard function* that computes costs, and it returns them in
-submission order. The speculate-then-commit discipline lives in
-:meth:`~repro.optimizer.whatif.WhatIfOptimizer._prefetch_concurrent` —
+submission order. Every batch wave goes through it — inline at one job,
+where a wave is one pair, and over worker threads otherwise. The
+speculate-then-commit discipline lives in
+:meth:`~repro.optimizer.whatif.WhatIfOptimizer.whatif_prefetch` —
 workers only compute; a single serial commit loop replays the results
 against the :class:`~repro.budget.policy.BudgetPolicy`, so grants,
-denials, stats counters, and the event stream are bit-identical to
-serial execution for every job count.
+denials, stats counters, and the event stream are bit-identical for
+every job count.
 
 Shards are **contiguous** slices of the submitted items: reassembly is a
 plain concatenation in shard order, which makes the order-preservation
@@ -29,9 +31,9 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 #: Pairs speculatively priced per worker per wave. Bounds wasted work when
-#: the budget runs out mid-batch: at most ``jobs * DEFAULT_SHARD_PAIRS``
-#: pairs are ever priced ahead of their budget decision.
-DEFAULT_SHARD_PAIRS = 8
+#: the budget runs out mid-batch: at most ``jobs * SHARD_PAIRS`` pairs are
+#: ever priced ahead of their budget decision.
+SHARD_PAIRS = 8
 
 
 def plan_shards(count: int, shards: int) -> list[tuple[int, int]]:
@@ -61,9 +63,6 @@ class PricingExecutor:
     Args:
         jobs: Worker threads (1 degrades to inline execution; the thread
             pool is never created).
-        shard_pairs: Target pairs per shard per wave; ``wave_size`` is
-            ``jobs * shard_pairs``.
-        thread_name_prefix: Diagnostic name for worker threads.
 
     The underlying :class:`~concurrent.futures.ThreadPoolExecutor` is
     created lazily on first concurrent use and torn down by
@@ -72,18 +71,10 @@ class PricingExecutor:
     flush rather than a poison pill.
     """
 
-    def __init__(
-        self,
-        jobs: int,
-        *,
-        shard_pairs: int = DEFAULT_SHARD_PAIRS,
-        thread_name_prefix: str = "whatif-pricing",
-    ):
+    def __init__(self, jobs: int):
         if jobs < 1:
             raise ValueError(f"pricing jobs must be at least 1, got {jobs}")
         self._jobs = jobs
-        self._shard_pairs = max(1, shard_pairs)
-        self._prefix = thread_name_prefix
         self._pool: ThreadPoolExecutor | None = None
 
     @property
@@ -92,15 +83,19 @@ class PricingExecutor:
 
     @property
     def wave_size(self) -> int:
-        """Items speculatively priced per wave (bounds discarded work)."""
-        return self._jobs * self._shard_pairs
+        """Items priced per wave: one inline, ``jobs * SHARD_PAIRS`` pooled.
+
+        An inline wave of one is never priced ahead of its own budget
+        decision; a pooled wave bounds the work a denial can discard.
+        """
+        return 1 if self._jobs == 1 else self._jobs * SHARD_PAIRS
 
     def _ensure_pool(self) -> ThreadPoolExecutor:
         if self._pool is None:
             from concurrent.futures import ThreadPoolExecutor
 
             self._pool = ThreadPoolExecutor(
-                max_workers=self._jobs, thread_name_prefix=self._prefix
+                max_workers=self._jobs, thread_name_prefix="whatif-pricing"
             )
         return self._pool
 
@@ -120,28 +115,15 @@ class PricingExecutor:
         items = list(items)
         if not items:
             return []
-        spans = plan_shards(len(items), self._jobs)
-        if len(spans) == 1:
+        if self._jobs == 1 or len(items) == 1:
             return self._collect(price_shard(items), len(items))
+        spans = plan_shards(len(items), self._jobs)
         pool = self._ensure_pool()
         futures = [pool.submit(price_shard, items[start:stop]) for start, stop in spans]
         results: list[R] = []
         for (start, stop), future in zip(spans, futures, strict=True):
             results.extend(self._collect(future.result(), stop - start))
         return results
-
-    def map_items(
-        self, price_item: Callable[[T], R], items: Sequence[T]
-    ) -> list[R]:
-        """Per-item order-preserving map (the legacy ``whatif_pool_size``
-        path, kept for bit-compatibility with pre-executor pooled batches).
-        """
-        items = list(items)
-        if not items:
-            return []
-        if self._jobs == 1 or len(items) == 1:
-            return [price_item(item) for item in items]
-        return list(self._ensure_pool().map(price_item, items))
 
     @staticmethod
     def _collect(shard_results: Sequence[R], expected: int) -> list[R]:

@@ -150,7 +150,6 @@ def build_backend(
     events: "EventLog | None" = None,
     cost_model: "CostModel | None" = None,
     normalize_cache: bool | None = None,
-    pool_size: int | None = None,
     **backend_kwargs,
 ) -> "CostBackend":
     """Build the cost backend selected by ``spec`` for ``workload``.
@@ -167,7 +166,6 @@ def build_backend(
         budget=budget,
         cost_model=cost_model,
         normalize_cache=normalize_cache,
-        pool_size=pool_size,
         pricing_jobs=resolved.pricing_jobs,
         whatif_cache=resolved.whatif_cache,
         config=config,

@@ -6,8 +6,9 @@ operation whose expense motivates the paper's budget accounting. The
 backend subclasses the analytic engine, so caching, relevant-index
 normalization, budget metering, observers, events, and
 :class:`~repro.optimizer.whatif.WhatIfStats` are all inherited unchanged —
-only the single pricing seam (:meth:`PostgresBackend._evaluate` plus the
-batched :meth:`PostgresBackend._price_batch`) talks to the server:
+only the pricing seam (:meth:`PostgresBackend._evaluate` for single
+pricings plus :meth:`PostgresBackend._price_shard` for batch waves) talks
+to the server:
 
 1. sync the connection's HypoPG hypothetical indexes to the normalized
    configuration (diffed, not rebuilt — see
@@ -31,7 +32,6 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from time import perf_counter
 from typing import Callable
 
 from repro.backend.analytic import AnalyticBackend
@@ -282,14 +282,17 @@ class PostgresBackend(AnalyticBackend):
     def _price_shard(
         self, shard: list[tuple[str, PreparedQuery, frozenset[Index]]]
     ) -> list[float]:
-        """Price one speculative wave shard on a single pooled session.
+        """Price one batch-wave shard on a single pooled session.
 
         Concurrent shards borrow distinct pooled connections, so EXPLAIN
         round-trips overlap on the server; within a shard, pairs are
         grouped by (normalized) configuration so each hypothetical-index
-        set is synced once. Runs on a worker thread: the only side effect
-        is trace recording via per-pair GIL-atomic dict writes — stats,
-        budget, and cache commits stay with the serial commit loop.
+        set is synced once. At one pricing job a wave is a single pair and
+        the shard runs inline; the session's diffed hypothetical-index
+        state then keeps consecutive pairs under one configuration to one
+        sync. On a worker thread the only side effect is trace recording
+        via per-pair GIL-atomic dict writes — stats, budget, and cache
+        commits stay with the serial commit loop.
         """
         groups: dict[frozenset[Index], list[int]] = {}
         for position, (_, _, norm) in enumerate(shard):
@@ -305,51 +308,6 @@ class PostgresBackend(AnalyticBackend):
         self._run(price_all)
         for (qid, _, norm), cost in zip(shard, costs, strict=True):
             self._record(qid, norm, cost)
-        return costs
-
-    def _price_batch(
-        self, pending: list[tuple[str, PreparedQuery, frozenset[Index]]]
-    ) -> list[float]:
-        """Price a prefetch batch in one connection round-trip.
-
-        Pairs are grouped by their (already normalized) configuration so
-        each distinct hypothetical-index set is synced exactly once per
-        batch; every query under it is then EXPLAINed on the same
-        connection. Costs are returned in issue order — the caller
-        commits them to the cache/log in that order, so layouts stay
-        pool-size- and grouping-invariant.
-        """
-        self._stats.batch_calls += 1
-        self._stats.batched_pairs += len(pending)
-        costs: list[float] = [0.0] * len(pending)
-        misses = list(range(len(pending)))
-        if self._whatif_cache is not None:
-            misses = []
-            for position, (qid, _, norm) in enumerate(pending):
-                recalled = self._recall(qid, norm)
-                if recalled is None:
-                    misses.append(position)
-                else:
-                    costs[position] = recalled
-        if misses:
-            groups: dict[frozenset[Index], list[int]] = {}
-            for position in misses:
-                groups.setdefault(pending[position][2], []).append(position)
-
-            def price_all(session: PostgresSession) -> None:
-                for norm, positions in groups.items():
-                    for position in positions:
-                        qid, _, _ = pending[position]
-                        costs[position] = session.cost(self._sql[qid], norm)
-
-            start = perf_counter()
-            self._run(price_all)
-            self._stats.cost_seconds += perf_counter() - start
-            for position in misses:
-                qid, _, norm = pending[position]
-                self._record(qid, norm, costs[position])
-                self._store(qid, norm, costs[position])
-        self._stats.cost_evaluations += len(pending)
         return costs
 
     def explain(self, query: Query, configuration) -> PostgresPlan:

@@ -37,7 +37,7 @@ _BACKEND_NAMES = ("analytic", "noisy", "record", "replay", "postgres")
 class ReproConfig:
     """Engine/runtime knobs plus the session's budget-policy selection.
 
-    The engine knobs (``normalize_cache``, ``whatif_pool_size``) switch
+    The engine knobs (``normalize_cache``, ``pricing_jobs``) switch
     *how fast* the simulated what-if optimizer runs, never *what* it
     computes: every combination produces bit-identical costs, budget
     accounting, and call-log layouts. The budget-policy knobs are the one
@@ -50,20 +50,15 @@ class ReproConfig:
             indexes the query cannot use share one cache entry (and one
             counted call). Costs are provably unchanged — irrelevant
             indexes contribute no plan options.
-        whatif_pool_size: Worker threads used by the batched costing API
+        pricing_jobs: Pricing workers for the batched costing API
             (:meth:`~repro.optimizer.whatif.WhatIfOptimizer.whatif_prefetch`
-            and friends). ``1`` prices serially. Results, budget charges,
-            and log ordinals are committed in issue order, so the pool size
-            never affects outcomes — only wall-clock (and only when the
-            cost model releases the GIL, e.g. a native backend).
-        pricing_jobs: Concurrent pricing workers for the speculate-then-
-            commit batch executor
-            (:class:`~repro.backend.concurrent.PricingExecutor`). ``1``
-            keeps the serial path. Workers only *compute* costs; a single
-            commit loop replays them in issue order against the budget
-            policy, so grants, denials, stats, and the event stream are
-            bit-identical for every job count — only wall-clock changes
-            (and, like ``whatif_pool_size``, only when pricing releases
+            and friends, through
+            :class:`~repro.backend.concurrent.PricingExecutor`). ``1``
+            prices each pair inline right before its budget decision.
+            Workers only *compute* costs; a single commit loop replays them
+            in issue order against the budget policy, so grants, denials,
+            stats, and the event stream are bit-identical for every job
+            count — only wall-clock changes (and only when pricing releases
             the GIL, e.g. Postgres EXPLAIN round-trips).
         whatif_cache: Persistent cross-session what-if cache directory
             (:mod:`repro.backend.cache`); ``None`` disables it, ``"1"`` /
@@ -111,7 +106,6 @@ class ReproConfig:
     """
 
     normalize_cache: bool = True
-    whatif_pool_size: int = 1
     pricing_jobs: int = 1
     whatif_cache: str | None = None
     budget_policy: str = "fcfs"
@@ -127,10 +121,6 @@ class ReproConfig:
     pg_schema: str | None = None
 
     def __post_init__(self) -> None:
-        if self.whatif_pool_size < 1:
-            raise ConstraintError(
-                f"whatif_pool_size must be at least 1, got {self.whatif_pool_size}"
-            )
         if self.pricing_jobs < 1:
             raise ConstraintError(
                 f"pricing_jobs must be at least 1, got {self.pricing_jobs}"
@@ -164,26 +154,18 @@ class ReproConfig:
     def from_env(cls) -> "ReproConfig":
         """Build a config from the ``REPRO_*`` environment knobs.
 
-        Recognised: ``REPRO_NORMALIZE_CACHE``, ``REPRO_WHATIF_POOL``,
-        ``REPRO_PRICING_JOBS``, ``REPRO_WHATIF_CACHE``,
-        ``REPRO_BUDGET_POLICY``, ``REPRO_WII_RELEASE_RATE``,
-        ``REPRO_ESC_PATIENCE``, ``REPRO_ESC_MIN_DELTA``,
-        ``REPRO_SANITIZE``, ``REPRO_BACKEND``, ``REPRO_BACKEND_TRACE``,
-        ``REPRO_NOISE``, ``REPRO_NOISE_SEED``, ``REPRO_PG_DSN``,
-        ``REPRO_PG_SCHEMA``.
+        Recognised: ``REPRO_NORMALIZE_CACHE``, ``REPRO_PRICING_JOBS``,
+        ``REPRO_WHATIF_CACHE``, ``REPRO_BUDGET_POLICY``,
+        ``REPRO_WII_RELEASE_RATE``, ``REPRO_ESC_PATIENCE``,
+        ``REPRO_ESC_MIN_DELTA``, ``REPRO_SANITIZE``, ``REPRO_BACKEND``,
+        ``REPRO_BACKEND_TRACE``, ``REPRO_NOISE``, ``REPRO_NOISE_SEED``,
+        ``REPRO_PG_DSN``, ``REPRO_PG_SCHEMA``.
         """
         normalize = os.environ.get("REPRO_NORMALIZE_CACHE", "1") not in (
             "0",
             "false",
             "no",
         )
-        raw_pool = os.environ.get("REPRO_WHATIF_POOL", "1")
-        try:
-            pool = int(raw_pool)
-        except ValueError:
-            raise ConstraintError(
-                f"REPRO_WHATIF_POOL must be an integer, got {raw_pool!r}"
-            ) from None
 
         def _float_env(name: str, default: float) -> float:
             raw = os.environ.get(name)
@@ -215,7 +197,6 @@ class ReproConfig:
         )
         return cls(
             normalize_cache=normalize,
-            whatif_pool_size=pool,
             pricing_jobs=_int_env("REPRO_PRICING_JOBS", 1),
             whatif_cache=os.environ.get("REPRO_WHATIF_CACHE") or None,
             budget_policy=os.environ.get("REPRO_BUDGET_POLICY", "fcfs"),

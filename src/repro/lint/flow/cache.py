@@ -26,7 +26,7 @@ from repro.lint.flow.summary import FileSummary, content_hash, summarize_file
 DEFAULT_CACHE = ".repro-lint-cache.json"
 
 #: Cache schema version; bump on any summary format change.
-CACHE_VERSION = 4
+CACHE_VERSION = 5
 
 
 @dataclass

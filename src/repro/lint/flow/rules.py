@@ -89,11 +89,11 @@ class BudgetFlowRule(FlowRule):
     (``whatif_cost`` and friends in ``backend/``/``optimizer/``) ends a
     path — that is the sanctioned way to pay for a cost. Reaching a
     function that *directly* invokes a cost-path sink (``CostModel.cost``,
-    ``_price``/``_price_batch``, ``true_cost``/``true_workload_cost``)
-    without such a barrier is a budget leak laundered through the call
-    chain, reported at the first call site of the chain. Zero-hop sinks
-    (the flagged function itself sinks) are REP001's findings and are not
-    duplicated here.
+    ``_price``/``_price_wave``/``_price_shard``, ``true_cost``/
+    ``true_workload_cost``) without such a barrier is a budget leak
+    laundered through the call chain, reported at the first call site of
+    the chain. Zero-hop sinks (the flagged function itself sinks) are
+    REP001's findings and are not duplicated here.
     """
 
     rule_id = "REP101"
@@ -582,10 +582,11 @@ class ConcurrentPricingRule(FlowRule):
     function anywhere else that constructs a ``Thread``/
     ``ThreadPoolExecutor``/``ProcessPoolExecutor`` *and* can reach a
     pricing call (the metered backend surface or the private
-    ``_price``/``_price_batch`` helpers, any number of hops deep) races
-    its budget charges against its workers: grant order, event order
-    and the recorded trace become scheduling-dependent. Spawns that
-    never touch pricing (I/O fan-out, timers) are left alone.
+    ``_price``/``_price_wave``/``_price_shard`` helpers, any number of
+    hops deep) races its budget charges against its workers: grant
+    order, event order and the recorded trace become
+    scheduling-dependent. Spawns that never touch pricing (I/O fan-out,
+    timers) are left alone.
     """
 
     rule_id = "REP106"

@@ -25,7 +25,7 @@ from repro.lint.suppressions import parse_suppressions
 EVAL_ONLY_CALLS = frozenset({"true_cost", "true_workload_cost"})
 
 #: Private pricing helpers that bypass budget accounting.
-PRIVATE_PRICING_CALLS = frozenset({"_price", "_price_batch"})
+PRIVATE_PRICING_CALLS = frozenset({"_price", "_price_wave", "_price_shard"})
 
 #: Constructors that spawn worker threads/processes (REP106).
 THREAD_SPAWNERS = frozenset(

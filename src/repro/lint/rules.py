@@ -64,7 +64,7 @@ class BudgetLeakRule(Rule):
     exempt = ("optimizer", "backend", "eval", "lint")
 
     _EVAL_ONLY = frozenset({"true_cost", "true_workload_cost"})
-    _PRIVATE = frozenset({"_price", "_price_batch"})
+    _PRIVATE = frozenset({"_price", "_price_wave", "_price_shard"})
 
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func

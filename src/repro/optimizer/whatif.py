@@ -27,23 +27,19 @@ semantics:
   *normalized* key is uncached; costs are bit-identical because irrelevant
   indexes contribute no plan options. Disable with ``normalize_cache=False``
   to reproduce whole-key caching.
-* **Batched costing** — :meth:`whatif_prefetch` and
-  :meth:`whatif_workload_costs` partition uncached (query, key) pairs,
-  price them in one pass (optionally on a thread pool sized by
-  :class:`~repro.config.ReproConfig.whatif_pool_size`), and commit cache /
-  meter / log updates strictly in issue order, so budget accounting and the
-  call-log layout are identical for every pool size.
+* **Batched costing** — :meth:`whatif_prefetch` (and
+  :meth:`whatif_workload_costs` on top of it) is one pipeline: uncached
+  (query, key) pairs are gathered into waves, each wave is priced through
+  the :class:`~repro.backend.concurrent.PricingExecutor`, then a serial
+  loop issues the policy ``try_charge`` sequence and commits cache / log /
+  events strictly in issue order. A wave is one pair at
+  ``pricing_jobs=1`` — priced inline, right before its budget decision —
+  and ``jobs × 8`` pairs priced concurrently otherwise, so grants,
+  denials, stats, and the event stream are bit-identical for every job
+  count.
 
-Two further layers speed up pricing itself, again without touching
-semantics:
+A further layer removes pricing work, again without touching semantics:
 
-* **Concurrent pricing** (``pricing_jobs > 1``) — batches run through the
-  speculate-then-commit executor (:mod:`repro.backend.concurrent`):
-  workers only *compute* costs for bounded waves of candidates, then a
-  single serial commit loop replays the policy ``try_charge`` sequence and
-  the cache/log/event commits in issue order, so grants, denials, stats,
-  and the event stream are bit-identical to serial execution for every
-  job count.
 * **Persistent cross-session cache** (``whatif_cache``) — a shard file per
   backend fingerprint (:mod:`repro.backend.cache`) remembers priced pairs
   across sessions. A hit replaces the pricing *work* of a call, never its
@@ -105,17 +101,18 @@ class WhatIfStats:
         cost_evaluations: Cost-model pricings, counted and uncounted
             (ground-truth evaluation included).
         cost_seconds: Cumulative wall-clock spent inside
-            :meth:`CostModel.cost` (for pooled batches: the batch wall time).
+            :meth:`CostModel.cost` (for batches: each wave's pricing wall
+            time).
         batch_calls: Batched pricing passes issued.
         batched_pairs: Uncached pairs priced by those passes.
         replayed: Evaluations served from a recorded trace instead of the
             cost model (always 0 outside the replay backend).
-        speculative_priced: Pairs resolved (priced or recalled) by the
-            concurrent executor *ahead of* their budget decision (always 0
-            on the serial path).
+        speculative_priced: Pairs resolved (priced or recalled) by a
+            concurrent wave *ahead of* their budget decision (always 0 at
+            one pricing job).
         speculation_wasted: Speculatively priced pairs later denied by the
-            budget policy (or cut by a batch limit) and discarded — work
-            spent, but never charged or committed.
+            budget policy and discarded — work spent, but never charged or
+            committed.
         persistent_hits: Pricings served from the persistent cross-session
             cache instead of the cost model / DBMS (always 0 when
             ``whatif_cache`` is off).
@@ -168,16 +165,14 @@ class WhatIfOptimizer:
             workload's schema).
         normalize_cache: Collapse cache keys to the query's relevant index
             subset (default on; ``None`` defers to ``config``).
-        pool_size: Worker threads for batched costing (``None`` defers to
-            ``config``; 1 prices serially). Never affects results.
-        pricing_jobs: Concurrent pricing workers for the speculate-then-
-            commit batch executor (``None`` defers to ``config``; 1 keeps
-            the serial path). Never affects results.
+        pricing_jobs: Pricing workers for batched costing (``None``
+            defers to ``config``; 1 prices each pair inline right before
+            its budget decision). Never affects results.
         whatif_cache: Persistent cross-session cache directory (``None``
             defers to ``config``; unset disables). Never affects results.
         config: Engine knobs; defaults to
             :meth:`~repro.config.ReproConfig.from_env` so the
-            ``REPRO_NORMALIZE_CACHE`` / ``REPRO_WHATIF_POOL`` environment
+            ``REPRO_NORMALIZE_CACHE`` / ``REPRO_PRICING_JOBS`` environment
             knobs apply to any run that does not pass an explicit config.
         policy: Budget policy authorising counted calls. Defaults to
             :class:`~repro.budget.policy.FCFSPolicy` over ``budget`` (the
@@ -187,10 +182,10 @@ class WhatIfOptimizer:
             reported as ``whatif_call`` events.
     """
 
-    #: Whether batches may run through the concurrent pricing executor.
-    #: Backends whose raw evaluation is not worker-thread-safe (or not worth
-    #: parallelising, e.g. replay's dict lookups) clear this and always
-    #: price serially — results are identical either way.
+    #: Whether batch waves may be priced on worker threads. Backends whose
+    #: raw evaluation is not worker-thread-safe (or not worth parallelising,
+    #: e.g. replay's dict lookups) clear this and always price one-pair
+    #: waves inline — results are identical either way.
     supports_concurrent_pricing = True
 
     def __init__(
@@ -200,7 +195,6 @@ class WhatIfOptimizer:
         cost_model: CostModel | None = None,
         *,
         normalize_cache: bool | None = None,
-        pool_size: int | None = None,
         pricing_jobs: int | None = None,
         whatif_cache: str | Path | None = None,
         config: ReproConfig | None = None,
@@ -222,9 +216,6 @@ class WhatIfOptimizer:
         self._normalize = (
             base.normalize_cache if normalize_cache is None else normalize_cache
         )
-        self._pool_size = base.whatif_pool_size if pool_size is None else pool_size
-        if self._pool_size < 1:
-            raise TuningError(f"pool_size must be at least 1, got {self._pool_size}")
         self._pricing_jobs = (
             base.pricing_jobs if pricing_jobs is None else pricing_jobs
         )
@@ -236,7 +227,6 @@ class WhatIfOptimizer:
             base.whatif_cache if whatif_cache is None else whatif_cache
         )
         self._pcache = None
-        self._executor = None
         self._pricing_executor = None
         self._prepared: dict[str, PreparedQuery] = {}
         self._cache: dict[tuple[str, frozenset[Index]], float] = {}
@@ -340,7 +330,7 @@ class WhatIfOptimizer:
 
     @property
     def pricing_jobs(self) -> int:
-        """Concurrent pricing workers (1 = serial path)."""
+        """Pricing workers for batch waves (1 = inline, one pair a wave)."""
         return self._pricing_jobs
 
     @property
@@ -349,15 +339,12 @@ class WhatIfOptimizer:
         return self._whatif_cache
 
     def close(self) -> None:
-        """Flush the persistent cache and shut down pricing executors.
+        """Flush the persistent cache and shut down the pricing executor.
 
         Safe to call repeatedly; the optimizer stays usable afterwards
-        (executors and the cache reopen lazily on the next pricing), so
+        (the executor and the cache reopen lazily on the next pricing), so
         evaluation helpers may keep costing after a session is closed.
         """
-        if self._executor is not None:
-            self._executor.shutdown()
-            self._executor = None
         if self._pricing_executor is not None:
             self._pricing_executor.shutdown()
             self._pricing_executor = None
@@ -384,7 +371,7 @@ class WhatIfOptimizer:
         """One raw cost evaluation — the single cost-backend seam.
 
         Every fresh pricing (counted calls, free empty-configuration costs,
-        uncounted ground-truth evaluations, pooled batches) funnels through
+        uncounted ground-truth evaluations, batch waves) funnels through
         here; subclasses in :mod:`repro.backend` override it to perturb
         (:class:`~repro.backend.noisy.NoisyBackend`) or replace
         (:class:`~repro.backend.replay.ReplayBackend`) the analytic cost
@@ -591,15 +578,19 @@ class WhatIfOptimizer:
     def whatif_prefetch(self, pairs, *, limit: int | None = None) -> int:
         """Price and commit uncached (query, configuration) pairs in bulk.
 
-        Pairs are normalized and deduplicated *in issue order*; each
-        surviving pair reserves one counted call through the budget policy's
-        :meth:`~repro.budget.policy.BudgetPolicy.try_charge` (denied pairs
-        are skipped and left uncached). Reserved pairs are priced — serially
-        or on the thread pool — and then committed to the cache, derivation
-        store, and call log strictly in issue order. Under FCFS the granted
-        set is exactly the budget-sized prefix, so the result is
-        bit-identical to issuing :meth:`whatif_cost` sequentially for the
-        same pairs, for every pool size.
+        Pairs are normalized and deduplicated *in issue order* and gathered
+        into waves of :attr:`~repro.backend.concurrent.PricingExecutor.wave_size`
+        pairs (one at ``pricing_jobs=1``), never more than what is left of
+        ``limit``. :meth:`_price_wave` prices a wave's admitted pairs, then
+        each pair reserves its counted call through the budget policy's
+        :meth:`~repro.budget.policy.BudgetPolicy.try_charge` in issue order
+        (denied pairs are skipped and left uncached). Granted pairs are
+        committed to the cache, derivation store, and call log in issue
+        order when the batch ends — also when a pricing raises, so no
+        charge is left without its commit. Under FCFS the granted set is
+        exactly the budget-sized prefix, so the result is bit-identical to
+        issuing :meth:`whatif_cost` sequentially for the same pairs, for
+        every job count.
 
         Unlike :meth:`whatif_cost` this never raises on exhaustion: it
         prices what fits and leaves the rest uncached.
@@ -612,131 +603,76 @@ class WhatIfOptimizer:
         Returns:
             Number of counted calls issued.
         """
-        if self._pricing_jobs > 1 and self.supports_concurrent_pricing:
-            return self._prefetch_concurrent(pairs, limit)
-        pending: list[tuple[str, PreparedQuery, frozenset[Index]]] = []
-        seen: set[tuple[str, frozenset[Index]]] = set()
-        for query, configuration in pairs:
-            if limit is not None and len(pending) >= limit:
-                break
-            key = config_key(configuration)
-            if not key:
-                continue
-            prepared = self.prepared(query)
-            norm = self._norm_key(prepared, key)
-            if not norm:
-                continue
-            cache_key = (query.qid, norm)
-            if cache_key in self._cache or cache_key in seen:
-                continue
-            seen.add(cache_key)
-            if not self._policy.try_charge(query.qid):
-                continue
-            pending.append((query.qid, prepared, norm))
-        if not pending:
-            return 0
-
-        costs = self._price_batch(pending)
-        for (qid, _, norm), cost in zip(pending, costs, strict=True):
-            self._stats.cache_misses += 1
-            self._commit_call(qid, norm, cost)
-        return len(pending)
-
-    def _prefetch_concurrent(self, pairs, limit: int | None) -> int:
-        """The ``pricing_jobs > 1`` form of :meth:`whatif_prefetch`.
-
-        Speculate-then-commit: candidates are collected in bounded waves
-        (at most ``jobs × shard_pairs`` pairs each), priced by worker
-        threads that only *compute*, then replayed serially. The policy
-        ``try_charge`` sequence is issued per candidate in pair order —
-        exactly the sequence the serial path issues — and all cache / call
-        log / ``whatif_call`` commits happen after every charge decision,
-        matching the serial path's collect-then-commit shape. Grants,
-        denials, stats counters, and the event stream are therefore
-        bit-identical to serial execution; only wall-clock (and the
-        ``speculative_*`` counters) change. Wasted speculation past a
-        denial or batch limit is bounded by one wave and is discarded,
-        never charged.
-        """
-        if limit is not None and limit <= 0:
-            return 0
         executor = self._ensure_pricing_executor()
         wave_size = executor.wave_size
         pairs_iter = iter(pairs)
         seen: set[tuple[str, frozenset[Index]]] = set()
         granted: list[tuple[str, frozenset[Index], float]] = []
-        stop = False
-        while not stop:
-            wave: list[tuple[str, PreparedQuery, frozenset[Index]]] = []
-            for query, configuration in pairs_iter:
-                key = config_key(configuration)
-                if not key:
-                    continue
-                prepared = self.prepared(query)
-                norm = self._norm_key(prepared, key)
-                if not norm:
-                    continue
-                cache_key = (query.qid, norm)
-                if cache_key in self._cache or cache_key in seen:
-                    continue
-                seen.add(cache_key)
-                wave.append((query.qid, prepared, norm))
-                if len(wave) >= wave_size:
+        try:
+            while limit is None or len(granted) < limit:
+                room = wave_size if limit is None else min(wave_size, limit - len(granted))
+                wave: list[tuple[str, PreparedQuery, frozenset[Index]]] = []
+                for query, configuration in pairs_iter:
+                    key = config_key(configuration)
+                    if not key:
+                        continue
+                    prepared = self.prepared(query)
+                    norm = self._norm_key(prepared, key)
+                    if not norm:
+                        continue
+                    cache_key = (query.qid, norm)
+                    if cache_key in self._cache or cache_key in seen:
+                        continue
+                    seen.add(cache_key)
+                    wave.append((query.qid, prepared, norm))
+                    if len(wave) >= room:
+                        break
+                if not wave:
                     break
-            if not wave:
-                break
-            costs = self._price_wave(wave, executor)
-            for position, ((qid, prepared, norm), cost) in enumerate(
-                zip(wave, costs, strict=True)
-            ):
-                if limit is not None and len(granted) >= limit:
-                    self._stats.speculation_wasted += sum(
-                        1 for extra in costs[position:] if extra is not None
-                    )
-                    stop = True
-                    break
-                if not self._policy.try_charge(qid):
-                    if cost is not None:
-                        self._stats.speculation_wasted += 1
-                    continue
-                if cost is None:
-                    # The wave skipped pricing because the policy looked
-                    # globally exhausted, yet this pair was granted (no
-                    # shipped policy does this); price it serially.
-                    cost = self._price(prepared, norm)
-                else:
+                costs = self._price_wave(wave, executor)
+                for (qid, prepared, norm), cost in zip(wave, costs, strict=True):
+                    if cost is None and self._policy.admits(qid):
+                        # Refused when the wave was priced, admitted now (no
+                        # shipped policy does this): price before charging.
+                        (cost,) = self._price_wave([(qid, prepared, norm)], executor)
+                    if not self._policy.try_charge(qid):
+                        if cost is not None:
+                            self._stats.speculation_wasted += 1
+                        continue
                     self._stats.cost_evaluations += 1
-                granted.append((qid, norm, cost))
-        for qid, norm, cost in granted:
-            self._stats.cache_misses += 1
-            self._commit_call(qid, norm, cost)
-        if granted:
-            self._stats.batch_calls += 1
-            self._stats.batched_pairs += len(granted)
+                    granted.append((qid, norm, cost))
+        finally:
+            for qid, norm, cost in granted:
+                self._stats.cache_misses += 1
+                self._commit_call(qid, norm, cost)
+            if granted:
+                self._stats.batch_calls += 1
+                self._stats.batched_pairs += len(granted)
         return len(granted)
 
     def _price_wave(self, wave, executor) -> list[float | None]:
-        """Speculatively resolve one wave; one cost (or ``None``) per pair.
+        """Resolve one wave's costs; ``None`` where the policy refuses the query.
 
-        ``None`` marks a pair that was deliberately not priced: the policy
-        is globally exhausted (no further call can ever be granted), so the
-        commit loop replays the denials without paying for speculation it
-        could never use. Persistent-cache recalls happen here, on the main
-        thread; only fresh evaluations fan out to workers.
+        A pair is priced only if the policy admits its query right now, so
+        a one-pair wave is never priced ahead of its own budget decision.
+        Persistent-cache recalls happen here, on the main thread; only
+        fresh evaluations go through the executor to :meth:`_price_shard`
+        (inline at one job).
         """
-        if self._policy.exhausted:
-            return [None] * len(wave)
-        self._stats.speculative_priced += len(wave)
         costs: list[float | None] = [None] * len(wave)
-        misses = list(range(len(wave)))
-        if self._whatif_cache is not None:
-            misses = []
-            for position, (qid, _, norm) in enumerate(wave):
-                recalled = self._recall(qid, norm)
-                if recalled is None:
-                    misses.append(position)
-                else:
-                    costs[position] = recalled
+        misses: list[int] = []
+        speculative = executor.jobs > 1
+        recall = self._whatif_cache is not None
+        for position, (qid, _, norm) in enumerate(wave):
+            if not self._policy.admits(qid):
+                continue
+            if speculative:
+                self._stats.speculative_priced += 1
+            recalled = self._recall(qid, norm) if recall else None
+            if recalled is None:
+                misses.append(position)
+            else:
+                costs[position] = recalled
         if misses:
             start = perf_counter()
             fresh = executor.map_shards(
@@ -745,7 +681,7 @@ class WhatIfOptimizer:
             self._stats.cost_seconds += perf_counter() - start
             for position, cost in zip(misses, fresh, strict=True):
                 costs[position] = cost
-                if self._whatif_cache is not None:
+                if recall:
                     qid, _, norm = wave[position]
                     self._store(qid, norm, cost)
         return costs
@@ -755,63 +691,21 @@ class WhatIfOptimizer:
     ) -> list[float]:
         """Price one contiguous shard of a wave (executor worker entry).
 
-        Runs on a worker thread: implementations must only *compute* —
-        no stats, cache, policy, or event mutation belongs here; the
-        commit loop owns all bookkeeping. The postgres backend overrides
-        this to price its shard over one pooled connection.
+        Runs on a worker thread when ``pricing_jobs > 1``: implementations
+        must only *compute* — no stats, cache, policy, or event mutation
+        belongs here; the commit loop owns all bookkeeping. The postgres
+        backend overrides this to price its shard over one pooled
+        connection.
         """
         return [self._evaluate(prepared, norm) for _, prepared, norm in shard]
 
-    def _price_batch(
-        self, pending: list[tuple[str, PreparedQuery, frozenset[Index]]]
-    ) -> list[float]:
-        """Price pending pairs, preserving order; pooled when configured."""
-        self._stats.batch_calls += 1
-        self._stats.batched_pairs += len(pending)
-        if self._pool_size > 1 and len(pending) > 1:
-            costs: list[float] = [0.0] * len(pending)
-            misses = list(range(len(pending)))
-            if self._whatif_cache is not None:
-                misses = []
-                for position, (qid, _, norm) in enumerate(pending):
-                    recalled = self._recall(qid, norm)
-                    if recalled is None:
-                        misses.append(position)
-                    else:
-                        costs[position] = recalled
-            if misses:
-                executor = self._ensure_executor()
-                start = perf_counter()
-                fresh = executor.map_items(
-                    lambda item: self._evaluate(item[1], item[2]),
-                    [pending[position] for position in misses],
-                )
-                self._stats.cost_seconds += perf_counter() - start
-                for position, cost in zip(misses, fresh, strict=True):
-                    costs[position] = cost
-                    if self._whatif_cache is not None:
-                        qid, _, norm = pending[position]
-                        self._store(qid, norm, cost)
-            self._stats.cost_evaluations += len(pending)
-            return costs
-        return [self._price(prepared, norm) for _, prepared, norm in pending]
-
-    def _ensure_executor(self):
-        """The legacy ``whatif_pool_size`` per-item pool (lazy)."""
-        if self._executor is None:
-            from repro.backend.concurrent import PricingExecutor
-
-            self._executor = PricingExecutor(
-                self._pool_size, thread_name_prefix="whatif"
-            )
-        return self._executor
-
     def _ensure_pricing_executor(self):
-        """The speculate-then-commit wave executor (lazy)."""
+        """The wave executor (lazy; one inline job when pricing is serial)."""
         if self._pricing_executor is None:
             from repro.backend.concurrent import PricingExecutor
 
-            self._pricing_executor = PricingExecutor(self._pricing_jobs)
+            jobs = self._pricing_jobs if self.supports_concurrent_pricing else 1
+            self._pricing_executor = PricingExecutor(jobs)
         return self._pricing_executor
 
     def whatif_workload_costs(
@@ -819,9 +713,9 @@ class WhatIfOptimizer:
     ) -> list[float]:
         """``[c(W, C) for C in configurations]`` with batched pricing.
 
-        Uncached pairs are priced in one pass (issue order: queries in
-        workload order within each configuration, configurations in given
-        order) and committed deterministically, so the call-log layout
+        Uncached pairs go through one :meth:`whatif_prefetch` (issue order:
+        queries in workload order within each configuration, configurations
+        in given order) and are committed deterministically, so the call-log layout
         matches a sequential :meth:`whatif_workload_cost` loop exactly.
 
         Args:

@@ -156,11 +156,13 @@ class CandidateGenerator:
 
     def _emit_for_access(self, bound: BoundQuery, access: TableAccess, emit) -> None:
         options = self._options
+        # Ties in selectivity break on the column name, never on set order
+        # (string hashing would make the candidates depend on PYTHONHASHSEED).
         equality = sorted(
-            access.equality_columns, key=lambda c: self._selectivity(access, c)
+            access.equality_columns, key=lambda c: (self._selectivity(access, c), c)
         )
         ranges = sorted(
-            access.range_columns, key=lambda c: self._selectivity(access, c)
+            access.range_columns, key=lambda c: (self._selectivity(access, c), c)
         )
         join_columns: list[str] = []
         for join in bound.joins_of(access.binding):

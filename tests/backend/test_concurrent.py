@@ -127,15 +127,6 @@ class TestPricingExecutor:
         assert executor.map_shards(lambda shard: shard, [5, 6, 7, 8]) == [5, 6, 7, 8]
         executor.shutdown()
 
-    def test_map_items_preserves_order(self):
-        executor = PricingExecutor(3)
-        try:
-            assert executor.map_items(str, list(range(20))) == [
-                str(item) for item in range(20)
-            ]
-        finally:
-            executor.shutdown()
-
 
 # --------------------------------------------------------------------- #
 # speculate-then-commit parity with the serial path

@@ -6,7 +6,8 @@ def leaky(cost_model, optimizer, query, config):
     b = optimizer.true_cost(query, config)  # repro-lint-expect: REP001
     c = optimizer.true_workload_cost(config)  # repro-lint-expect: REP001
     d = optimizer._price(query, config)  # repro-lint-expect: REP001
-    return a, b, c, d
+    e = optimizer._price_wave([(query, config)], None)  # repro-lint-expect: REP001
+    return a, b, c, d, e
 
 
 def metered(optimizer, session, query, config):

@@ -10,4 +10,4 @@ from concurrent.futures import ThreadPoolExecutor
 
 def price_shards(backend, shards):
     with ThreadPoolExecutor(max_workers=2) as pool:
-        return list(pool.map(lambda shard: backend._price_batch(shard), shards))
+        return list(pool.map(lambda shard: backend._price_shard(shard), shards))

@@ -1,12 +1,16 @@
 """Batched what-if costing: determinism, budget accounting, edge cases.
 
-The batch API must be a pure wall-clock optimization: for any pool size it
-commits the same counted calls, in the same order, with the same ordinals
-and costs as the sequential path.
+The batch API must be a pure wall-clock optimization: for any number of
+pricing jobs it commits the same counted calls, in the same order, with the
+same ordinals and costs as the sequential path.
 """
+
+import itertools
 
 import pytest
 
+from repro.budget.events import EventLog
+from repro.budget.policy import FCFSPolicy
 from repro.config import ReproConfig
 from repro.exceptions import BudgetExhaustedError, ConstraintError, TuningError
 from repro.optimizer.whatif import BudgetMeter, WhatIfOptimizer
@@ -85,8 +89,8 @@ class TestPoolDeterminism:
         configs = [
             frozenset(candidates[i : i + 3]) for i in range(0, 30, 3)
         ]
-        serial = WhatIfOptimizer(tpch, pool_size=1)
-        pooled = WhatIfOptimizer(tpch, pool_size=8)
+        serial = WhatIfOptimizer(tpch, pricing_jobs=1)
+        pooled = WhatIfOptimizer(tpch, pricing_jobs=8)
         try:
             assert serial.whatif_workload_costs(configs) == pooled.whatif_workload_costs(
                 configs
@@ -98,16 +102,43 @@ class TestPoolDeterminism:
     def test_greedy_pool_invariant(self, tpch_slice):
         tpch, candidates = tpch_slice
         results = {}
-        for pool in (1, 8):
+        for jobs in (1, 8):
             result = VanillaGreedyTuner().tune(
                 tpch,
                 budget=120,
                 candidates=candidates,
-                optimizer_config=ReproConfig(whatif_pool_size=pool),
+                optimizer_config=ReproConfig(pricing_jobs=jobs),
             )
-            results[pool] = (result.configuration, _layout(result.optimizer))
+            results[jobs] = (result.configuration, _layout(result.optimizer))
             result.optimizer.close()
         assert results[1] == results[8]
+
+    def test_readmitted_query_is_priced_before_its_charge(
+        self, toy_workload, toy_candidates
+    ):
+        """A query the policy refuses when its wave is priced but admits at
+        its turn is priced then, so every job count commits the same calls."""
+        late = toy_workload[1].qid
+
+        class LateAdmission(FCFSPolicy):
+            def admits(self, qid):
+                return qid != late or self.spent > 0
+
+        def layout(jobs):
+            optimizer = WhatIfOptimizer(
+                toy_workload,
+                policy=LateAdmission(BudgetMeter(None)),
+                normalize_cache=False,
+                pricing_jobs=jobs,
+            )
+            config = frozenset(toy_candidates[:2])
+            optimizer.whatif_prefetch((query, config) for query in toy_workload)
+            optimizer.close()
+            return _layout(optimizer)
+
+        serial = layout(1)
+        assert late in [qid for _, qid, _, _ in serial]
+        assert layout(2) == serial
 
     def test_workload_costs_match_sequential_loop(self, toy_workload, toy_candidates):
         configs = [frozenset(toy_candidates[: 1 + i]) for i in range(4)]
@@ -213,8 +244,70 @@ class TestChargeRollback:
         optimizer.whatif_cost(query, config)
         assert optimizer.meter.spent == 1
 
-    def test_pool_size_validation(self, toy_workload):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("entry", ["prefetch", "workload_costs"])
+    def test_failed_batch_commits_every_charge(
+        self, toy_workload, toy_candidates, monkeypatch, entry, jobs
+    ):
+        """Regression: a batch charged its pairs before pricing them, so a
+        cost-model exception left charged units with no committed call."""
+        configs = [frozenset(toy_candidates[i : i + 2]) for i in range(6)]
+
+        def build():
+            events = EventLog()
+            optimizer = WhatIfOptimizer(
+                toy_workload,
+                budget=50,
+                normalize_cache=False,
+                pricing_jobs=jobs,
+                events=events,
+            )
+            return optimizer, events
+
+        def run(optimizer):
+            if entry == "prefetch":
+                optimizer.whatif_prefetch(
+                    (query, config) for config in configs for query in toy_workload
+                )
+            else:
+                optimizer.whatif_workload_costs(configs, on_exhausted="derived")
+
+        def count(events, kind):
+            return sum(1 for event in events.events if event.kind == kind)
+
+        clean, _ = build()
+        run(clean)
+        clean.close()
+
+        optimizer, events = build()
+        evaluations = itertools.count(1)
+        price = optimizer._model.cost
+
+        def flaky(prepared, configuration):
+            if next(evaluations) == 20:
+                raise RuntimeError("simulated optimizer failure")
+            return price(prepared, configuration)
+
+        monkeypatch.setattr(optimizer._model, "cost", flaky)
+        with pytest.raises(RuntimeError, match="simulated"):
+            run(optimizer)
+        monkeypatch.undo()
+
+        # Every pair charged before the fault is committed: 19 one-pair
+        # waves at one job, the whole first 16-pair wave at two.
+        committed = {1: 19, 2: 16}[jobs]
+        assert optimizer.meter.spent == len(optimizer.call_log) == committed
+        assert count(events, "budget_grant") == count(events, "whatif_call")
+
+        # The retry charges each remaining pair exactly once.
+        run(optimizer)
+        optimizer.close()
+        assert optimizer.meter.spent == len(optimizer.call_log) == 50
+        assert count(events, "budget_grant") == count(events, "whatif_call") == 50
+        assert _layout(optimizer) == _layout(clean)
+
+    def test_pricing_jobs_validation(self, toy_workload):
         with pytest.raises(TuningError):
-            WhatIfOptimizer(toy_workload, pool_size=0)
+            WhatIfOptimizer(toy_workload, pricing_jobs=0)
         with pytest.raises(ConstraintError):
-            ReproConfig(whatif_pool_size=0)
+            ReproConfig(pricing_jobs=0)

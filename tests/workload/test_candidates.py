@@ -1,7 +1,13 @@
 """Candidate index generation tests (Figure 3, stage 2)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.workload.analysis import bind_query
 from repro.workload.candidates import (
     CandidateGenerator,
@@ -125,6 +131,35 @@ class TestWorkloadCandidates:
         result = candidates_for_query(star_schema, query, foreign_pool)
         # Fallback keeps table-relevant pool indexes.
         assert all(ix in foreign_pool for ix in result)
+
+    def test_independent_of_string_hash_seed(self):
+        """Real-M has columns of equal selectivity; set order must not
+        decide their key order, or the candidates change with the seed."""
+        script = (
+            "from repro.workload.candidates import CandidateGenerator\n"
+            "from repro.workload.suites.real import real_m_workload\n"
+            "workload = real_m_workload(num_tables=48)\n"
+            "for ix in CandidateGenerator(workload.schema).for_workload(workload):\n"
+            "    print(ix.display())\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+
+        def candidates(seed: str) -> list[str]:
+            path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+            done = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env,
+                capture_output=True,
+                text=True,
+                check=True,
+                timeout=300,
+            )
+            return done.stdout.splitlines()
+
+        first = candidates("0")
+        assert len(first) == 960
+        assert candidates("3") == first
 
 
 class TestAtomicConfigurations:
