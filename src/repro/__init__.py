@@ -27,7 +27,6 @@ from repro.backend import (
     BackendSpec,
     CostBackend,
     NoisyBackend,
-    RecordingBackend,
     ReplayBackend,
     build_backend,
 )
@@ -122,7 +121,6 @@ __all__ = [
     "OptimizerError",
     "Query",
     "RandomSearchTuner",
-    "RecordingBackend",
     "ReplayBackend",
     "ReproError",
     "SQLSyntaxError",

@@ -8,10 +8,15 @@ name       engine
 ========== ==================================================================
 analytic   the simulated what-if optimizer (default, bit-identical baseline)
 noisy      analytic × seeded multiplicative noise (robustness studies)
-record     analytic + JSONL trace capture of every fresh cost
-replay     costs served from a trace — zero cost-model invocations
+replay     a recorded session served from its what-if cache shard — zero
+           cost-model invocations
 postgres   live Postgres planner over HypoPG hypothetical indexes
 ========== ==================================================================
+
+There is one cost store, the persistent what-if cache
+(:mod:`repro.backend.cache`): a session run with ``whatif_cache`` on any
+backend records every fresh pricing in its shard file, and that file is
+what the ``replay`` backend serves.
 
 Resolve backends through :func:`build_backend` (or carry a picklable
 :class:`BackendSpec` across process boundaries); constructing
@@ -30,9 +35,7 @@ from repro.backend.factory import (
 )
 from repro.backend.noisy import NoisyBackend
 from repro.backend.postgres import PostgresBackend
-from repro.backend.record import RecordingBackend
 from repro.backend.replay import ReplayBackend
-from repro.backend.trace import TraceHeader, canonical_key, read_trace, write_trace
 
 __all__ = [
     "BACKENDS",
@@ -42,12 +45,7 @@ __all__ = [
     "CostBackend",
     "NoisyBackend",
     "PostgresBackend",
-    "RecordingBackend",
     "ReplayBackend",
-    "TraceHeader",
     "build_backend",
-    "canonical_key",
-    "read_trace",
     "resolve_spec",
-    "write_trace",
 ]

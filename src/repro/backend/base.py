@@ -19,9 +19,11 @@ surface the stack consumes:
 
 Concrete backends live beside this module: the analytic cost model
 (:class:`~repro.backend.analytic.AnalyticBackend`, the default), a seeded
-noisy variant (:class:`~repro.backend.noisy.NoisyBackend`), and the
-record/replay pair (:class:`~repro.backend.record.RecordingBackend`,
-:class:`~repro.backend.replay.ReplayBackend`). They are constructed through
+noisy variant (:class:`~repro.backend.noisy.NoisyBackend`), a live
+Postgres planner (:class:`~repro.backend.postgres.PostgresBackend`), and
+replay (:class:`~repro.backend.replay.ReplayBackend`), which serves a
+session recorded in a persistent what-if cache shard
+(:mod:`repro.backend.cache`). They are constructed through
 :func:`~repro.backend.factory.build_backend`; constructing the raw
 :class:`~repro.optimizer.whatif.WhatIfOptimizer` outside this package is a
 boundary violation flagged by lint rule REP007.
@@ -32,6 +34,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from pathlib import Path
+
     from repro.budget.events import EventLog
     from repro.budget.meter import BudgetMeter
     from repro.budget.policy import BudgetPolicy
@@ -102,6 +106,9 @@ class CostBackend(Protocol):
     def cost_observers(self) -> tuple: ...
 
     def prepared(self, query: "Query") -> "PreparedQuery": ...
+
+    @property
+    def whatif_shard(self) -> "Path | None": ...
 
     def close(self) -> None: ...
 

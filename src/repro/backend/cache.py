@@ -1,13 +1,21 @@
-"""Persistent cross-session what-if cache.
+"""Persistent cross-session what-if cache: the repo's one cost store.
 
-One append-only JSONL shard file per *backend fingerprint*, reusing the
-:mod:`repro.backend.trace` cost-line format: a header line carrying the
-fingerprint and the identity facts it hashes, then
-``{"type": "cost", "qid": ..., "key": [...], "cost": ...}`` lines keyed
-on the canonical normalized-configuration key. Repeated eval grids and
-record/replay workflows point sessions at the same directory
-(``--whatif-cache``, ``REPRO_WHATIF_CACHE``, default
-``~/.cache/repro``) and skip already-priced pairs entirely.
+One append-only JSONL shard file per *backend fingerprint*: a header line
+carrying the fingerprint and the identity facts it hashes, then
+``{"type": "cost", "qid": ..., "key": [...], "cost": ...}`` lines. ``key``
+is the *canonical configuration key* (:func:`canonical_key`): the sorted
+:meth:`~repro.catalog.Index.display` strings of the normalized
+configuration the cost was priced under. Python's JSON float round-trip
+is exact, so a recalled cost is bit-identical to the pricing that wrote
+it. Repeated eval grids point sessions at the same directory
+(``--whatif-cache``, ``REPRO_WHATIF_CACHE``, default ``~/.cache/repro``)
+and skip already-priced pairs entirely.
+
+A shard is also a session's record: every fresh pricing of a session run
+with ``--whatif-cache DIR`` (ground truth included) lands in its shard,
+and ``--backend replay --backend-trace SHARD`` serves the same session
+from that file alone (:meth:`PersistentWhatIfCache.open_shard`,
+:class:`~repro.backend.replay.ReplayBackend`).
 
 Discipline (REP001/REP101): the cache sits at the *pricing* seam, below
 the in-memory what-if cache and the budget policy. A persistent hit
@@ -19,15 +27,14 @@ observable differences are the :class:`~repro.optimizer.whatif.WhatIfStats`
 ``persistent_hits`` counter and wall time.
 
 Keying and invalidation: the fingerprint hashes everything a pricing
-depends on — backend name (shards are never shared across backends,
-except the recording backend, which prices with the analytic engine and
-says so), workload content (qids, SQL, weights), catalog statistics,
-and normalization mode; noisy adds its seed, replay its trace content,
-postgres its DSN/schema/server identity. Any change lands in a fresh
-shard file, so stale costs are unreachable rather than detected. Files
-are append-only and duplicate-tolerant: concurrent seed workers append
-whole lines to the same shard, and the loader keeps the last occurrence
-and skips malformed tails.
+depends on — backend name (shards are never shared across backends),
+workload content (qids, SQL, weights), catalog statistics, and
+normalization mode; noisy adds its seed, postgres its DSN/schema/server
+identity. Any change lands in a fresh shard file, so stale costs are
+unreachable rather than detected. Files are append-only and
+duplicate-tolerant: concurrent seed workers append whole lines to the
+same shard, and the loader keeps the last occurrence and skips malformed
+tails.
 """
 
 from __future__ import annotations
@@ -37,7 +44,8 @@ import json
 import os
 from pathlib import Path
 
-from repro.backend.trace import TRACE_VERSION, TraceKey
+from repro.catalog import Index
+from repro.exceptions import TraceError
 
 #: Bump when the shard-file layout changes; mismatched files are ignored
 #: (and rewritten on the next flush) rather than migrated.
@@ -45,6 +53,14 @@ CACHE_FORMAT_VERSION = 1
 
 #: ``--whatif-cache`` values that select the default directory.
 _DEFAULT_SELECTORS = frozenset({"1", "default", "auto"})
+
+#: A canonical configuration key: sorted index display strings.
+TraceKey = tuple[str, ...]
+
+
+def canonical_key(key: frozenset[Index] | frozenset) -> TraceKey:
+    """Serialise a configuration into its canonical shard key."""
+    return tuple(sorted(ix.display() for ix in key))
 
 
 def default_cache_dir() -> Path:
@@ -144,6 +160,39 @@ class PersistentWhatIfCache:
         self._fresh: dict[tuple[str, TraceKey], float] = {}
         self._rewrite = False
 
+    @classmethod
+    def open_shard(cls, path: str | Path) -> "PersistentWhatIfCache":
+        """Open an existing shard file under the identity its header records.
+
+        Only the header line is read here; the costs load lazily on the
+        first lookup, like any shard's (a torn line is skipped then).
+
+        Raises:
+            TraceError: When the file is unreadable or its first line is
+                not a current shard header.
+        """
+        shard_path = Path(path)
+        try:
+            with open(shard_path, encoding="utf-8") as handle:
+                first = handle.readline()
+        except OSError as exc:
+            raise TraceError(f"cannot read what-if shard {shard_path}: {exc}") from exc
+        try:
+            header = json.loads(first)
+        except ValueError:
+            header = None
+        identity = header.get("identity") if isinstance(header, dict) else None
+        if not (
+            isinstance(identity, dict)
+            and header.get("type") == "header"
+            and header.get("cache_version") == CACHE_FORMAT_VERSION
+            and header.get("fingerprint") == identity_fingerprint(identity)
+        ):
+            raise TraceError(f"{shard_path}: no current what-if shard header line")
+        shard = cls(shard_path.parent, identity)
+        shard._dir, shard._path = shard_path.parent, shard_path
+        return shard
+
     @property
     def path(self) -> Path:
         """The shard file backing this cache."""
@@ -152,6 +201,11 @@ class PersistentWhatIfCache:
     @property
     def fingerprint(self) -> str:
         return self._fingerprint
+
+    @property
+    def identity(self) -> dict:
+        """The backend identity facts the fingerprint hashes."""
+        return self._identity
 
     @property
     def pending(self) -> int:
@@ -185,7 +239,6 @@ class PersistentWhatIfCache:
             if kind == "header":
                 header_ok = (
                     entry.get("cache_version") == CACHE_FORMAT_VERSION
-                    and entry.get("trace_version") == TRACE_VERSION
                     and entry.get("fingerprint") == self._fingerprint
                 )
                 if not header_ok:
@@ -207,14 +260,14 @@ class PersistentWhatIfCache:
             self._rewrite = True
         return costs
 
-    def get(self, qid: str, key: TraceKey) -> float | None:
-        """The persisted cost for a canonical (qid, key) pair, if any."""
-        return self._load().get((qid, key))
+    def get(self, qid: str, key: frozenset[Index]) -> float | None:
+        """The persisted cost of a (qid, normalized configuration) pair, if any."""
+        return self._load().get((qid, canonical_key(key)))
 
-    def put(self, qid: str, key: TraceKey, cost: float) -> None:
+    def put(self, qid: str, key: frozenset[Index], cost: float) -> None:
         """Remember a fresh pricing (queued for the next :meth:`flush`)."""
         costs = self._load()
-        entry = (qid, key)
+        entry = (qid, canonical_key(key))
         if entry in costs:
             return
         costs[entry] = cost
@@ -225,7 +278,6 @@ class PersistentWhatIfCache:
             {
                 "type": "header",
                 "cache_version": CACHE_FORMAT_VERSION,
-                "trace_version": TRACE_VERSION,
                 "fingerprint": self._fingerprint,
                 "identity": self._identity,
             },

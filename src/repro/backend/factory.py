@@ -18,7 +18,6 @@ from typing import TYPE_CHECKING
 from repro.backend.analytic import AnalyticBackend
 from repro.backend.noisy import NoisyBackend
 from repro.backend.postgres import PostgresBackend
-from repro.backend.record import RecordingBackend
 from repro.backend.replay import ReplayBackend
 from repro.config import _BACKEND_NAMES, ReproConfig
 from repro.exceptions import TuningError
@@ -34,7 +33,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 BACKENDS: dict[str, type[AnalyticBackend]] = {
     AnalyticBackend.name: AnalyticBackend,
     NoisyBackend.name: NoisyBackend,
-    RecordingBackend.name: RecordingBackend,
     ReplayBackend.name: ReplayBackend,
     PostgresBackend.name: PostgresBackend,
 }
@@ -57,9 +55,9 @@ class BackendSpec:
 
     Attributes:
         name: Registered backend name (see :data:`BACKEND_NAMES`).
-        trace_path: Trace file for the record/replay backends (required by
-            both; optional recording destination for the postgres backend;
-            ignored by the others).
+        trace_path: The what-if cache shard the replay backend serves a
+            recorded session from (required by replay, ignored by the
+            others).
         noise: Noise level σ for the noisy backend.
         noise_seed: Perturbation-stream seed for the noisy backend.
         pg_dsn: Connection string for the postgres backend. ``None`` defers
@@ -87,7 +85,7 @@ class BackendSpec:
             raise TuningError(
                 f"unknown backend {self.name!r}; expected one of {BACKEND_NAMES}"
             )
-        if self.name in ("record", "replay") and not self.trace_path:
+        if self.name == "replay" and not self.trace_path:
             raise TuningError(
                 f"backend {self.name!r} requires a trace path "
                 "(--backend-trace / REPRO_BACKEND_TRACE)"
@@ -157,7 +155,7 @@ def build_backend(
     The keyword surface mirrors the
     :class:`~repro.optimizer.whatif.WhatIfOptimizer` constructor (budget
     *or* policy, engine knobs, event stream); backend-specific parameters
-    (trace path, noise) come from the spec. Extra keyword arguments are
+    (shard path, noise, DSN) come from the spec. Extra keyword arguments are
     forwarded to the backend constructor verbatim — this is how tests
     inject a fake ``connector`` into the postgres backend.
     """
@@ -172,7 +170,7 @@ def build_backend(
         policy=policy,
         events=events,
     )
-    if resolved.name in ("record", "replay"):
+    if resolved.name == "replay":
         kwargs["trace_path"] = resolved.trace_path
     elif resolved.name == "noisy":
         kwargs["noise"] = resolved.noise
@@ -180,6 +178,5 @@ def build_backend(
     elif resolved.name == "postgres":
         kwargs["pg_dsn"] = resolved.pg_dsn
         kwargs["pg_schema"] = resolved.pg_schema
-        kwargs["trace_path"] = resolved.trace_path
     kwargs.update(backend_kwargs)
     return BACKENDS[resolved.name](workload, **kwargs)

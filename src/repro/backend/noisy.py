@@ -16,7 +16,7 @@ from hashlib import blake2b
 from time import perf_counter
 
 from repro.backend.analytic import AnalyticBackend
-from repro.backend.trace import canonical_key
+from repro.backend.cache import canonical_key
 from repro.catalog import Index
 from repro.exceptions import TuningError
 from repro.optimizer.prepared import PreparedQuery

@@ -22,23 +22,22 @@ connection errors retry with backoff on a fresh connection, and
 :meth:`PostgresBackend.close` runs ``hypopg_reset`` on every pooled
 connection before closing it.
 
-Passing ``trace_path`` records every fresh pricing in the shared JSONL
-trace format, so a CI-recorded Postgres session replays bit-identically
-through :class:`~repro.backend.replay.ReplayBackend` with zero live
-connections (and zero ``psycopg`` imports).
+A session run with ``whatif_cache`` records every fresh pricing in its
+cache shard like any backend's, so a CI-recorded Postgres session replays
+bit-identically from that shard through
+:class:`~repro.backend.replay.ReplayBackend` with zero live connections
+(and zero ``psycopg`` imports).
 """
 
 from __future__ import annotations
 
 import os
-from pathlib import Path
 from typing import Callable
 
 from repro.backend.analytic import AnalyticBackend
 from repro.backend.dbms.connection import ConnectionPool, require_psycopg, with_retry
 from repro.backend.dbms.explain import PostgresPlan, parse_plan, plan_total_cost
 from repro.backend.dbms.hypo import HypoIndexState
-from repro.backend.trace import TraceHeader, TraceKey, canonical_key, write_trace
 from repro.catalog import Index
 from repro.exceptions import OptimizerError, TuningError
 from repro.optimizer.prepared import PreparedQuery
@@ -143,9 +142,6 @@ class PostgresBackend(AnalyticBackend):
             and the TPC-H-style suites follow the same dialect.
         pg_dsn: Connection string; falls back to ``REPRO_PG_DSN``.
         pg_schema: Optional schema (``search_path``) holding the tables.
-        trace_path: When given, record every fresh pricing to this JSONL
-            trace (same format as the ``record`` backend) so the session
-            replays offline through the ``replay`` backend.
         connector: Injectable ``connect(dsn) -> connection`` callable for
             tests; when given, the ``psycopg`` import gate is skipped.
         retries: Transient-connection-error retries per pricing operation.
@@ -175,7 +171,6 @@ class PostgresBackend(AnalyticBackend):
         *args,
         pg_dsn: str | None = None,
         pg_schema: str | None = None,
-        trace_path: str | Path | None = None,
         connector: Callable[[str], object] | None = None,
         retries: int = 2,
         backoff: float = 0.05,
@@ -203,9 +198,6 @@ class PostgresBackend(AnalyticBackend):
         self._backoff = backoff
         self._transient = transient
         self._sql = {query.qid: query.sql for query in workload}
-        self._pg_trace_path = Path(trace_path) if trace_path else None
-        self._recorded: dict[tuple[str, TraceKey], float] = {}
-        self._saved = True
 
     # ------------------------------------------------------------------ #
     # connection plumbing
@@ -247,16 +239,6 @@ class PostgresBackend(AnalyticBackend):
     # the pricing seam
     # ------------------------------------------------------------------ #
 
-    def _record(self, qid: str, key: frozenset[Index], cost: float) -> None:
-        if self._pg_trace_path is not None:
-            self._recorded[(qid, canonical_key(key))] = cost
-            self._saved = False
-
-    def _on_recalled(self, qid: str, key: frozenset[Index], cost: float) -> None:
-        # A persistent-cache hit skips _evaluate; mirror it into the trace
-        # so a warm-cache recorded session still replays completely.
-        self._record(qid, key, cost)
-
     def cache_identity(self) -> dict:
         """Extend the shard key with server-side pricing identity.
 
@@ -275,9 +257,7 @@ class PostgresBackend(AnalyticBackend):
 
     def _evaluate(self, prepared: PreparedQuery, key: frozenset[Index]) -> float:
         sql = self._sql[prepared.qid]
-        cost = self._run(lambda session: session.cost(sql, key))
-        self._record(prepared.qid, key, cost)
-        return cost
+        return self._run(lambda session: session.cost(sql, key))
 
     def _price_shard(
         self, shard: list[tuple[str, PreparedQuery, frozenset[Index]]]
@@ -290,9 +270,8 @@ class PostgresBackend(AnalyticBackend):
         set is synced once. At one pricing job a wave is a single pair and
         the shard runs inline; the session's diffed hypothetical-index
         state then keeps consecutive pairs under one configuration to one
-        sync. On a worker thread the only side effect is trace recording
-        via per-pair GIL-atomic dict writes — stats, budget, and cache
-        commits stay with the serial commit loop.
+        sync. Stats, budget, and cache commits stay with the serial
+        commit loop.
         """
         groups: dict[frozenset[Index], list[int]] = {}
         for position, (_, _, norm) in enumerate(shard):
@@ -306,8 +285,6 @@ class PostgresBackend(AnalyticBackend):
                     costs[position] = session.cost(self._sql[qid], norm)
 
         self._run(price_all)
-        for (qid, _, norm), cost in zip(shard, costs, strict=True):
-            self._record(qid, norm, cost)
         return costs
 
     def explain(self, query: Query, configuration) -> PostgresPlan:
@@ -318,43 +295,11 @@ class PostgresBackend(AnalyticBackend):
         return self._run(lambda session: session.plan(sql, norm))
 
     # ------------------------------------------------------------------ #
-    # trace recording (composes with the replay backend)
-    # ------------------------------------------------------------------ #
-
-    @property
-    def trace_path(self) -> Path | None:
-        """Trace destination, or ``None`` when not recording."""
-        return self._pg_trace_path
-
-    @property
-    def recorded_pairs(self) -> int:
-        """Distinct (query, configuration) costs captured so far."""
-        return len(self._recorded)
-
-    def save_trace(self) -> int:
-        """Write the recorded trace; returns the number of cost lines."""
-        if self._pg_trace_path is None:
-            raise TuningError(
-                "postgres backend was built without trace_path; "
-                "pass --backend-trace to record a replayable session"
-            )
-        header = TraceHeader(
-            workload=self._workload.name,
-            queries=len(self._workload),
-            normalize_cache=self.normalize_cache,
-        )
-        written = write_trace(self._pg_trace_path, header, self._recorded)
-        self._saved = True
-        return written
-
-    # ------------------------------------------------------------------ #
     # teardown
     # ------------------------------------------------------------------ #
 
     def close(self) -> None:
-        """Flush the trace, ``hypopg_reset`` pooled sessions, close them."""
-        if self._pg_trace_path is not None and not self._saved:
-            self.save_trace()
+        """``hypopg_reset`` pooled sessions, close them, flush the cache."""
         self._pool.close_all(finalize=_reset_session)
         super().close()
 

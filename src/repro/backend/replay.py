@@ -1,104 +1,96 @@
-"""Replay backend: serve recorded costs with zero cost-model invocations."""
+"""Replay backend: serve a recorded session from its what-if cache shard."""
 
 from __future__ import annotations
 
 from pathlib import Path
 
 from repro.backend.analytic import AnalyticBackend
-from repro.backend.trace import TraceKey, canonical_key, read_trace
+from repro.backend.cache import PersistentWhatIfCache, canonical_key, workload_fingerprint
+from repro.backend.noisy import NoisyBackend
 from repro.catalog import Index
 from repro.exceptions import TraceError, TraceMissError, TuningError
 from repro.optimizer.prepared import PreparedQuery
 
 
 class ReplayBackend(AnalyticBackend):
-    """Costs served from a recorded JSONL trace — never from the cost model.
+    """Costs served from a recorded shard — never from the cost model.
 
-    Caching, normalization, budget metering, and the call-log layout are the
-    analytic engine's; only the raw evaluation seam is replaced by a trace
-    lookup. Replaying the same tuner/seed/budget that produced the trace is
-    therefore bit-identical to the recorded run while issuing *zero*
-    cost-model invocations (the CI smoke job asserts this by making
-    ``CostModel.cost`` raise). A lookup miss raises
-    :class:`~repro.exceptions.TraceMissError` — replay never silently falls
-    back to analytic costing.
+    A session is recorded by running it with ``--whatif-cache DIR``: every
+    fresh pricing, ground truth included, lands in the shard
+    ``DIR/whatif-<fingerprint>.jsonl``. Replay opens that file
+    (:meth:`~repro.backend.cache.PersistentWhatIfCache.open_shard`) and
+    installs it as the engine's persistent cache, so every cost goes
+    through the ordinary recall path; only the raw evaluation seam is
+    replaced, by a :class:`~repro.exceptions.TraceMissError`. Caching,
+    normalization, budget metering, and the call-log layout are the
+    analytic engine's, so replaying the same tuner/seed/budget is
+    bit-identical to the recorded run while issuing *zero* cost-model
+    invocations (the CI smoke job asserts this by making
+    ``CostModel.cost`` raise). Replay ignores ``whatif_cache`` and never
+    writes the shard.
 
-    The trace header is authoritative for cache normalization (keys were
-    recorded post-normalization) and is validated against the session's
-    workload by name and query count.
+    The shard header is authoritative for cache normalization (keys were
+    recorded post-normalization). A shard whose workload fingerprint —
+    queries and catalog statistics — is not the session's, or that holds
+    noisy costs (the noisy backend's clean ground truth bypasses the
+    store), is rejected with a :class:`~repro.exceptions.TraceError`.
 
     Args:
-        workload: The workload being tuned; must match the trace header.
-        trace_path: The JSONL trace to serve costs from.
+        workload: The workload being tuned; must match the shard header.
+        trace_path: The shard file to serve costs from.
         **kwargs: Forwarded to the analytic engine. ``normalize_cache`` may
-            only be passed if it agrees with the trace header.
+            only be passed if it agrees with the shard header.
     """
 
     name = "replay"
     monotonic = True
 
-    #: A replayed pricing is a dict lookup — there is nothing to overlap,
-    #: and fanning lookups over workers would only race the ``replayed``
-    #: counter. Replay always prices serially (results are identical).
+    #: A concurrent wave prices pairs ahead of their budget decision, and
+    #: a pair past a one-job recording's budget is not in the shard: the
+    #: speculative lookup would raise a spurious miss. Replay therefore
+    #: prices one pair a wave, right before its budget decision.
     supports_concurrent_pricing = False
 
     def __init__(self, workload, *args, trace_path: str | Path, **kwargs):
         if not trace_path:
             raise TuningError("ReplayBackend requires a trace_path")
-        header, costs = read_trace(trace_path)
-        if header.workload != workload.name or header.queries != len(workload):
+        shard = PersistentWhatIfCache.open_shard(trace_path)
+        identity = shard.identity
+        if identity.get("workload") != workload_fingerprint(workload):
             raise TraceError(
-                f"trace {trace_path} was recorded against workload "
-                f"{header.workload!r} ({header.queries} queries); replay "
-                f"session uses {workload.name!r} ({len(workload)} queries)"
+                f"shard {trace_path} was not recorded against workload "
+                f"{workload.name!r} as this session builds it (its queries or "
+                "catalog statistics differ)"
             )
+        if identity.get("backend") == NoisyBackend.name:
+            raise TraceError(
+                f"shard {trace_path} holds noisy costs; a noisy session's "
+                "clean ground truth is not in it, so it cannot be replayed"
+            )
+        recorded = identity.get("normalize_cache")
         requested = kwargs.pop("normalize_cache", None)
-        if requested is not None and requested != header.normalize_cache:
+        if requested is not None and requested != recorded:
             raise TraceError(
-                f"trace {trace_path} was recorded with "
-                f"normalize_cache={header.normalize_cache}; cannot replay "
-                f"with normalize_cache={requested}"
+                f"shard {trace_path} was recorded with "
+                f"normalize_cache={recorded}; cannot replay with "
+                f"normalize_cache={requested}"
             )
+        kwargs.pop("whatif_cache", None)
         super().__init__(
-            workload, *args, normalize_cache=header.normalize_cache, **kwargs
+            workload,
+            *args,
+            normalize_cache=recorded,
+            whatif_cache=shard.path,
+            **kwargs,
         )
-        self._trace_path = Path(trace_path)
-        self._trace_costs: dict[tuple[str, TraceKey], float] = costs
-
-    @property
-    def trace_path(self) -> Path:
-        """Source of the replayed trace."""
-        return self._trace_path
-
-    @property
-    def trace_pairs(self) -> int:
-        """Distinct (query, configuration) costs available in the trace."""
-        return len(self._trace_costs)
-
-    def cache_identity(self) -> dict:
-        """Extend the shard key with the trace content.
-
-        Replayed costs *are* the trace, so two different traces must never
-        share a shard file even when everything else matches.
-        """
-        from repro.backend.cache import stable_digest
-
-        identity = super().cache_identity()
-        identity["trace"] = stable_digest(
-            [[qid, list(key), cost] for (qid, key), cost in sorted(self._trace_costs.items())]
-        )
-        return identity
+        self._pcache = shard
 
     def _evaluate(self, prepared: PreparedQuery, key: frozenset[Index]) -> float:
         trace_key = canonical_key(key)
-        cost = self._trace_costs.get((prepared.qid, trace_key))
-        if cost is None:
-            raise TraceMissError(
-                f"trace {self._trace_path} has no cost for query "
-                f"{prepared.qid!r} under configuration {list(trace_key)} — "
-                "the replayed run diverged from the recorded one",
-                qid=prepared.qid,
-                key=trace_key,
-            )
-        self._stats.replayed += 1
-        return cost
+        raise TraceMissError(
+            f"shard {self._pcache.path} has no cost for query "
+            f"{prepared.qid!r} under configuration {list(trace_key)} — "
+            "the replayed run diverged from the recorded one",
+            qid=prepared.qid,
+            key=trace_key,
+        )

@@ -13,10 +13,9 @@ Examples:
     python -m repro tune --workload tpch --budget 300 --max-indexes 10
     python -m repro tune --workload tpch --budget 300 --seeds 5 --jobs 4
     python -m repro tune --workload tpcds --algo two_phase --minutes 30
-    python -m repro tune --workload tpch --budget 300 --backend record \\
-        --backend-trace trace.jsonl
+    python -m repro tune --workload tpch --budget 300 --whatif-cache pcache
     python -m repro tune --workload tpch --budget 300 --backend replay \\
-        --backend-trace trace.jsonl
+        --backend-trace pcache/whatif-<fingerprint>.jsonl
     python -m repro load --workload toy --pg-dsn postgresql://localhost/repro
     python -m repro tune --workload toy --budget 60 --backend postgres \\
         --pg-dsn postgresql://localhost/repro
@@ -34,6 +33,7 @@ import sys
 from dataclasses import replace
 
 from repro.backend.factory import BACKEND_NAMES, BackendSpec, build_backend
+from repro.backend.replay import ReplayBackend
 from repro.budget.policy import POLICY_NAMES
 from repro.config import MCTSConfig, ReproConfig, TuningConstraints
 from repro.eval.experiments import EXPERIMENTS, ExperimentSettings, run_experiment
@@ -109,11 +109,14 @@ def _build_parser() -> argparse.ArgumentParser:
                            "which calls are granted)")
     tune.add_argument("--backend", default=None, choices=BACKEND_NAMES,
                       help="cost backend (default: REPRO_BACKEND or analytic). "
-                           "record captures a what-if trace, replay serves one "
-                           "with zero cost-model calls, noisy perturbs costs")
+                           "replay serves a session recorded with "
+                           "--whatif-cache with zero cost-model calls, noisy "
+                           "perturbs costs")
     tune.add_argument("--backend-trace", default=None, metavar="PATH",
-                      help="trace file the record backend writes / the replay "
-                           "backend reads (default: REPRO_BACKEND_TRACE)")
+                      help="what-if cache shard the replay backend serves, "
+                           "e.g. DIR/whatif-<fingerprint>.jsonl of a session "
+                           "run with --whatif-cache DIR (default: "
+                           "REPRO_BACKEND_TRACE)")
     tune.add_argument("--noise", type=float, default=None,
                       help="noise scale sigma for --backend noisy "
                            "(default: REPRO_NOISE or 0.1)")
@@ -134,7 +137,8 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="persistent cross-session what-if cache directory "
                            "('1'/'default' = ~/.cache/repro; default: "
                            "REPRO_WHATIF_CACHE or disabled); never changes "
-                           "costs or budget accounting")
+                           "costs or budget accounting. Its shard records "
+                           "the session for --backend replay")
     tune.add_argument("--trace", default=None, metavar="PATH",
                       help="write the session event stream as JSON lines to "
                            "PATH ('-' for stdout)")
@@ -163,7 +167,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--backend", default=None,
                     choices=("analytic", "noisy", "postgres"),
                     help="cost backend for the grid cells (default: "
-                         "REPRO_BACKEND or analytic; record/replay are "
+                         "REPRO_BACKEND or analytic; replay is "
                          "single-session and not valid in grids)")
     ev.add_argument("--noise", type=float, default=None,
                     help="noise scale sigma for --backend noisy "
@@ -274,7 +278,7 @@ def _backend_spec(args: argparse.Namespace) -> BackendSpec | None:
     config = ReproConfig.from_env()
     name = overrides.get("name", config.backend)
     trace = overrides.get("trace_path", config.backend_trace)
-    if name in ("record", "replay") and not trace:
+    if name == "replay" and not trace:
         raise TuningError(f"--backend {name} requires --backend-trace PATH")
     defaults = {
         "name": config.backend,
@@ -301,10 +305,6 @@ def _cmd_tune_multi_seed(args: argparse.Namespace, workload, constraints) -> int
               file=sys.stderr)
         return 2
     backend = _backend_spec(args)
-    if backend is not None and backend.name == "record":
-        print("error: --backend record captures a single session's trace; "
-              "drop --seeds", file=sys.stderr)
-        return 2
 
     def factory(seed: int):
         return _ALGORITHMS[args.algo](
@@ -403,10 +403,10 @@ def _cmd_tune(args: argparse.Namespace) -> int:
             f"{stats.normalized_hits} saved by normalization, "
             f"{stats.cost_seconds:.3f}s in the cost model"
         )
-        if stats.replayed:
-            print(f"replayed {stats.replayed} pricings from the trace "
+        if stats.persistent_hits and isinstance(result.optimizer, ReplayBackend):
+            print(f"replayed {stats.persistent_hits} pricings from the trace "
                   "(zero cost-model invocations)")
-        if stats.persistent_hits:
+        elif stats.persistent_hits:
             print(f"persistent what-if cache: {stats.persistent_hits} pairs "
                   "recalled from earlier sessions")
         if stats.speculative_priced:
@@ -420,21 +420,14 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     else:
         print("no indexes recommended")
     optimizer = result.optimizer
-    if (
-        optimizer is not None
-        and hasattr(optimizer, "save_trace")
-        # The postgres backend only records (and can only save) when a
-        # trace destination was configured; replay has no save_trace.
-        and getattr(optimizer, "trace_path", None) is not None
-    ):
-        # Save after true_improvement() above so the trace also covers the
-        # ground-truth pricings a replay of this session will need.
-        written = optimizer.save_trace()
-        print(f"what-if trace: {written} cost lines -> {optimizer.trace_path}")
     if optimizer is not None:
         # Flush the persistent what-if cache (if any) and release pricing
-        # threads / pooled connections.
+        # threads / pooled connections. Closing after true_improvement()
+        # above puts the ground-truth pricings in the shard too, so the
+        # shard replays this whole session.
         optimizer.close()
+        if optimizer.whatif_shard is not None:
+            print(f"what-if shard: {optimizer.whatif_shard}")
     return 0
 
 

@@ -30,7 +30,7 @@ _BUDGET_POLICY_NAMES = ("fcfs", "wii", "esc", "esc+wii")
 #: :data:`repro.backend.factory.BACKEND_NAMES` (kept literal here so the
 #: config layer never imports the backend package — the backend package
 #: imports this module).
-_BACKEND_NAMES = ("analytic", "noisy", "record", "replay", "postgres")
+_BACKEND_NAMES = ("analytic", "noisy", "replay", "postgres")
 
 
 @dataclass(frozen=True)
@@ -86,12 +86,14 @@ class ReproConfig:
         backend: Default cost backend for tuning sessions — ``"analytic"``
             (the simulated optimizer, bit-identical baseline), ``"noisy"``
             (seeded multiplicative perturbation for robustness studies),
-            ``"record"`` (analytic plus a JSONL trace of every fresh cost),
-            or ``"replay"`` (serve costs from a trace; zero cost-model
-            invocations). **Semantic knob** for ``"noisy"``: perturbed
-            costs change tuner decisions by design.
-        backend_trace: Trace path for the record/replay backends (required
-            by both, unused by the others).
+            ``"replay"`` (serve a recorded session from its what-if cache
+            shard; zero cost-model invocations), or ``"postgres"``. A
+            session is recorded by running it with ``whatif_cache``.
+            **Semantic knob** for ``"noisy"``: perturbed costs change
+            tuner decisions by design.
+        backend_trace: The what-if cache shard file the replay backend
+            serves (``DIR/whatif-<fingerprint>.jsonl`` of a recorded
+            session); required by replay, unused by the others.
         noise: Relative noise level σ of the noisy backend; each non-empty
             (query, configuration) cost is multiplied by ``exp(σ·z)`` with
             ``z`` a seeded standard normal. ``0`` reproduces the analytic

@@ -161,23 +161,11 @@ class ExperimentRunner:
     # ------------------------------------------------------------------ #
 
     @staticmethod
-    def _check_backend(backend: BackendSpec | str | None) -> BackendSpec | None:
-        """Validate a grid-level backend selection.
-
-        The record backend captures *one session's* trace; a grid of
-        independent runs would overwrite the file per cell, so it is
-        rejected here (record with ``repro tune --backend record``).
-        """
+    def _resolve_backend(backend: BackendSpec | str | None) -> BackendSpec | None:
+        """Resolve a grid-level backend selection once, in this process."""
         if backend is None:
             return None
-        spec = backend if isinstance(backend, BackendSpec) else resolve_spec(backend)
-        if spec.name == "record":
-            raise TuningError(
-                "the record backend captures a single session's trace; "
-                "record with `repro tune --backend record`, not in an "
-                "experiment grid"
-            )
-        return spec
+        return backend if isinstance(backend, BackendSpec) else resolve_spec(backend)
 
     def _cell_specs(
         self,
@@ -317,10 +305,9 @@ class ExperimentRunner:
                 config default, FCFS).
             backend: Optional cost-backend selection (name or picklable
                 spec) applied to every seed (``None`` keeps the config
-                default, analytic). The record backend is rejected — see
-                :meth:`_check_backend`.
+                default, analytic).
         """
-        backend = self._check_backend(backend)
+        backend = self._resolve_backend(backend)
         specs = self._cell_specs(
             factory, budget, constraints, stochastic, budget_policy, backend=backend
         )
@@ -347,7 +334,7 @@ class ExperimentRunner:
         Like :meth:`run_grid` with a single algorithm and a single ``K``;
         under ``parallel > 1`` all (budget, seed) units run concurrently.
         """
-        backend = self._check_backend(backend)
+        backend = self._resolve_backend(backend)
         cells = [
             self._cell_specs(
                 factory, budget, constraints, stochastic, budget_policy,
@@ -392,7 +379,7 @@ class ExperimentRunner:
         Returns:
             Records ordered by (K, budget, insertion order of factories).
         """
-        backend = self._check_backend(backend)
+        backend = self._resolve_backend(backend)
         cells: list[list[CellSpec]] = []
         cell_meta: list[tuple[int, TuningConstraints]] = []
         for k in k_values:

@@ -84,18 +84,19 @@ class ParallelExecutionError(ReproError):
 
 
 class TraceError(ReproError):
-    """Raised for malformed or mismatched cost-backend trace files.
+    """Raised when a what-if cache shard cannot be replayed.
 
-    Covers unreadable/garbled JSONL, unsupported trace versions, and
-    header mismatches (the trace was recorded against a different
-    workload or cache-normalization setting than the replay session).
+    Covers an unreadable file, a missing or stale shard header, and
+    header mismatches: the shard was recorded against a different
+    workload (queries or catalog statistics) or cache-normalization
+    setting than the replay session, or holds noisy costs.
     """
 
 
 class TraceMissError(TraceError):
-    """Raised when replay needs a (query, configuration) cost not in the trace.
+    """Raised when replay needs a (query, configuration) cost not in the shard.
 
-    The replay backend serves costs exclusively from its recorded trace;
+    The replay backend serves costs exclusively from its recorded shard;
     a miss means the replayed run diverged from the recorded one (different
     tuner, seed, budget, or knobs) — replay never falls back to the cost
     model.

@@ -111,9 +111,10 @@ class BackendBoundaryRule(Rule):
     :func:`~repro.backend.factory.build_backend` (or a picklable
     ``BackendSpec``). Importing or constructing the concrete
     ``WhatIfOptimizer`` elsewhere hard-wires the analytic engine, silently
-    ignoring the session's ``--backend`` selection — a record run that
-    costs through a direct construction writes an incomplete trace, and a
-    noisy-robustness run measures the wrong engine.
+    ignoring the session's ``--backend`` selection — a replay run that
+    costs through a direct construction prices with the cost model instead
+    of its recorded shard, and a noisy-robustness run measures the wrong
+    engine.
 
     The same seam has a second edge: the optional ``psycopg`` driver may
     be imported only inside ``repro/backend/dbms`` (where

@@ -44,7 +44,9 @@ A further layer removes pricing work, again without touching semantics:
   backend fingerprint (:mod:`repro.backend.cache`) remembers priced pairs
   across sessions. A hit replaces the pricing *work* of a call, never its
   budget charge, cache commit, log entry, or event, so warm runs stay
-  bit-identical to cold ones while re-pricing nothing.
+  bit-identical to cold ones while re-pricing nothing. The shard is also
+  the session's record: the replay backend serves a session from it
+  through the same recall path.
 
 Cheap counters (:class:`WhatIfStats`) expose cache hits/misses, calls saved
 by normalization, and cumulative cost-model wall time so perf regressions
@@ -105,8 +107,6 @@ class WhatIfStats:
             time).
         batch_calls: Batched pricing passes issued.
         batched_pairs: Uncached pairs priced by those passes.
-        replayed: Evaluations served from a recorded trace instead of the
-            cost model (always 0 outside the replay backend).
         speculative_priced: Pairs resolved (priced or recalled) by a
             concurrent wave *ahead of* their budget decision (always 0 at
             one pricing job).
@@ -115,7 +115,7 @@ class WhatIfStats:
             committed.
         persistent_hits: Pricings served from the persistent cross-session
             cache instead of the cost model / DBMS (always 0 when
-            ``whatif_cache`` is off).
+            ``whatif_cache`` is off; every pricing on the replay backend).
     """
 
     cache_hits: int = 0
@@ -125,7 +125,6 @@ class WhatIfStats:
     cost_seconds: float = 0.0
     batch_calls: int = 0
     batched_pairs: int = 0
-    replayed: int = 0
     speculative_priced: int = 0
     speculation_wasted: int = 0
     persistent_hits: int = 0
@@ -147,7 +146,6 @@ class WhatIfStats:
             "cost_seconds": self.cost_seconds,
             "batch_calls": self.batch_calls,
             "batched_pairs": self.batched_pairs,
-            "replayed": self.replayed,
             "speculative_priced": self.speculative_priced,
             "speculation_wasted": self.speculation_wasted,
             "persistent_hits": self.persistent_hits,
@@ -182,10 +180,10 @@ class WhatIfOptimizer:
             reported as ``whatif_call`` events.
     """
 
-    #: Whether batch waves may be priced on worker threads. Backends whose
-    #: raw evaluation is not worker-thread-safe (or not worth parallelising,
-    #: e.g. replay's dict lookups) clear this and always price one-pair
-    #: waves inline — results are identical either way.
+    #: Whether batch waves may be priced on worker threads. Backends that
+    #: must not price ahead of a budget decision (replay) or whose raw
+    #: evaluation is not worker-thread-safe clear this and always price
+    #: one-pair waves inline.
     supports_concurrent_pricing = True
 
     def __init__(
@@ -338,6 +336,11 @@ class WhatIfOptimizer:
         """The persistent-cache directory selection, if any."""
         return self._whatif_cache
 
+    @property
+    def whatif_shard(self) -> Path | None:
+        """The persistent cache's shard file, once a pricing has opened it."""
+        return None if self._pcache is None else self._pcache.path
+
     def close(self) -> None:
         """Flush the persistent cache and shut down the pricing executor.
 
@@ -373,7 +376,8 @@ class WhatIfOptimizer:
         Every fresh pricing (counted calls, free empty-configuration costs,
         uncounted ground-truth evaluations, batch waves) funnels through
         here; subclasses in :mod:`repro.backend` override it to perturb
-        (:class:`~repro.backend.noisy.NoisyBackend`) or replace
+        (:class:`~repro.backend.noisy.NoisyBackend`), replace
+        (:class:`~repro.backend.postgres.PostgresBackend`) or refuse
         (:class:`~repro.backend.replay.ReplayBackend`) the analytic cost
         model without touching caching, normalization, or budget accounting.
         """
@@ -389,8 +393,8 @@ class WhatIfOptimizer:
         Two sessions sharing a shard file must be guaranteed to price every
         (qid, normalized key) pair to the same float; the fingerprint hashes
         everything that guarantee depends on. Subclasses extend the mapping
-        with whatever else their pricing reads (noise seed, trace content,
-        DSN/server identity) so any change lands in a fresh shard file.
+        with whatever else their pricing reads (noise seed, DSN/server
+        identity) so any change lands in a fresh shard file.
         """
         from repro.backend.cache import workload_fingerprint
 
@@ -406,9 +410,7 @@ class WhatIfOptimizer:
             return None
         if self._pcache is None:
             from repro.backend.cache import PersistentWhatIfCache
-            from repro.backend.trace import canonical_key
 
-            self._canonical_key = canonical_key
             self._pcache = PersistentWhatIfCache(
                 self._whatif_cache, self.cache_identity()
             )
@@ -424,24 +426,16 @@ class WhatIfOptimizer:
         pcache = self._persistent_cache()
         if pcache is None:
             return None
-        cost = pcache.get(qid, self._canonical_key(key))
+        cost = pcache.get(qid, key)
         if cost is not None:
             self._stats.persistent_hits += 1
-            self._on_recalled(qid, key, cost)
         return cost
 
     def _store(self, qid: str, key: frozenset[Index], cost: float) -> None:
         """Queue a fresh pricing for the persistent cache, when enabled."""
         pcache = self._persistent_cache()
         if pcache is not None:
-            pcache.put(qid, self._canonical_key(key), cost)
-
-    def _on_recalled(self, qid: str, key: frozenset[Index], cost: float) -> None:
-        """Hook: a pricing was served from the persistent cache.
-
-        Recording backends mirror recalled costs into their trace so a
-        warm-cache session still writes a complete, replayable trace.
-        """
+            pcache.put(qid, key, cost)
 
     def _price(self, prepared: PreparedQuery, key: frozenset[Index]) -> float:
         """One instrumented cost evaluation (persistent-cache aware)."""

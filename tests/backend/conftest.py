@@ -3,7 +3,7 @@
 The conformance tests price only (query, configuration) pairs from a fixed
 "covered" universe — the empty configuration plus all singletons and pairs
 over the first few toy candidates — so the replay backend can serve every
-test from one pre-recorded trace.
+test from one pre-recorded what-if cache shard.
 """
 
 from __future__ import annotations
@@ -34,17 +34,17 @@ def covered_configs(candidates):
 
 @pytest.fixture(scope="session")
 def toy_trace(tmp_path_factory, toy_workload, toy_candidates):
-    """A trace covering the whole conformance universe for every query."""
-    path = tmp_path_factory.mktemp("backend") / "toy_trace.jsonl"
+    """A shard covering the whole conformance universe for every query."""
+    cache = tmp_path_factory.mktemp("backend") / "pcache"
     recorder = build_backend(
-        BackendSpec(name="record", trace_path=str(path)), toy_workload
+        BackendSpec(name="analytic", whatif_cache=str(cache)), toy_workload
     )
     for query in toy_workload:
         for config in covered_configs(toy_candidates):
             recorder.whatif_cost(query, config)
         recorder.true_workload_cost(covered_configs(toy_candidates)[-1])
-    recorder.save_trace()
-    return path
+    recorder.close()
+    return recorder.whatif_shard
 
 
 @pytest.fixture(scope="session")
@@ -99,15 +99,11 @@ def postgres_toy_dsn(toy_workload):
 
 
 @pytest.fixture
-def make_backend(request, backend_name, toy_workload, toy_trace, tmp_path):
+def make_backend(request, backend_name, toy_workload, toy_trace):
     """Factory building the parametrized backend over the toy workload."""
 
     def make(budget=None, **kwargs):
-        if backend_name == "record":
-            spec = BackendSpec(
-                name="record", trace_path=str(tmp_path / "recorded.jsonl")
-            )
-        elif backend_name == "replay":
+        if backend_name == "replay":
             spec = BackendSpec(name="replay", trace_path=str(toy_trace))
         elif backend_name == "noisy":
             spec = BackendSpec(name="noisy", noise=0.25, noise_seed=7)

@@ -365,7 +365,7 @@ class TestPersistentCache:
     def test_record_shares_the_analytic_shard_and_keeps_its_trace_whole(
         self, toy_workload, toy_candidates, tmp_path, monkeypatch
     ):
-        """A warm-cache record session still writes a replayable trace."""
+        """A warm-cache session's shard is still a whole, replayable record."""
         cache = str(tmp_path / "pcache")
         _prefetch_run(toy_workload, toy_candidates, 1, budget=None, cache=cache)
 
@@ -373,20 +373,17 @@ class TestPersistentCache:
             raise AssertionError("warm record run must not price")
 
         monkeypatch.setattr(CostModel, "cost", boom)
-        trace = tmp_path / "trace.jsonl"
         recorder = build_backend(
-            BackendSpec(
-                name="record", trace_path=str(trace), whatif_cache=cache
-            ),
-            toy_workload,
+            BackendSpec(name="analytic", whatif_cache=cache), toy_workload
         )
         query = toy_workload.queries[0]
         config = _configs(toy_candidates)[0]
         recorded_cost = recorder.whatif_cost(query, config)
         assert recorder.stats.persistent_hits > 0
-        recorder.save_trace()
+        recorder.close()
         replayer = build_backend(
-            BackendSpec(name="replay", trace_path=str(trace)), toy_workload
+            BackendSpec(name="replay", trace_path=str(recorder.whatif_shard)),
+            toy_workload,
         )
         assert replayer.whatif_cost(query, config) == recorded_cost
 

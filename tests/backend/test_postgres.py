@@ -553,40 +553,41 @@ class TestPostgresBackend:
         assert cost > 0
         assert failures["left"] == 0
 
-    def test_save_trace_requires_destination(self, make_pg):
-        with pytest.raises(TuningError, match="backend-trace"):
-            make_pg().save_trace()
-
 
 # --------------------------------------------------------------------- #
-# record on postgres -> replay offline, bit-identically
+# record on postgres (through the what-if cache) -> replay offline,
+# bit-identically
 # --------------------------------------------------------------------- #
+
+
+def _pg_recorder(server, workload, cache):
+    return build_backend(
+        BackendSpec(
+            name="postgres",
+            pg_dsn="postgresql://fake/db",
+            whatif_cache=str(cache),
+        ),
+        workload,
+        connector=lambda dsn: FakeConnection(server),
+    )
 
 
 class TestTraceComposition:
     def test_recorded_trace_replays_without_live_costs(
         self, server, toy_workload, fact_indexes, tmp_path, monkeypatch
     ):
-        trace = tmp_path / "pg-trace.jsonl"
-        recorder = build_backend(
-            BackendSpec(
-                name="postgres",
-                pg_dsn="postgresql://fake/db",
-                trace_path=str(trace),
-            ),
-            toy_workload,
-            connector=lambda dsn: FakeConnection(server),
-        )
-        assert recorder.trace_path == trace
+        recorder = _pg_recorder(server, toy_workload, tmp_path / "pcache")
         configs = [frozenset(), frozenset(fact_indexes[:1]), frozenset(fact_indexes)]
         live = [
             recorder.whatif_cost(query, config)
             for query in toy_workload.queries
             for config in configs
         ]
-        recorder.close()  # flushes the trace
+        recorder.close()  # flushes the shard
+        trace = recorder.whatif_shard
         assert trace.exists()
-        assert recorder.recorded_pairs > 0
+        header = json.loads(trace.read_text().splitlines()[0])
+        assert header["identity"]["backend"] == "postgres"
 
         # Replay must never touch the analytic model or the server.
         from repro.optimizer.cost_model import CostModel
@@ -610,20 +611,12 @@ class TestTraceComposition:
     def test_replay_misses_raise_instead_of_falling_back(
         self, server, toy_workload, fact_indexes, tmp_path
     ):
-        trace = tmp_path / "pg-trace.jsonl"
-        recorder = build_backend(
-            BackendSpec(
-                name="postgres",
-                pg_dsn="postgresql://fake/db",
-                trace_path=str(trace),
-            ),
-            toy_workload,
-            connector=lambda dsn: FakeConnection(server),
-        )
+        recorder = _pg_recorder(server, toy_workload, tmp_path / "pcache")
         recorder.whatif_cost(toy_workload.queries[0], frozenset())
         recorder.close()
         replayer = build_backend(
-            BackendSpec(name="replay", trace_path=str(trace)), toy_workload
+            BackendSpec(name="replay", trace_path=str(recorder.whatif_shard)),
+            toy_workload,
         )
         with pytest.raises(TraceMissError):
             replayer.whatif_cost(

@@ -148,6 +148,35 @@ class TestBudgetPolicyFlags:
         # Round-trip is lossless: serialising again reproduces the file.
         assert [json.dumps(e.to_json()) for e in events] == lines
 
+    def test_whatif_cache_shard_replays_the_session(self, capsys, tmp_path, monkeypatch):
+        import re
+
+        from repro.optimizer.cost_model import CostModel
+
+        args = ["tune", "--workload", "tpch", "--budget", "60", "--algo", "vanilla"]
+        assert main([*args, "--whatif-cache", str(tmp_path)]) == 0
+        recorded = capsys.readouterr().out.splitlines()
+        (shard,) = tmp_path.glob("whatif-*.jsonl")
+        assert recorded[-1] == f"what-if shard: {shard}"
+
+        def boom(self, prepared, key):
+            raise AssertionError("replay must not invoke the cost model")
+
+        monkeypatch.setattr(CostModel, "cost", boom)
+        assert main([*args, "--backend", "replay", "--backend-trace", str(shard)]) == 0
+        replayed = capsys.readouterr().out.splitlines()
+        (note,) = [line for line in replayed if line.startswith("replayed ")]
+        assert note.endswith("pricings from the trace (zero cost-model invocations)")
+
+        def normalize(lines):
+            return [
+                re.sub(r"[0-9.]+s in the cost model", "", line)
+                for line in lines
+                if not line.startswith("replayed ")
+            ]
+
+        assert normalize(replayed) == normalize(recorded)
+
     def test_trace_to_stdout(self, capsys):
         code = main(
             ["tune", "--workload", "tpch", "--budget", "20", "--algo", "vanilla",
