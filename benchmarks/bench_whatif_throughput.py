@@ -33,7 +33,9 @@ SPEEDUP_FLOOR = {"tpch": 3.0, "job": 1.0}
 #: microseconds, so thread-level speedup is invisible against it; the
 #: section instead emulates a DBMS round trip (``EMULATED_LATENCY`` per
 #: fresh evaluation, as a live EXPLAIN would cost) and measures how the
-#: speculate-then-commit executor overlaps those round trips.
+#: speculate-then-commit executor overlaps those round trips. Each job
+#: count is a pricer subclass setting ``pricing_jobs``, the way the
+#: postgres backend sets its own.
 CONCURRENT_JOBS = (1, 2, 4)
 EMULATED_LATENCY = 0.001  # seconds per fresh evaluation
 CONCURRENT_SPEEDUP_FLOOR = 2.0  # jobs=4 vs jobs=1, gated on host cores
@@ -57,7 +59,10 @@ def _measure_concurrent(workload):
     rows = []
     reference = None
     for jobs in CONCURRENT_JOBS:
-        optimizer = _RoundTripOptimizer(workload, pricing_jobs=jobs)
+        pricer = type(
+            f"_RoundTripOptimizer{jobs}", (_RoundTripOptimizer,), {"pricing_jobs": jobs}
+        )
+        optimizer = pricer(workload)
         start = time.perf_counter()
         optimizer.whatif_prefetch(list(pairs))
         elapsed = time.perf_counter() - start

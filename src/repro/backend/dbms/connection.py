@@ -29,6 +29,11 @@ PSYCOPG_HINT = (
     "server with the hypopg extension"
 )
 
+#: Connections a :class:`ConnectionPool` parks for reuse. The postgres
+#: backend prices batch waves on this many jobs, so every concurrent shard
+#: finds a parked connection, and its HypoPG state, from the last wave.
+POOL_SIZE = 4
+
 
 def psycopg_available() -> bool:
     """Whether the optional ``psycopg`` driver is importable."""
@@ -110,10 +115,11 @@ class ConnectionPool:
 
     Connections are opened on demand (never in ``__init__`` — backends
     holding a pool stay picklable-by-construction until first use) and
-    parked for reuse when a session exits cleanly. A session that raises
-    discards its connection: the error may be a dropped link, and pooled
-    hypothetical-index state on a half-failed connection is not worth
-    trusting.
+    parked for reuse when a session exits cleanly, up to
+    :data:`POOL_SIZE` of them (extras are closed on release). A session
+    that raises discards its connection: the error may be a dropped link,
+    and pooled hypothetical-index state on a half-failed connection is
+    not worth trusting.
 
     Args:
         dsn: Connection string (``postgresql://...``).
@@ -125,7 +131,6 @@ class ConnectionPool:
             session-scoped, not transaction-scoped).
         setup: Extra SQL statements run once per fresh connection (e.g.
             ``SET geqo TO off`` for plan determinism).
-        max_idle: Parked-connection cap; extras are closed on release.
     """
 
     def __init__(
@@ -135,7 +140,6 @@ class ConnectionPool:
         schema: str | None = None,
         connect: Callable[[str], object] | None = None,
         setup: tuple[str, ...] = (),
-        max_idle: int = 4,
     ):
         if not dsn:
             raise BackendUnavailableError(
@@ -146,7 +150,6 @@ class ConnectionPool:
         self._schema = schema
         self._connect = connect
         self._setup = tuple(setup)
-        self._max_idle = max_idle
         self._idle: list = []
         self._lock = threading.Lock()
         self._opened = 0
@@ -177,7 +180,8 @@ class ConnectionPool:
             with conn.cursor() as cur:
                 for statement in statements:
                     cur.execute(statement)
-        self._opened += 1
+        with self._lock:  # concurrent shards open connections in parallel
+            self._opened += 1
         return conn
 
     @contextmanager
@@ -194,7 +198,7 @@ class ConnectionPool:
             raise
         else:
             with self._lock:
-                if len(self._idle) < self._max_idle:
+                if len(self._idle) < POOL_SIZE:
                     self._idle.append(conn)
                     conn = None
             if conn is not None:

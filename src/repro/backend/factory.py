@@ -65,8 +65,6 @@ class BackendSpec:
             driver can resolve the DSN in the worker's environment.
         pg_schema: Optional schema (``search_path``) for the postgres
             backend's tables.
-        pricing_jobs: Concurrent pricing workers for the speculate-then-
-            commit executor (1 = serial path; never affects results).
         whatif_cache: Persistent cross-session what-if cache directory
             (``None`` disables; never affects results).
     """
@@ -77,7 +75,6 @@ class BackendSpec:
     noise_seed: int = 0
     pg_dsn: str | None = None
     pg_schema: str | None = None
-    pricing_jobs: int = 1
     whatif_cache: str | None = None
 
     def __post_init__(self) -> None:
@@ -92,10 +89,6 @@ class BackendSpec:
             )
         if self.noise < 0:
             raise TuningError(f"noise must be non-negative, got {self.noise}")
-        if self.pricing_jobs < 1:
-            raise TuningError(
-                f"pricing_jobs must be at least 1, got {self.pricing_jobs}"
-            )
 
     @classmethod
     def from_config(cls, config: ReproConfig) -> "BackendSpec":
@@ -107,7 +100,6 @@ class BackendSpec:
             noise_seed=config.noise_seed,
             pg_dsn=config.pg_dsn,
             pg_schema=config.pg_schema,
-            pricing_jobs=config.pricing_jobs,
             whatif_cache=config.whatif_cache,
         )
 
@@ -133,7 +125,6 @@ def resolve_spec(
         noise_seed=base.noise_seed,
         pg_dsn=base.pg_dsn,
         pg_schema=base.pg_schema,
-        pricing_jobs=base.pricing_jobs,
         whatif_cache=base.whatif_cache,
     )
 
@@ -164,7 +155,6 @@ def build_backend(
         budget=budget,
         cost_model=cost_model,
         normalize_cache=normalize_cache,
-        pricing_jobs=resolved.pricing_jobs,
         whatif_cache=resolved.whatif_cache,
         config=config,
         policy=policy,

@@ -35,7 +35,12 @@ import os
 from typing import Callable
 
 from repro.backend.analytic import AnalyticBackend
-from repro.backend.dbms.connection import ConnectionPool, require_psycopg, with_retry
+from repro.backend.dbms.connection import (
+    POOL_SIZE,
+    ConnectionPool,
+    require_psycopg,
+    with_retry,
+)
 from repro.backend.dbms.explain import PostgresPlan, parse_plan, plan_total_cost
 from repro.backend.dbms.hypo import HypoIndexState
 from repro.catalog import Index
@@ -165,6 +170,10 @@ class PostgresBackend(AnalyticBackend):
     #: conformance monotonicity test) must not be armed on this backend.
     monotonic = False
 
+    #: Batch waves are priced on one pooled connection per job, so their
+    #: EXPLAIN round trips overlap on the server.
+    pricing_jobs = POOL_SIZE
+
     def __init__(
         self,
         workload,
@@ -264,13 +273,12 @@ class PostgresBackend(AnalyticBackend):
     ) -> list[float]:
         """Price one batch-wave shard on a single pooled session.
 
-        Concurrent shards borrow distinct pooled connections, so EXPLAIN
-        round-trips overlap on the server; within a shard, pairs are
-        grouped by (normalized) configuration so each hypothetical-index
-        set is synced once. At one pricing job a wave is a single pair and
-        the shard runs inline; the session's diffed hypothetical-index
-        state then keeps consecutive pairs under one configuration to one
-        sync. Stats, budget, and cache commits stay with the serial
+        The :attr:`pricing_jobs` shards of a wave borrow distinct pooled
+        connections, so EXPLAIN round-trips overlap on the server; within
+        a shard, pairs are grouped by (normalized) configuration so each
+        hypothetical-index set is synced once, and the session's diffed
+        hypothetical-index state carries over to the connection's next
+        shard. Stats, budget, and cache commits stay with the serial
         commit loop.
         """
         groups: dict[frozenset[Index], list[int]] = {}

@@ -48,8 +48,9 @@ class ReplayBackend(AnalyticBackend):
     #: A concurrent wave prices pairs ahead of their budget decision, and
     #: a pair past a one-job recording's budget is not in the shard: the
     #: speculative lookup would raise a spurious miss. Replay therefore
-    #: prices one pair a wave, right before its budget decision.
-    supports_concurrent_pricing = False
+    #: prices one pair a wave, right before its budget decision, whatever
+    #: job count its base class prices at.
+    pricing_jobs = 1
 
     def __init__(self, workload, *args, trace_path: str | Path, **kwargs):
         if not trace_path:

@@ -129,10 +129,6 @@ def _build_parser() -> argparse.ArgumentParser:
     tune.add_argument("--pg-schema", default=None, metavar="SCHEMA",
                       help="schema holding the tables for --backend postgres "
                            "(default: REPRO_PG_SCHEMA or search_path)")
-    tune.add_argument("--pricing-jobs", type=int, default=None, metavar="N",
-                      help="concurrent pricing workers for batched what-if "
-                           "pricing (default: REPRO_PRICING_JOBS or 1); "
-                           "results are bit-identical to serial pricing")
     tune.add_argument("--whatif-cache", default=None, metavar="PATH",
                       help="persistent cross-session what-if cache directory "
                            "('1'/'default' = ~/.cache/repro; default: "
@@ -178,10 +174,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--pg-dsn", default=None, metavar="DSN",
                     help="connection string for --backend postgres "
                          "(default: REPRO_PG_DSN)")
-    ev.add_argument("--pricing-jobs", type=int, default=None, metavar="N",
-                    help="concurrent pricing workers inside each grid cell "
-                         "(default: REPRO_PRICING_JOBS or 1); records are "
-                         "bit-identical to serial pricing")
     ev.add_argument("--whatif-cache", default=None, metavar="PATH",
                     help="persistent cross-session what-if cache directory "
                          "('1'/'default' = ~/.cache/repro; default: "
@@ -256,7 +248,7 @@ def _backend_spec(args: argparse.Namespace) -> BackendSpec | None:
     resolution (:func:`repro.backend.factory.resolve_spec`) falls back to
     ``REPRO_BACKEND`` and friends exactly as library callers do. Any single
     flag switches to an explicit spec built from the environment defaults
-    with only the given overrides applied, so e.g. ``--pricing-jobs`` alone
+    with only the given overrides applied, so e.g. ``--whatif-cache`` alone
     never resets ``REPRO_BACKEND``.
     """
     overrides = {
@@ -268,7 +260,6 @@ def _backend_spec(args: argparse.Namespace) -> BackendSpec | None:
             ("noise_seed", args.noise_seed),
             ("pg_dsn", args.pg_dsn),
             ("pg_schema", args.pg_schema),
-            ("pricing_jobs", args.pricing_jobs),
             ("whatif_cache", args.whatif_cache),
         )
         if value is not None
@@ -287,7 +278,6 @@ def _backend_spec(args: argparse.Namespace) -> BackendSpec | None:
         "noise_seed": config.noise_seed,
         "pg_dsn": config.pg_dsn,
         "pg_schema": config.pg_schema,
-        "pricing_jobs": config.pricing_jobs,
         "whatif_cache": config.whatif_cache,
     }
     return BackendSpec(**{**defaults, **overrides})
@@ -456,12 +446,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         overrides["noise_seed"] = args.noise_seed
     if args.pg_dsn is not None:
         overrides["pg_dsn"] = args.pg_dsn
-    if args.pricing_jobs is not None:
-        if args.pricing_jobs < 1:
-            print(f"error: --pricing-jobs must be positive, got "
-                  f"{args.pricing_jobs}", file=sys.stderr)
-            return 2
-        overrides["pricing_jobs"] = args.pricing_jobs
     if args.whatif_cache is not None:
         overrides["whatif_cache"] = args.whatif_cache
     if overrides:

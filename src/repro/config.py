@@ -33,16 +33,49 @@ _BUDGET_POLICY_NAMES = ("fcfs", "wii", "esc", "esc+wii")
 _BACKEND_NAMES = ("analytic", "noisy", "replay", "postgres")
 
 
+def float_env(name: str, default: float) -> float:
+    """``float`` of environment variable ``name``, or ``default`` if unset.
+
+    Raises:
+        ConstraintError: When the variable is set but not a number.
+    """
+    raw = os.environ.get(name)
+    if raw is None:
+        return default
+    try:
+        return float(raw)
+    except ValueError:
+        raise ConstraintError(f"{name} must be a number, got {raw!r}") from None
+
+
+def int_env(name: str, default: int) -> int:
+    """``int`` of environment variable ``name``, or ``default`` if unset.
+
+    Raises:
+        ConstraintError: When the variable is set but not an integer.
+    """
+    raw = os.environ.get(name)
+    if raw is None:
+        return default
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConstraintError(f"{name} must be an integer, got {raw!r}") from None
+
+
 @dataclass(frozen=True)
 class ReproConfig:
     """Engine/runtime knobs plus the session's budget-policy selection.
 
-    The engine knobs (``normalize_cache``, ``pricing_jobs``) switch
+    The engine knobs (``normalize_cache``, ``whatif_cache``) switch
     *how fast* the simulated what-if optimizer runs, never *what* it
     computes: every combination produces bit-identical costs, budget
-    accounting, and call-log layouts. The budget-policy knobs are the one
-    exception — they select the *semantic* budget discipline of the
-    session (FCFS is the paper's default and the bit-identical baseline).
+    accounting, and call-log layouts. (How many jobs price a batch wave
+    is no knob at all but a property of the backend's pricer,
+    :attr:`~repro.optimizer.whatif.WhatIfOptimizer.pricing_jobs`.) The
+    budget-policy knobs are the one exception — they select the
+    *semantic* budget discipline of the session (FCFS is the paper's
+    default and the bit-identical baseline).
 
     Attributes:
         normalize_cache: Normalise every what-if cache key to the query's
@@ -50,16 +83,6 @@ class ReproConfig:
             indexes the query cannot use share one cache entry (and one
             counted call). Costs are provably unchanged — irrelevant
             indexes contribute no plan options.
-        pricing_jobs: Pricing workers for the batched costing API
-            (:meth:`~repro.optimizer.whatif.WhatIfOptimizer.whatif_prefetch`
-            and friends, through
-            :class:`~repro.backend.concurrent.PricingExecutor`). ``1``
-            prices each pair inline right before its budget decision.
-            Workers only *compute* costs; a single commit loop replays them
-            in issue order against the budget policy, so grants, denials,
-            stats, and the event stream are bit-identical for every job
-            count — only wall-clock changes (and only when pricing releases
-            the GIL, e.g. Postgres EXPLAIN round-trips).
         whatif_cache: Persistent cross-session what-if cache directory
             (:mod:`repro.backend.cache`); ``None`` disables it, ``"1"`` /
             ``"default"`` select ``~/.cache/repro``. A cache hit replaces
@@ -108,7 +131,6 @@ class ReproConfig:
     """
 
     normalize_cache: bool = True
-    pricing_jobs: int = 1
     whatif_cache: str | None = None
     budget_policy: str = "fcfs"
     wii_release_rate: float = 0.5
@@ -123,10 +145,6 @@ class ReproConfig:
     pg_schema: str | None = None
 
     def __post_init__(self) -> None:
-        if self.pricing_jobs < 1:
-            raise ConstraintError(
-                f"pricing_jobs must be at least 1, got {self.pricing_jobs}"
-            )
         if self.budget_policy not in _BUDGET_POLICY_NAMES:
             raise ConstraintError(
                 f"unknown budget_policy {self.budget_policy!r}; "
@@ -156,41 +174,17 @@ class ReproConfig:
     def from_env(cls) -> "ReproConfig":
         """Build a config from the ``REPRO_*`` environment knobs.
 
-        Recognised: ``REPRO_NORMALIZE_CACHE``, ``REPRO_PRICING_JOBS``,
-        ``REPRO_WHATIF_CACHE``, ``REPRO_BUDGET_POLICY``,
-        ``REPRO_WII_RELEASE_RATE``, ``REPRO_ESC_PATIENCE``,
-        ``REPRO_ESC_MIN_DELTA``, ``REPRO_SANITIZE``, ``REPRO_BACKEND``,
-        ``REPRO_BACKEND_TRACE``, ``REPRO_NOISE``, ``REPRO_NOISE_SEED``,
-        ``REPRO_PG_DSN``, ``REPRO_PG_SCHEMA``.
+        Recognised: ``REPRO_NORMALIZE_CACHE``, ``REPRO_WHATIF_CACHE``,
+        ``REPRO_BUDGET_POLICY``, ``REPRO_WII_RELEASE_RATE``,
+        ``REPRO_ESC_PATIENCE``, ``REPRO_ESC_MIN_DELTA``, ``REPRO_SANITIZE``,
+        ``REPRO_BACKEND``, ``REPRO_BACKEND_TRACE``, ``REPRO_NOISE``,
+        ``REPRO_NOISE_SEED``, ``REPRO_PG_DSN``, ``REPRO_PG_SCHEMA``.
         """
         normalize = os.environ.get("REPRO_NORMALIZE_CACHE", "1") not in (
             "0",
             "false",
             "no",
         )
-
-        def _float_env(name: str, default: float) -> float:
-            raw = os.environ.get(name)
-            if raw is None:
-                return default
-            try:
-                return float(raw)
-            except ValueError:
-                raise ConstraintError(
-                    f"{name} must be a number, got {raw!r}"
-                ) from None
-
-        def _int_env(name: str, default: int) -> int:
-            raw = os.environ.get(name)
-            if raw is None:
-                return default
-            try:
-                return int(raw)
-            except ValueError:
-                raise ConstraintError(
-                    f"{name} must be an integer, got {raw!r}"
-                ) from None
-
         sanitize = os.environ.get("REPRO_SANITIZE", "0") not in (
             "",
             "0",
@@ -199,17 +193,16 @@ class ReproConfig:
         )
         return cls(
             normalize_cache=normalize,
-            pricing_jobs=_int_env("REPRO_PRICING_JOBS", 1),
             whatif_cache=os.environ.get("REPRO_WHATIF_CACHE") or None,
             budget_policy=os.environ.get("REPRO_BUDGET_POLICY", "fcfs"),
-            wii_release_rate=_float_env("REPRO_WII_RELEASE_RATE", 0.5),
-            esc_patience=_int_env("REPRO_ESC_PATIENCE", 3),
-            esc_min_delta=_float_env("REPRO_ESC_MIN_DELTA", 0.1),
+            wii_release_rate=float_env("REPRO_WII_RELEASE_RATE", 0.5),
+            esc_patience=int_env("REPRO_ESC_PATIENCE", 3),
+            esc_min_delta=float_env("REPRO_ESC_MIN_DELTA", 0.1),
             sanitize=sanitize,
             backend=os.environ.get("REPRO_BACKEND", "analytic"),
             backend_trace=os.environ.get("REPRO_BACKEND_TRACE") or None,
-            noise=_float_env("REPRO_NOISE", 0.1),
-            noise_seed=_int_env("REPRO_NOISE_SEED", 0),
+            noise=float_env("REPRO_NOISE", 0.1),
+            noise_seed=int_env("REPRO_NOISE_SEED", 0),
             pg_dsn=os.environ.get("REPRO_PG_DSN") or None,
             pg_schema=os.environ.get("REPRO_PG_SCHEMA") or None,
         )

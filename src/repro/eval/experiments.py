@@ -27,12 +27,19 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.backend.factory import BackendSpec
-from repro.config import ABLATION_PRESETS, MCTSConfig, TuningConstraints
+from repro.config import (
+    ABLATION_PRESETS,
+    MCTSConfig,
+    ReproConfig,
+    TuningConstraints,
+    float_env,
+    int_env,
+)
 from repro.eval.metrics import round_series
 from repro.eval.report import format_grid, format_series
 from repro.eval.runner import ExperimentRunner, RunRecord, TunerFactory
 from repro.eval.timemodel import WhatIfTimeModel
-from repro.exceptions import TuningError
+from repro.exceptions import ConstraintError, TuningError
 from repro.rng import DEFAULT_SEED, spawn_seeds
 from repro.tuners import (
     AutoAdminGreedyTuner,
@@ -75,9 +82,6 @@ class ExperimentSettings:
             (``REPRO_PG_DSN``).
         pg_schema: Schema namespace for the postgres backend
             (``REPRO_PG_SCHEMA``).
-        pricing_jobs: Concurrent pricing workers inside each grid cell
-            (``REPRO_PRICING_JOBS``); records are bit-identical to serial
-            pricing at any value.
         whatif_cache: Persistent cross-session what-if cache directory
             (``REPRO_WHATIF_CACHE``); ``None`` disables. Never changes
             costs or budget accounting.
@@ -92,43 +96,47 @@ class ExperimentSettings:
     noise_seed: int = 0
     pg_dsn: str | None = None
     pg_schema: str | None = None
-    pricing_jobs: int = 1
     whatif_cache: str | None = None
 
     @classmethod
     def from_env(cls) -> "ExperimentSettings":
-        scale = float(os.environ.get("REPRO_SCALE", "0.1"))
-        seeds = int(os.environ.get("REPRO_SEEDS", "3"))
+        """Settings from ``REPRO_SCALE``, ``REPRO_SEEDS``, ``REPRO_KS`` and
+        ``REPRO_JOBS``; the backend knobs come from their one reader,
+        :meth:`ReproConfig.from_env`.
+
+        Raises:
+            ConstraintError: When a variable is set to a malformed value.
+        """
+        config = ReproConfig.from_env()
         ks_raw = os.environ.get("REPRO_KS", "5,10,20")
-        ks = tuple(int(k) for k in ks_raw.split(",") if k.strip())
-        jobs = max(1, int(os.environ.get("REPRO_JOBS", "1")))
+        try:
+            ks = tuple(int(k) for k in ks_raw.split(",") if k.strip())
+        except ValueError:
+            raise ConstraintError(
+                f"REPRO_KS must be comma-separated integers, got {ks_raw!r}"
+            ) from None
         return cls(
-            scale=scale,
-            seeds=seeds,
+            scale=float_env("REPRO_SCALE", 0.1),
+            seeds=int_env("REPRO_SEEDS", 3),
             k_values=ks,
-            jobs=jobs,
-            backend=os.environ.get("REPRO_BACKEND", "analytic"),
-            noise=float(os.environ.get("REPRO_NOISE", "0.1")),
-            noise_seed=int(os.environ.get("REPRO_NOISE_SEED", "0")),
-            pg_dsn=os.environ.get("REPRO_PG_DSN") or None,
-            pg_schema=os.environ.get("REPRO_PG_SCHEMA") or None,
-            pricing_jobs=max(1, int(os.environ.get("REPRO_PRICING_JOBS", "1"))),
-            whatif_cache=os.environ.get("REPRO_WHATIF_CACHE") or None,
+            jobs=max(1, int_env("REPRO_JOBS", 1)),
+            backend=config.backend,
+            noise=config.noise,
+            noise_seed=config.noise_seed,
+            pg_dsn=config.pg_dsn,
+            pg_schema=config.pg_schema,
+            whatif_cache=config.whatif_cache,
         )
 
     def backend_spec(self) -> BackendSpec | None:
         """The backend selection for grid cells (``None`` = analytic).
 
         ``None`` (rather than an analytic spec) keeps the default path
-        byte-identical with pre-backend archives. Concurrent pricing or a
-        persistent cache forces an explicit spec even for the analytic
-        backend — both are non-semantic, so the records stay identical.
+        byte-identical with pre-backend archives. A persistent cache forces
+        an explicit spec even for the analytic backend — it is
+        non-semantic, so the records stay identical.
         """
-        if (
-            self.backend == "analytic"
-            and self.pricing_jobs <= 1
-            and self.whatif_cache is None
-        ):
+        if self.backend == "analytic" and self.whatif_cache is None:
             return None
         return BackendSpec(
             name=self.backend,
@@ -136,7 +144,6 @@ class ExperimentSettings:
             noise_seed=self.noise_seed,
             pg_dsn=self.pg_dsn,
             pg_schema=self.pg_schema,
-            pricing_jobs=self.pricing_jobs,
             whatif_cache=self.whatif_cache,
         )
 
@@ -483,7 +490,6 @@ def robustness(
                     name="noisy",
                     noise=noise,
                     noise_seed=settings.noise_seed,
-                    pricing_jobs=settings.pricing_jobs,
                     whatif_cache=settings.whatif_cache,
                 )
             )

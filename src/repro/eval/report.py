@@ -115,7 +115,6 @@ def bench_payload(
             "seeds": settings.seeds,
             "k_values": list(settings.k_values),
             "jobs": settings.jobs,
-            "pricing_jobs": getattr(settings, "pricing_jobs", 1),
         }
     payload = {
         "figure": figure,
@@ -156,32 +155,15 @@ def validate_bench_payload(payload: dict) -> list[str]:
     Flags what CI must never upload silently: a payload with neither
     records nor series, records with no seeds, NaN/Inf anywhere in the
     numeric data, empty series lists, missing provenance (figure id or
-    git SHA), records naming an unregistered backend,
+    git SHA), records naming an unregistered backend, and
     postgres-backend records without live-DBMS provenance (the planner's
-    numbers depend on the server/extension versions), and mislabeled
-    concurrent-pricing provenance (a non-positive ``pricing_jobs`` in the
-    settings, or a record claiming a different ``pricing_jobs`` than the
-    payload's settings).
+    numbers depend on the server/extension versions).
     """
     problems: list[str] = []
     if not payload.get("figure"):
         problems.append("missing figure id")
     if not payload.get("git_sha") or payload.get("git_sha") == "unknown":
         problems.append("missing git SHA")
-    settings = payload.get("settings") or {}
-    settings_jobs = (
-        settings.get("pricing_jobs") if isinstance(settings, dict) else None
-    )
-    if settings_jobs is not None and (
-        isinstance(settings_jobs, bool)
-        or not isinstance(settings_jobs, int)
-        or settings_jobs < 1
-    ):
-        problems.append(
-            f"settings.pricing_jobs must be a positive integer, "
-            f"got {settings_jobs!r}"
-        )
-        settings_jobs = None
     records = payload.get("records") or []
     series = payload.get("series") or {}
     if not records and not series:
@@ -195,16 +177,6 @@ def validate_bench_payload(payload: dict) -> list[str]:
             problems.append(f"records[{i}] names unknown backend {backend!r}")
         elif backend == "postgres":
             needs_pg_provenance = True
-        record_jobs = record.get("pricing_jobs")
-        if (
-            record_jobs is not None
-            and settings_jobs is not None
-            and record_jobs != settings_jobs
-        ):
-            problems.append(
-                f"records[{i}] pricing_jobs {record_jobs!r} does not match "
-                f"settings.pricing_jobs {settings_jobs!r}"
-            )
     if needs_pg_provenance:
         provenance = payload.get("postgres")
         if not isinstance(provenance, dict) or not (

@@ -32,11 +32,12 @@ semantics:
   (query, key) pairs are gathered into waves, each wave is priced through
   the :class:`~repro.backend.concurrent.PricingExecutor`, then a serial
   loop issues the policy ``try_charge`` sequence and commits cache / log /
-  events strictly in issue order. A wave is one pair at
-  ``pricing_jobs=1`` — priced inline, right before its budget decision —
-  and ``jobs × 8`` pairs priced concurrently otherwise, so grants,
-  denials, stats, and the event stream are bit-identical for every job
-  count.
+  events strictly in issue order. The pricer sets the job count
+  (:attr:`WhatIfOptimizer.pricing_jobs`): on a serial pricer (analytic,
+  noisy, replay) a wave is one pair, priced inline right before its
+  budget decision; the postgres backend prices ``jobs × 8`` pairs
+  concurrently over its connection pool. Grants, denials, stats, and the
+  event stream are bit-identical for every job count.
 
 A further layer removes pricing work, again without touching semantics:
 
@@ -108,8 +109,8 @@ class WhatIfStats:
         batch_calls: Batched pricing passes issued.
         batched_pairs: Uncached pairs priced by those passes.
         speculative_priced: Pairs resolved (priced or recalled) by a
-            concurrent wave *ahead of* their budget decision (always 0 at
-            one pricing job).
+            concurrent wave *ahead of* their budget decision (always 0 on
+            a serial pricer: analytic, noisy, or replay).
         speculation_wasted: Speculatively priced pairs later denied by the
             budget policy and discarded — work spent, but never charged or
             committed.
@@ -163,14 +164,11 @@ class WhatIfOptimizer:
             workload's schema).
         normalize_cache: Collapse cache keys to the query's relevant index
             subset (default on; ``None`` defers to ``config``).
-        pricing_jobs: Pricing workers for batched costing (``None``
-            defers to ``config``; 1 prices each pair inline right before
-            its budget decision). Never affects results.
         whatif_cache: Persistent cross-session cache directory (``None``
             defers to ``config``; unset disables). Never affects results.
         config: Engine knobs; defaults to
             :meth:`~repro.config.ReproConfig.from_env` so the
-            ``REPRO_NORMALIZE_CACHE`` / ``REPRO_PRICING_JOBS`` environment
+            ``REPRO_NORMALIZE_CACHE`` / ``REPRO_WHATIF_CACHE`` environment
             knobs apply to any run that does not pass an explicit config.
         policy: Budget policy authorising counted calls. Defaults to
             :class:`~repro.budget.policy.FCFSPolicy` over ``budget`` (the
@@ -180,11 +178,12 @@ class WhatIfOptimizer:
             reported as ``whatif_call`` events.
     """
 
-    #: Whether batch waves may be priced on worker threads. Backends that
-    #: must not price ahead of a budget decision (replay) or whose raw
-    #: evaluation is not worker-thread-safe clear this and always price
-    #: one-pair waves inline.
-    supports_concurrent_pricing = True
+    #: Pricing jobs for batch waves — a property of the pricer, not a
+    #: knob. At 1 a wave is one pair, priced inline right before its
+    #: budget decision. Threads only help a pricer that waits on a server
+    #: (the analytic cost model holds the GIL), so only the postgres
+    #: backend raises this, to its connection-pool size.
+    pricing_jobs = 1
 
     def __init__(
         self,
@@ -193,7 +192,6 @@ class WhatIfOptimizer:
         cost_model: CostModel | None = None,
         *,
         normalize_cache: bool | None = None,
-        pricing_jobs: int | None = None,
         whatif_cache: str | Path | None = None,
         config: ReproConfig | None = None,
         policy: BudgetPolicy | None = None,
@@ -214,13 +212,6 @@ class WhatIfOptimizer:
         self._normalize = (
             base.normalize_cache if normalize_cache is None else normalize_cache
         )
-        self._pricing_jobs = (
-            base.pricing_jobs if pricing_jobs is None else pricing_jobs
-        )
-        if self._pricing_jobs < 1:
-            raise TuningError(
-                f"pricing_jobs must be at least 1, got {self._pricing_jobs}"
-            )
         self._whatif_cache = (
             base.whatif_cache if whatif_cache is None else whatif_cache
         )
@@ -325,11 +316,6 @@ class WhatIfOptimizer:
             cached = self._model.prepare(bound)
             self._prepared[query.qid] = cached
         return cached
-
-    @property
-    def pricing_jobs(self) -> int:
-        """Pricing workers for batch waves (1 = inline, one pair a wave)."""
-        return self._pricing_jobs
 
     @property
     def whatif_cache(self) -> str | Path | None:
@@ -574,10 +560,10 @@ class WhatIfOptimizer:
 
         Pairs are normalized and deduplicated *in issue order* and gathered
         into waves of :attr:`~repro.backend.concurrent.PricingExecutor.wave_size`
-        pairs (one at ``pricing_jobs=1``), never more than what is left of
-        ``limit``. :meth:`_price_wave` prices a wave's admitted pairs, then
-        each pair reserves its counted call through the budget policy's
-        :meth:`~repro.budget.policy.BudgetPolicy.try_charge` in issue order
+        pairs (one when :attr:`pricing_jobs` is 1), never more than what is
+        left of ``limit``. :meth:`_price_wave` prices a wave's admitted
+        pairs, then each pair reserves its counted call through the budget
+        policy's :meth:`~repro.budget.policy.BudgetPolicy.try_charge` in issue order
         (denied pairs are skipped and left uncached). Granted pairs are
         committed to the cache, derivation store, and call log in issue
         order when the batch ends — also when a pricing raises, so no
@@ -685,11 +671,11 @@ class WhatIfOptimizer:
     ) -> list[float]:
         """Price one contiguous shard of a wave (executor worker entry).
 
-        Runs on a worker thread when ``pricing_jobs > 1``: implementations
-        must only *compute* — no stats, cache, policy, or event mutation
-        belongs here; the commit loop owns all bookkeeping. The postgres
-        backend overrides this to price its shard over one pooled
-        connection.
+        Runs on a worker thread when :attr:`pricing_jobs` exceeds 1:
+        implementations must only *compute* — no stats, cache, policy, or
+        event mutation belongs here; the commit loop owns all bookkeeping.
+        The postgres backend overrides this to price its shard over one
+        pooled connection.
         """
         return [self._evaluate(prepared, norm) for _, prepared, norm in shard]
 
@@ -698,8 +684,7 @@ class WhatIfOptimizer:
         if self._pricing_executor is None:
             from repro.backend.concurrent import PricingExecutor
 
-            jobs = self._pricing_jobs if self.supports_concurrent_pricing else 1
-            self._pricing_executor = PricingExecutor(jobs)
+            self._pricing_executor = PricingExecutor(self.pricing_jobs)
         return self._pricing_executor
 
     def whatif_workload_costs(

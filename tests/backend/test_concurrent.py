@@ -2,7 +2,7 @@
 
 Three contracts are pinned here:
 
-* **Bit-identity** — for every ``pricing_jobs`` the speculate-then-commit
+* **Bit-identity** — for every pricer job count the speculate-then-commit
   path must reproduce the serial path exactly: call log, budget grants
   and denials, stats counters, and the session event stream (the golden
   tuner cases re-run against ``fcfs_golden.json`` with jobs > 1).
@@ -21,13 +21,21 @@ from pathlib import Path
 
 import pytest
 
-from repro.backend import BackendSpec, build_backend
+from repro.backend import (
+    AnalyticBackend,
+    BackendSpec,
+    NoisyBackend,
+    PostgresBackend,
+    ReplayBackend,
+    build_backend,
+)
 from repro.backend.cache import (
     PersistentWhatIfCache,
     identity_fingerprint,
     resolve_cache_dir,
 )
 from repro.backend.concurrent import PricingExecutor, plan_shards
+from repro.backend.dbms.connection import POOL_SIZE
 from repro.budget.events import EventLog
 from repro.optimizer.cost_model import CostModel
 from repro.optimizer.whatif import WhatIfOptimizer
@@ -51,6 +59,11 @@ _TOY_CASES = [case for case in _GEN.CASES if case[1] == "toy"]
 #: Stats fields that legitimately differ between serial and concurrent
 #: runs (wall time and the speculation telemetry itself).
 _TIMING_FIELDS = ("cost_seconds", "speculative_priced", "speculation_wasted")
+
+
+def _at_jobs(jobs: int) -> type[WhatIfOptimizer]:
+    """The engine pricing on ``jobs`` jobs, whatever ``--pricing-jobs`` says."""
+    return type(f"WhatIfOptimizerJobs{jobs}", (WhatIfOptimizer,), {"pricing_jobs": jobs})
 
 
 def _accounting(stats) -> dict:
@@ -146,10 +159,9 @@ def _configs(candidates):
 
 def _prefetch_run(workload, candidates, jobs, budget, *, limit=None, cache=None):
     events = EventLog()
-    optimizer = WhatIfOptimizer(
+    optimizer = _at_jobs(jobs)(
         workload,
         budget=budget,
-        pricing_jobs=jobs,
         whatif_cache=cache,
         events=events,
     )
@@ -228,9 +240,7 @@ class TestSpeculateCommitParity:
 
     def test_workload_costs_parity(self, toy_workload, toy_candidates):
         def totals(jobs):
-            optimizer = WhatIfOptimizer(
-                toy_workload, budget=None, pricing_jobs=jobs
-            )
+            optimizer = _at_jobs(jobs)(toy_workload, budget=None)
             values = optimizer.whatif_workload_costs(_configs(toy_candidates))
             log = optimizer.call_log
             optimizer.close()
@@ -249,14 +259,15 @@ class TestSpeculateCommitParity:
 )
 @pytest.mark.parametrize("jobs", [2, 4], ids=["jobs2", "jobs4"])
 def test_golden_cases_with_concurrent_pricing(
-    toy_workload, label, workload_name, factory, budget, seed, jobs
+    toy_workload, label, workload_name, factory, budget, seed, jobs, monkeypatch
 ):
     """The golden serial pins hold verbatim under concurrent pricing."""
     expected = _GOLDEN[label]
+    monkeypatch.setattr(AnalyticBackend, "pricing_jobs", jobs)
     result = factory(seed).tune(
         _GEN.build_toy_workload(),
         budget=budget,
-        backend=BackendSpec(name="analytic", pricing_jobs=jobs),
+        backend=BackendSpec(name="analytic"),
     )
     snapshot = _GEN.snapshot_result(result)
     assert snapshot["configuration"] == expected["configuration"]
@@ -264,6 +275,27 @@ def test_golden_cases_with_concurrent_pricing(
     assert snapshot["calls_used"] == expected["calls_used"]
     assert snapshot["history"] == expected["history"]
     assert snapshot["call_log"] == expected["call_log"]
+
+
+# --------------------------------------------------------------------- #
+# the pricer owns its job count
+# --------------------------------------------------------------------- #
+
+
+def test_each_pricer_sets_its_job_count(request):
+    default = request.config.getoption("--pricing-jobs") or 1
+    assert AnalyticBackend.pricing_jobs == NoisyBackend.pricing_jobs == default
+    assert ReplayBackend.pricing_jobs == 1
+    assert PostgresBackend.pricing_jobs == POOL_SIZE == 4
+
+
+def test_pricing_jobs_option_reaches_the_analytic_backend(request, toy_workload):
+    """A ``--pricing-jobs`` re-run must not silently price serially."""
+    jobs = request.config.getoption("--pricing-jobs") or 1
+    backend = build_backend("analytic", toy_workload)
+    executor = backend._ensure_pricing_executor()
+    backend.close()
+    assert executor.jobs == jobs
 
 
 # --------------------------------------------------------------------- #

@@ -27,6 +27,7 @@ from repro.backend.dbms import (
     scaled_rows,
     with_retry,
 )
+from repro.backend.dbms.connection import POOL_SIZE
 from repro.backend.postgres import PostgresBackend
 from repro.catalog import Index
 from repro.exceptions import (
@@ -434,6 +435,20 @@ class TestConnectionPool:
             pass
         assert server.connects == 1  # parked and reused
 
+    def test_parks_up_to_pool_size_connections(self, server):
+        from contextlib import ExitStack
+
+        pool = ConnectionPool(
+            "postgresql://fake/db", connect=lambda dsn: FakeConnection(server)
+        )
+        for _ in range(2):  # two waves of overlapping sessions
+            with ExitStack() as stack:
+                for _ in range(POOL_SIZE + 1):
+                    stack.enter_context(pool.session())
+        # Each wave parks POOL_SIZE connections and closes the extra one, so
+        # the second wave opens just one fresh connection.
+        assert server.connects == POOL_SIZE + 2
+
     def test_discard_on_session_error(self, server):
         pool = ConnectionPool(
             "postgresql://fake/db", connect=lambda dsn: FakeConnection(server)
@@ -497,8 +512,11 @@ class TestPostgresBackend:
         assert script(make_pg()) == script(make_pg())
 
     def test_prefetch_syncs_each_distinct_config_once(
-        self, server, make_pg, toy_workload, fact_indexes
+        self, server, make_pg, toy_workload, fact_indexes, monkeypatch
     ):
+        # One job: concurrent shards each sync the group on their own
+        # connection, so the count is only "one" by design when serial.
+        monkeypatch.setattr(PostgresBackend, "pricing_jobs", 1)
         backend = make_pg()
         config = frozenset(fact_indexes[:1])
         queries = [
@@ -631,7 +649,7 @@ class TestTraceComposition:
 
 class TestConcurrentShards:
     def test_shards_price_on_distinct_pooled_connections(
-        self, server, toy_workload, fact_indexes
+        self, server, toy_workload, fact_indexes, monkeypatch
     ):
         """Two pricing shards overlap on two distinct pooled connections.
 
@@ -661,12 +679,9 @@ class TestConcurrentShards:
             def cursor(self):
                 return SyncCursor(self)
 
+        monkeypatch.setattr(PostgresBackend, "pricing_jobs", 2)
         backend = build_backend(
-            BackendSpec(
-                name="postgres",
-                pg_dsn="postgresql://fake/db",
-                pricing_jobs=2,
-            ),
+            BackendSpec(name="postgres", pg_dsn="postgresql://fake/db"),
             toy_workload,
             connector=lambda dsn: SyncConnection(server),
         )
@@ -686,15 +701,12 @@ class TestConcurrentShards:
         assert server.connects == 2
 
     def test_concurrent_costs_match_serial(
-        self, server, toy_workload, fact_indexes
+        self, server, toy_workload, fact_indexes, monkeypatch
     ):
         def costs(jobs):
+            monkeypatch.setattr(PostgresBackend, "pricing_jobs", jobs)
             backend = build_backend(
-                BackendSpec(
-                    name="postgres",
-                    pg_dsn="postgresql://fake/db",
-                    pricing_jobs=jobs,
-                ),
+                BackendSpec(name="postgres", pg_dsn="postgresql://fake/db"),
                 toy_workload,
                 connector=lambda dsn: FakeConnection(server),
             )
@@ -711,6 +723,6 @@ class TestConcurrentShards:
             return out, log
 
         serial_costs, serial_log = costs(1)
-        pooled_costs, pooled_log = costs(2)
+        pooled_costs, pooled_log = costs(POOL_SIZE)
         assert pooled_costs == serial_costs
         assert pooled_log == serial_log

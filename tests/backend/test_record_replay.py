@@ -15,6 +15,7 @@ from repro.backend import BackendSpec, ReplayBackend, build_backend
 from repro.backend.cache import PersistentWhatIfCache, workload_fingerprint
 from repro.exceptions import TraceError, TraceMissError, TuningError
 from repro.optimizer.cost_model import CostModel
+from repro.optimizer.whatif import WhatIfOptimizer
 from repro.tuners import MCTSTuner, VanillaGreedyTuner
 from repro.workload.suites.real import real_d_workload
 
@@ -145,16 +146,20 @@ def test_record_requires_a_trace_path():
         BackendSpec(name="replay")
 
 
-def test_replay_prices_serially_at_any_job_count(tmp_path, toy_workload, toy_candidates):
+def test_replay_prices_serially_at_any_job_count(
+    tmp_path, toy_workload, toy_candidates, monkeypatch
+):
     """A concurrent wave would look up pairs past the recording's budget."""
     pairs = [
         (query, frozenset([ix])) for ix in toy_candidates for query in toy_workload
     ]
-    recorder = _recorder(toy_workload, tmp_path, budget=5, pricing_jobs=1)
+    monkeypatch.setattr(WhatIfOptimizer, "pricing_jobs", 1)
+    recorder = _recorder(toy_workload, tmp_path, budget=5)
     assert recorder.whatif_prefetch(pairs) == 5
     recorder.close()
 
-    replayer = _replayer(toy_workload, recorder.whatif_shard, budget=5, pricing_jobs=2)
+    monkeypatch.setattr(WhatIfOptimizer, "pricing_jobs", 2)
+    replayer = _replayer(toy_workload, recorder.whatif_shard, budget=5)
     assert isinstance(replayer, ReplayBackend)
     assert replayer.whatif_prefetch(pairs) == 5
     assert replayer.call_log == recorder.call_log

@@ -1,5 +1,6 @@
 """Shared fixtures: a small star schema, a deterministic toy workload, and
-session-cached benchmark workloads."""
+session-cached benchmark workloads; plus the ``--pricing-jobs N`` option,
+which re-runs the suite with the engine's batch waves priced on N jobs."""
 
 from __future__ import annotations
 
@@ -9,9 +10,31 @@ import pytest
 
 from repro.catalog import SchemaBuilder
 from repro.config import TuningConstraints
+from repro.optimizer.whatif import WhatIfOptimizer
 from repro.workload import CandidateGenerator
 from repro.workload.query import Query, Workload
 from repro.workload.suites.toy import TOY_PROFILE, TOY_SEED, toy_star_schema
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--pricing-jobs",
+        type=int,
+        default=None,
+        metavar="N",
+        help="price batch waves on N jobs in every pricer that does not set "
+        "its own job count (the analytic and noisy backends); results must "
+        "be bit-identical to serial pricing",
+    )
+
+
+def pytest_configure(config):
+    """Apply ``--pricing-jobs`` to the engine's default job count."""
+    jobs = config.getoption("--pricing-jobs")
+    if jobs is not None:
+        if jobs < 1:
+            raise pytest.UsageError(f"--pricing-jobs must be at least 1, got {jobs}")
+        WhatIfOptimizer.pricing_jobs = jobs
 
 
 def pytest_collection_modifyitems(config, items):

@@ -10,6 +10,7 @@ from repro.eval.experiments import (
     rl_comparison,
     table1_workload_statistics,
 )
+from repro.exceptions import ConstraintError
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +36,22 @@ class TestSettings:
         assert settings.scale == 0.5
         assert settings.seeds == 2
         assert settings.k_values == (4, 8)
+
+    @pytest.mark.parametrize(
+        "name,value",
+        [
+            ("REPRO_NOISE", "abc"),
+            ("REPRO_NOISE_SEED", "x"),
+            ("REPRO_SCALE", "abc"),
+            ("REPRO_SEEDS", "x"),
+            ("REPRO_JOBS", "x"),
+            ("REPRO_KS", "a,b"),
+        ],
+    )
+    def test_malformed_env_raises_constraint_error(self, monkeypatch, name, value):
+        monkeypatch.setenv(name, value)
+        with pytest.raises(ConstraintError, match=f"{name} must be"):
+            ExperimentSettings.from_env()
 
     def test_budget_grids(self):
         settings = ExperimentSettings(scale=1.0)

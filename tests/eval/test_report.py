@@ -133,7 +133,6 @@ class TestBenchPayload:
             "seeds": 1,
             "k_values": [5],
             "jobs": 2,
-            "pricing_jobs": 1,
         }
 
     def test_records_carry_seed_metrics(self):
@@ -210,36 +209,3 @@ class TestValidateBenchPayload:
 
         payload = self._valid(records=None, series={"conv": []})
         assert any("is empty" in p for p in validate_bench_payload(payload))
-
-    def test_non_positive_pricing_jobs_flagged(self):
-        from repro.eval.report import validate_bench_payload
-
-        payload = self._valid()
-        payload["settings"] = {"pricing_jobs": 0}
-        problems = validate_bench_payload(payload)
-        assert any("pricing_jobs must be a positive integer" in p for p in problems)
-
-    def test_boolean_pricing_jobs_flagged(self):
-        from repro.eval.report import validate_bench_payload
-
-        payload = self._valid()
-        payload["settings"] = {"pricing_jobs": True}
-        problems = validate_bench_payload(payload)
-        assert any("pricing_jobs must be a positive integer" in p for p in problems)
-
-    def test_record_jobs_mismatch_flagged(self):
-        from repro.eval.report import validate_bench_payload
-
-        payload = self._valid()
-        payload["settings"] = {"pricing_jobs": 2}
-        payload["records"][0]["pricing_jobs"] = 4
-        problems = validate_bench_payload(payload)
-        assert any("does not match settings.pricing_jobs" in p for p in problems)
-
-    def test_matching_jobs_provenance_passes(self):
-        from repro.eval.report import validate_bench_payload
-
-        payload = self._valid()
-        payload["settings"]["pricing_jobs"] = 2
-        payload["records"][0]["pricing_jobs"] = 2
-        assert validate_bench_payload(payload) == []

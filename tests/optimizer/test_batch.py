@@ -9,13 +9,19 @@ import itertools
 
 import pytest
 
+from repro.backend import AnalyticBackend
 from repro.budget.events import EventLog
 from repro.budget.policy import FCFSPolicy
 from repro.config import ReproConfig
-from repro.exceptions import BudgetExhaustedError, ConstraintError, TuningError
+from repro.exceptions import BudgetExhaustedError, TuningError
 from repro.optimizer.whatif import BudgetMeter, WhatIfOptimizer
 from repro.tuners.greedy import VanillaGreedyTuner
 from repro.workload.candidates import CandidateGenerator
+
+
+def _at_jobs(jobs):
+    """The engine pricing on ``jobs`` jobs, whatever ``--pricing-jobs`` says."""
+    return type(f"WhatIfOptimizerJobs{jobs}", (WhatIfOptimizer,), {"pricing_jobs": jobs})
 
 
 def _layout(optimizer):
@@ -89,8 +95,8 @@ class TestPoolDeterminism:
         configs = [
             frozenset(candidates[i : i + 3]) for i in range(0, 30, 3)
         ]
-        serial = WhatIfOptimizer(tpch, pricing_jobs=1)
-        pooled = WhatIfOptimizer(tpch, pricing_jobs=8)
+        serial = _at_jobs(1)(tpch)
+        pooled = _at_jobs(8)(tpch)
         try:
             assert serial.whatif_workload_costs(configs) == pooled.whatif_workload_costs(
                 configs
@@ -99,15 +105,16 @@ class TestPoolDeterminism:
         finally:
             pooled.close()
 
-    def test_greedy_pool_invariant(self, tpch_slice):
+    def test_greedy_pool_invariant(self, tpch_slice, monkeypatch):
         tpch, candidates = tpch_slice
         results = {}
         for jobs in (1, 8):
+            monkeypatch.setattr(AnalyticBackend, "pricing_jobs", jobs)
             result = VanillaGreedyTuner().tune(
                 tpch,
                 budget=120,
                 candidates=candidates,
-                optimizer_config=ReproConfig(pricing_jobs=jobs),
+                optimizer_config=ReproConfig(),
             )
             results[jobs] = (result.configuration, _layout(result.optimizer))
             result.optimizer.close()
@@ -125,11 +132,10 @@ class TestPoolDeterminism:
                 return qid != late or self.spent > 0
 
         def layout(jobs):
-            optimizer = WhatIfOptimizer(
+            optimizer = _at_jobs(jobs)(
                 toy_workload,
                 policy=LateAdmission(BudgetMeter(None)),
                 normalize_cache=False,
-                pricing_jobs=jobs,
             )
             config = frozenset(toy_candidates[:2])
             optimizer.whatif_prefetch((query, config) for query in toy_workload)
@@ -255,11 +261,10 @@ class TestChargeRollback:
 
         def build():
             events = EventLog()
-            optimizer = WhatIfOptimizer(
+            optimizer = _at_jobs(jobs)(
                 toy_workload,
                 budget=50,
                 normalize_cache=False,
-                pricing_jobs=jobs,
                 events=events,
             )
             return optimizer, events
@@ -305,9 +310,3 @@ class TestChargeRollback:
         assert optimizer.meter.spent == len(optimizer.call_log) == 50
         assert count(events, "budget_grant") == count(events, "whatif_call") == 50
         assert _layout(optimizer) == _layout(clean)
-
-    def test_pricing_jobs_validation(self, toy_workload):
-        with pytest.raises(TuningError):
-            WhatIfOptimizer(toy_workload, pricing_jobs=0)
-        with pytest.raises(ConstraintError):
-            ReproConfig(pricing_jobs=0)

@@ -266,3 +266,10 @@ class TestEvalCommand:
     def test_nonpositive_jobs_rejected(self, monkeypatch):
         monkeypatch.setenv("REPRO_SCALE", "0.02")
         assert main(["eval", "--figure", "table1", "--jobs", "0"]) == 2
+
+    def test_malformed_env_var_is_a_clean_error(self, capsys, monkeypatch):
+        # The flag overrides the value, but the variable is still parsed.
+        monkeypatch.setenv("REPRO_NOISE", "abc")
+        assert main(["eval", "--figure", "table1", "--noise", "0.2"]) == 2
+        err = capsys.readouterr().err
+        assert "error: REPRO_NOISE must be a number, got 'abc'" in err
