@@ -3,7 +3,8 @@
 * **States** — index configurations: all subsets of the candidate set
   ``I`` (so ``|S| = 2^{|I|}``); a state is represented as a
   ``frozenset[Index]``.
-* **Actions** — ``A(s) = I − s``: the indexes that can still be added.
+* **Actions** — ``A(s) = I − s``: the indexes that can still be added,
+  represented by their *positions* in the MDP's sorted candidate tuple.
 * **Transitions** — deterministic: ``s' = f(s, a) = s ∪ {a}`` with
   probability 1.
 * **Rewards / returns** — the expected percentage improvement (Equation 4)
@@ -17,6 +18,8 @@ transitions.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.catalog import Index, index_sort_key
 from repro.config import TuningConstraints
@@ -37,6 +40,10 @@ class IndexTuningMDP:
     def __init__(self, candidates: list[Index], constraints: TuningConstraints):
         self._candidates = tuple(sorted(candidates, key=index_sort_key))
         self._constraints = constraints
+        self._positions = {index: position for position, index in enumerate(self._candidates)}
+        self._sizes = np.array(
+            [index.estimated_size_bytes for index in self._candidates], dtype=np.int64
+        )
 
     @property
     def candidates(self) -> tuple[Index, ...]:
@@ -51,16 +58,28 @@ class IndexTuningMDP:
         """The root state: the existing (empty hypothetical) configuration."""
         return frozenset()
 
-    def actions(self, state: frozenset[Index]) -> list[Index]:
-        """``A(s)``: addable indexes that keep the state admissible."""
-        if len(state) >= self._constraints.max_indexes:
-            return []
-        return [
-            index
-            for index in self._candidates
-            if index not in state
-            and self._constraints.admits(state, extra_bytes=index.estimated_size_bytes)
-        ]
+    def position(self, index: Index) -> int:
+        """The position of a candidate in :attr:`candidates`."""
+        return self._positions[index]
+
+    def actions(self, state: frozenset[Index]) -> np.ndarray:
+        """``A(s)``: positions of the addable candidates, ascending.
+
+        One boolean mask over the candidates: those in ``state`` are out,
+        and under a storage cap so is every candidate whose size would push
+        the state's total past it.
+        """
+        constraints = self._constraints
+        if len(state) >= constraints.max_indexes:
+            return np.empty(0, dtype=np.intp)
+        addable = np.ones(len(self._candidates), dtype=bool)
+        positions = self._positions
+        addable[[positions[index] for index in state if index in positions]] = False
+        cap = constraints.max_storage_bytes
+        if cap is not None:
+            used = sum(index.estimated_size_bytes for index in state)
+            addable &= self._sizes + used <= cap
+        return np.flatnonzero(addable)
 
     def transition(self, state: frozenset[Index], action: Index) -> frozenset[Index]:
         """``f(s, a) = s ∪ {a}`` — the (only) successor with probability 1."""
@@ -70,7 +89,7 @@ class IndexTuningMDP:
 
     def is_terminal(self, state: frozenset[Index]) -> bool:
         """Whether ``state`` has no outgoing transitions."""
-        return not self.actions(state)
+        return len(self.actions(state)) == 0
 
     def max_depth_from(self, state: frozenset[Index]) -> int:
         """``K − d``: how many more indexes may be added below ``state``."""

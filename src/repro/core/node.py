@@ -1,47 +1,35 @@
 """Search-tree nodes (the CreateNode bookkeeping of Algorithm 3).
 
-Each node represents a state (configuration). Per outgoing action it keeps
-``n(s, a)`` (visits) and ``Q̂(s, a)`` (average observed return, a fraction in
-``[0, 1]``), plus the prior used to initialise ``Q̂`` before the first visit
-(Section 6.1.2).
+Each node represents a state (configuration). Its outgoing actions are
+candidate positions (see :meth:`~repro.core.mdp.IndexTuningMDP.actions`),
+and the per-action statistics live in NumPy arrays parallel to them; an
+index into those arrays is a *slot*. Per slot the node keeps ``n(s, a)``
+(visits), the summed observed return, and ``Q̂(s, a)`` — the prior
+(Section 6.1.2) before the first visit, the mean observed return (a
+fraction in ``[0, 1]``) after it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.catalog import Index
 
 
-@dataclass
-class ActionStats:
-    """Bookkeeping for one action of one node."""
-
-    prior: float = 0.0
-    visits: int = 0
-    total_return: float = 0.0
-
-    @property
-    def q_value(self) -> float:
-        """``Q̂(s, a)``: observed mean return, or the prior before any visit."""
-        if self.visits == 0:
-            return self.prior
-        return self.total_return / self.visits
-
-    def update(self, reward: float) -> None:
-        self.visits += 1
-        self.total_return += reward
-
-
-@dataclass
+@dataclass(eq=False)
 class TreeNode:
     """One state in the MCTS search tree.
 
     Attributes:
         state: The configuration this node represents.
-        actions: Available actions in canonical order (fixed at creation).
-        stats: Per-action statistics, parallel to ``actions``.
-        children: Expanded successors keyed by action.
+        actions: Candidate positions of the available actions, ascending
+            (fixed at creation).
+        q: ``Q̂(s, a)`` per slot.
+        action_visits: ``n(s, a)`` per slot.
+        action_returns: Summed observed return per slot.
+        children: Expanded successors keyed by candidate position.
         visits: ``N(s)`` — times an episode passed through this node.
         rolled_out: Whether the node has had its first (rollout) visit; a
             leaf that has not been rolled out is simulated, one that has is
@@ -49,9 +37,11 @@ class TreeNode:
     """
 
     state: frozenset[Index]
-    actions: list[Index]
-    stats: dict[Index, ActionStats] = field(default_factory=dict)
-    children: dict[Index, "TreeNode"] = field(default_factory=dict)
+    actions: np.ndarray
+    q: np.ndarray
+    action_visits: np.ndarray
+    action_returns: np.ndarray
+    children: dict[int, "TreeNode"] = field(default_factory=dict)
     visits: int = 0
     rolled_out: bool = False
 
@@ -59,15 +49,20 @@ class TreeNode:
     def create(
         cls,
         state: frozenset[Index],
-        actions: list[Index],
-        priors: dict[Index, float] | None = None,
+        actions: np.ndarray,
+        priors: np.ndarray | None = None,
     ) -> "TreeNode":
-        """CreateNode: initialise action bookkeeping with optional priors."""
-        node = cls(state=state, actions=list(actions))
-        for action in node.actions:
-            prior = priors.get(action, 0.0) if priors else 0.0
-            node.stats[action] = ActionStats(prior=max(0.0, prior))
-        return node
+        """CreateNode: zeroed statistics, ``Q̂`` sliced from the prior vector.
+
+        Args:
+            state: The node's configuration.
+            actions: Candidate positions of its actions.
+            priors: Prior per candidate position, clamped at zero (``None``:
+                every prior is zero).
+        """
+        count = len(actions)
+        q = np.zeros(count) if priors is None else np.maximum(priors[actions], 0.0)
+        return cls(state, actions, q, np.zeros(count, dtype=np.int64), np.zeros(count))
 
     @property
     def is_leaf(self) -> bool:
@@ -77,28 +72,14 @@ class TreeNode:
     @property
     def is_terminal(self) -> bool:
         """Terminal states have no actions at all."""
-        return not self.actions
+        return len(self.actions) == 0
 
-    def q_value(self, action: Index) -> float:
-        return self.stats[action].q_value
-
-    def action_visits(self, action: Index) -> int:
-        return self.stats[action].visits
-
-    def update(self, action: Index, reward: float) -> None:
+    def update(self, slot: int, reward: float) -> None:
         """Fold one observed episode return into this node's statistics."""
         self.visits += 1
-        self.stats[action].update(reward)
-
-    def best_action_by_q(self) -> Index | None:
-        """The action with the highest ``Q̂`` (ties broken by order)."""
-        best: Index | None = None
-        best_q = -1.0
-        for action in self.actions:
-            q = self.stats[action].q_value
-            if q > best_q:
-                best, best_q = action, q
-        return best
+        self.action_visits[slot] += 1
+        self.action_returns[slot] += reward
+        self.q[slot] = self.action_returns[slot] / self.action_visits[slot]
 
     def subtree_size(self) -> int:
         """Number of nodes in this subtree (diagnostics)."""

@@ -36,6 +36,14 @@ def relevant_indexes(optimizer: CostBackend, query: Query, candidates) -> list[I
     )
 
 
+def relevant_by_query(optimizer: CostBackend, candidates) -> dict[str, list[Index]]:
+    """:func:`relevant_indexes` for every workload query, keyed by qid."""
+    return {
+        query.qid: relevant_indexes(optimizer, query, candidates)
+        for query in optimizer.workload
+    }
+
+
 class _QuerySelector:
     """QuerySelection policies for Algorithm 4."""
 
@@ -91,6 +99,7 @@ def compute_singleton_priors(
     rng: random.Random,
     query_selection: str = "round_robin",
     index_selection: str = "largest_table",
+    relevant: dict[str, list[Index]] | None = None,
 ) -> dict[Index, float]:
     """Run Algorithm 4 and return prior improvements as fractions in [0, 1].
 
@@ -102,6 +111,8 @@ def compute_singleton_priors(
         rng: Seeded RNG for the stochastic policies.
         query_selection: ``"round_robin"`` or ``"cost_proportional"``.
         index_selection: ``"largest_table"`` or ``"uniform"``.
+        relevant: Each query's relevant candidates, as
+            :func:`relevant_by_query` returns them (computed when omitted).
 
     Returns:
         ``η(W, {I})`` for every candidate (0.0 for never-sampled indexes).
@@ -111,12 +122,10 @@ def compute_singleton_priors(
     # cost(W, {I}) initialised to c(W, ∅) for every candidate (lines 1-2).
     workload_costs: dict[Index, float] = {index: empty_total for index in candidates}
 
-    per_query: dict[str, list[Index]] = {
-        query.qid: relevant_indexes(optimizer, query, candidates)
-        for query in workload
-    }
+    if relevant is None:
+        relevant = relevant_by_query(optimizer, candidates)
     pending: dict[str, list[Index]] = {
-        qid: list(indexes) for qid, indexes in per_query.items()
+        qid: list(indexes) for qid, indexes in relevant.items()
     }
 
     selector = _QuerySelector(query_selection, optimizer, rng)
@@ -152,9 +161,10 @@ def compute_singleton_priors(
     return priors
 
 
-def prior_pair_count(optimizer: CostBackend, candidates: list[Index]) -> int:
-    """``P``: the number of relevant (query, index) pairs (for B' = min(B/2, P))."""
-    return sum(
-        len(relevant_indexes(optimizer, query, candidates))
-        for query in optimizer.workload
-    )
+def prior_pair_count(relevant: dict[str, list[Index]]) -> int:
+    """``P``: the number of relevant (query, index) pairs (for B' = min(B/2, P)).
+
+    Args:
+        relevant: Each query's relevant candidates (:func:`relevant_by_query`).
+    """
+    return sum(len(indexes) for indexes in relevant.values())

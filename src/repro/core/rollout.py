@@ -9,12 +9,16 @@ A rollout extends a leaf's configuration by ``l`` randomly chosen indexes:
   current state rather than remote regions).
 
 Index choice within the rollout follows the action-selection flavour:
-uniform under UCT, prior-proportional under ε-greedy.
+uniform under UCT, prior-proportional under ε-greedy. Like the search
+tree, a rollout sees actions as positions into the candidate tuple.
 """
 
 from __future__ import annotations
 
 import random
+from typing import Sequence
+
+import numpy as np
 
 from repro.catalog import Index
 from repro.config import MCTSConfig, TuningConstraints
@@ -26,18 +30,24 @@ class RolloutPolicy:
     Args:
         config: MCTS knobs (rollout flavour, step size, selection policy).
         constraints: Cardinality/storage constraints the rollout respects.
-        priors: Singleton priors for prior-weighted sampling (may be empty).
+        candidates: The candidate indexes that action positions refer to.
+        priors: Singleton prior per candidate position, clamped at zero,
+            for prior-weighted sampling (``None``: every prior is zero).
     """
 
     def __init__(
         self,
         config: MCTSConfig,
         constraints: TuningConstraints,
-        priors: dict[Index, float] | None = None,
+        candidates: Sequence[Index],
+        priors: np.ndarray | None = None,
     ):
         self._config = config
         self._constraints = constraints
-        self._priors = priors or {}
+        self._candidates = candidates
+        self._priors = (
+            np.zeros(len(candidates)) if priors is None else np.maximum(priors, 0.0)
+        )
 
     def _step_size(self, depth: int, rng: random.Random) -> int:
         """The look-ahead step size ``l``."""
@@ -47,15 +57,15 @@ class RolloutPolicy:
         return rng.randint(0, remaining)
 
     def _sample_weighted(
-        self, pool: list[Index], count: int, rng: random.Random
-    ) -> list[Index]:
-        """Sample ``count`` distinct indexes, prior-proportional (Eq. 6)."""
-        chosen: list[Index] = []
+        self, pool: list[int], count: int, rng: random.Random
+    ) -> list[int]:
+        """Sample ``count`` distinct positions, prior-proportional (Eq. 6)."""
+        chosen: list[int] = []
         available = list(pool)
         for _ in range(count):
             if not available:
                 break
-            weights = [max(0.0, self._priors.get(ix, 0.0)) for ix in available]
+            weights = self._priors[available].tolist()
             total = sum(weights)
             if total <= 0.0:
                 pick = rng.choice(available)
@@ -63,10 +73,10 @@ class RolloutPolicy:
                 threshold = rng.random() * total
                 cumulative = 0.0
                 pick = available[-1]
-                for index, weight in zip(available, weights, strict=True):
+                for position, weight in zip(available, weights, strict=True):
                     cumulative += weight
                     if cumulative >= threshold:
-                        pick = index
+                        pick = position
                         break
             chosen.append(pick)
             available.remove(pick)
@@ -75,20 +85,28 @@ class RolloutPolicy:
     def rollout(
         self,
         state: frozenset[Index],
-        actions: list[Index],
+        actions: np.ndarray,
         rng: random.Random,
     ) -> frozenset[Index]:
-        """Produce the sampled configuration for a leaf at ``state``."""
+        """Produce the sampled configuration for a leaf at ``state``.
+
+        Args:
+            state: The leaf's configuration.
+            actions: The leaf's action positions.
+            rng: The search's RNG.
+        """
         step = self._step_size(len(state), rng)
-        if step == 0 or not actions:
+        if step == 0 or len(actions) == 0:
             return state
+        pool = actions.tolist()
         if self._config.selection_policy == "uct":
-            count = min(step, len(actions))
-            additions = rng.sample(actions, count)
+            count = min(step, len(pool))
+            additions = rng.sample(pool, count)
         else:
-            additions = self._sample_weighted(actions, step, rng)
+            additions = self._sample_weighted(pool, step, rng)
         configuration = set(state)
-        for index in additions:
+        for position in additions:
+            index = self._candidates[position]
             if not self._constraints.admits(
                 configuration, extra_bytes=index.estimated_size_bytes
             ):

@@ -14,13 +14,18 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+
 from repro.catalog import Index
 from repro.config import MCTSConfig, TuningConstraints
 from repro.core.extraction import BestExploredTracker, extract_best
 from repro.core.mdp import IndexTuningMDP
 from repro.core.node import TreeNode
-from repro.core.priors import compute_singleton_priors, prior_pair_count
-from repro.core.node import ActionStats
+from repro.core.priors import (
+    compute_singleton_priors,
+    prior_pair_count,
+    relevant_by_query,
+)
 from repro.core.rollout import RolloutPolicy
 from repro.core.selection import (
     BoltzmannPolicy,
@@ -74,24 +79,28 @@ class MCTSSearch:
         self._rng = random.Random(0 if seed is None else seed)
         self._mdp = IndexTuningMDP(candidates, constraints)
         self._candidates = list(self._mdp.candidates)
-        self._amaf: dict[Index, ActionStats] = {}
+        # RAVE's all-moves-as-first statistics per candidate position.
+        self._amaf_visits = np.zeros(len(self._candidates), dtype=np.int64)
+        self._amaf_returns = np.zeros(len(self._candidates))
         self._episode_cursor = 0
         self._policy = self._build_policy()
         self._priors: dict[Index, float] = {}
+        self._prior_vector: np.ndarray | None = None
         self._root: TreeNode | None = None
         self._rollout: RolloutPolicy | None = None
         self._episodes = 0
 
     # ------------------------------------------------------------------ #
 
-    def _rave_q(self, node: TreeNode, action: Index) -> float:
+    def _rave_q(self, node: TreeNode) -> np.ndarray:
         """Q̂ blended with the all-moves-as-first (RAVE) statistic."""
-        base = node.q_value(action)
-        amaf = self._amaf.get(action)
-        if amaf is None or amaf.visits == 0:
-            return base
+        visits = self._amaf_visits[node.actions]
+        seen = visits > 0
+        amaf = self._amaf_returns[node.actions][seen] / visits[seen]
         beta = self._config.rave_weight
-        return (1.0 - beta) * base + beta * amaf.q_value
+        blended = node.q.copy()
+        blended[seen] = (1.0 - beta) * blended[seen] + beta * amaf
+        return blended
 
     def _build_policy(self) -> SelectionPolicy:
         q_fn = self._rave_q if self._config.rave_weight > 0 else None
@@ -133,14 +142,20 @@ class MCTSSearch:
         if self._config.use_priors:
             session.phase("priors")
             self._priors = self._compute_priors()
+        if self._priors:
+            self._prior_vector = np.array(
+                [self._priors.get(index, 0.0) for index in self._candidates]
+            )
         session.phase("episodes")
 
         self._root = TreeNode.create(
             self._mdp.initial_state,
             self._mdp.actions(self._mdp.initial_state),
-            self._priors,
+            self._prior_vector,
         )
-        self._rollout = RolloutPolicy(self._config, self._constraints, self._priors)
+        self._rollout = RolloutPolicy(
+            self._config, self._constraints, self._candidates, self._prior_vector
+        )
         tracker = BestExploredTracker(optimizer, self._constraints)
         baseline = optimizer.empty_workload_cost()
         # Run-local slice of the session history: run() keeps returning its
@@ -165,7 +180,7 @@ class MCTSSearch:
         self._episodes = 0
         while self._episodes < episode_cap and not session.exhausted:
             self._episodes += 1
-            path: list[tuple[TreeNode, Index]] = []
+            path: list[tuple[TreeNode, int]] = []
             spent_before = session.calls_used
             configuration = self._sample_configuration(self._root, path)
             cost = self._evaluate_with_budget(configuration)
@@ -178,11 +193,12 @@ class MCTSSearch:
             reward = 0.0
             if baseline > 0:
                 reward = max(0.0, min(1.0, 1.0 - cost / baseline))
-            for node, action in path:
-                node.update(action, reward)
+            for node, slot in path:
+                node.update(slot, reward)
             if self._config.rave_weight > 0:
-                for index in configuration:
-                    self._amaf.setdefault(index, ActionStats()).update(reward)
+                played = [self._mdp.position(index) for index in configuration]
+                self._amaf_visits[played] += 1
+                self._amaf_returns[played] += reward
             if tracker.observe(configuration, cost):
                 session.checkpoint(tracker.best)
 
@@ -203,7 +219,8 @@ class MCTSSearch:
 
     def _compute_priors(self) -> dict[Index, float]:
         budget = self._session.budget
-        pairs = prior_pair_count(self._optimizer, self._candidates)
+        relevant = relevant_by_query(self._optimizer, self._candidates)
+        pairs = prior_pair_count(relevant)
         if budget is None:
             sub_budget = pairs
         else:
@@ -219,56 +236,61 @@ class MCTSSearch:
             self._rng,
             query_selection=self._config.prior_query_selection,
             index_selection=self._config.prior_index_selection,
+            relevant=relevant,
         )
 
     def _sample_configuration(
-        self, node: TreeNode, path: list[tuple[TreeNode, Index]]
+        self, node: TreeNode, path: list[tuple[TreeNode, int]]
     ) -> frozenset[Index]:
         """SampleConfiguration: selection / expansion / simulation."""
+        candidates = self._candidates
         while True:
             if node.is_terminal:
                 return node.state
             if node.is_leaf and not node.rolled_out:
                 node.rolled_out = True
                 return self._rollout.rollout(node.state, node.actions, self._rng)
-            action = self._policy.select(node, self._rng)
-            path.append((node, action))
-            child = node.children.get(action)
+            slot = self._policy.select(node, self._rng)
+            path.append((node, slot))
+            position = int(node.actions[slot])
+            child = node.children.get(position)
             if child is None:
-                child_state = self._mdp.transition(node.state, action)
+                child_state = self._mdp.transition(node.state, candidates[position])
                 child = TreeNode.create(
-                    child_state, self._mdp.actions(child_state), self._priors
+                    child_state, self._mdp.actions(child_state), self._prior_vector
                 )
-                node.children[action] = child
+                node.children[position] = child
             node = child
 
-    def _pick_episode_query(self, queries, derived: list[float]):
-        """The query receiving the episode's counted call.
+    def _pick_episode_query(self, derived: list[float]) -> int:
+        """The workload position of the query receiving the episode's counted call.
 
         The paper draws it with probability proportional to its derived
         cost; uniform and round-robin alternatives are exposed as knobs
         ("other strategies are possible", Section 5.2).
         """
         mode = self._config.episode_query_selection
+        count = len(derived)
         if mode == "uniform":
-            return self._rng.choice(queries)
+            return self._rng.choice(range(count))
         if mode == "round_robin":
-            query = queries[self._episode_cursor % len(queries)]
+            position = self._episode_cursor % count
             self._episode_cursor += 1
-            return query
-        weights = [max(1e-12, value) for value in derived]
-        (target,) = self._rng.choices(queries, weights=weights, k=1)
-        return target
+            return position
+        # max(1e-12, value), spelled without a builtin call per query.
+        weights = [value if value > 1e-12 else 1e-12 for value in derived]
+        (position,) = self._rng.choices(range(count), weights=weights, k=1)
+        return position
 
     def _evaluate_with_budget(self, configuration: frozenset[Index]) -> float:
         """EvaluateCostWithBudget: one counted call, derived for the rest."""
         optimizer = self._optimizer
-        workload = list(optimizer.workload)
         derived = optimizer.derived_query_costs(configuration)
         total = sum(derived)
         if not configuration:
             return total
-        target = self._pick_episode_query(workload, derived)
+        position = self._pick_episode_query(derived)
+        target = optimizer.workload[position]
         if not (
             optimizer.policy.admits(target.qid)
             or optimizer.is_cached(target, configuration)
@@ -279,5 +301,4 @@ class MCTSSearch:
             # baseline, so the short-circuit is load-bearing.
             return total
         exact = optimizer.whatif_cost(target, configuration)
-        index = workload.index(target)
-        return total - derived[index] + target.weight * exact
+        return total - derived[position] + target.weight * exact

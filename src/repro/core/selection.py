@@ -1,6 +1,7 @@
 """Action-selection policies (Section 6.1).
 
-Two policies are provided:
+Every policy reads the node's ``Q̂`` vector and returns a *slot* — an index
+into ``node.actions``:
 
 * :class:`UCTPolicy` — Equation 5: pick ``argmax_a [ Q̂(s,a) + λ·sqrt(ln N(s)
   / n(s,a)) ]``; unvisited actions score infinity, so every child must be
@@ -10,6 +11,12 @@ Two policies are provided:
   (Equation 6): sample action ``a`` with probability proportional to
   ``Q̂(s,a)``, where unvisited actions carry the singleton-improvement
   prior computed by Algorithm 4.
+* :class:`BoltzmannPolicy` — softmax sampling over ``Q̂ / τ``.
+
+The sampling policies draw one ``rng.random()`` per step and return the
+first slot whose left-to-right cumulative weight reaches ``random() ×
+total`` (``np.cumsum`` plus a left ``searchsorted``), the total being the
+last cumulative weight.
 """
 
 from __future__ import annotations
@@ -19,16 +26,18 @@ import math
 import random
 from typing import Callable
 
-from repro.catalog import Index
+import numpy as np
+
 from repro.core.node import TreeNode
 
-#: Signature of an action-value accessor; defaults to ``node.q_value`` but a
-#: search may substitute a blended estimate (e.g. RAVE, Section 8).
-QFunction = Callable[[TreeNode, Index], float]
+#: Signature of an action-value accessor: the ``Q̂`` vector over a node's
+#: slots. Defaults to ``node.q`` but a search may substitute a blended
+#: estimate (e.g. RAVE, Section 8).
+QFunction = Callable[[TreeNode], np.ndarray]
 
 
-def _default_q(node: TreeNode, action: Index) -> float:
-    return node.q_value(action)
+def _default_q(node: TreeNode) -> np.ndarray:
+    return node.q
 
 
 class SelectionPolicy(abc.ABC):
@@ -38,8 +47,8 @@ class SelectionPolicy(abc.ABC):
         self._q = q_fn or _default_q
 
     @abc.abstractmethod
-    def select(self, node: TreeNode, rng: random.Random) -> Index:
-        """Pick an action from ``node.actions`` (non-empty)."""
+    def select(self, node: TreeNode, rng: random.Random) -> int:
+        """Pick a slot of ``node.actions`` (non-empty)."""
 
 
 class UCTPolicy(SelectionPolicy):
@@ -55,21 +64,21 @@ class UCTPolicy(SelectionPolicy):
     def exploration(self) -> float:
         return self._lambda
 
-    def score(self, node: TreeNode, action: Index) -> float:
-        """The UCB score of ``action`` at ``node`` (infinite when unvisited)."""
-        stats = node.stats[action]
-        if stats.visits == 0:
-            return math.inf
-        bonus = self._lambda * math.sqrt(
-            math.log(max(node.visits, 1)) / stats.visits
+    def scores(self, node: TreeNode) -> np.ndarray:
+        """The UCB score per slot (infinite where the action is unvisited)."""
+        visits = node.action_visits
+        visited = visits > 0
+        bonus = np.full(len(visits), math.inf)
+        bonus[visited] = self._lambda * np.sqrt(
+            math.log(max(node.visits, 1)) / visits[visited]
         )
-        return self._q(node, action) + bonus
+        return self._q(node) + bonus
 
-    def select(self, node: TreeNode, rng: random.Random) -> Index:
-        unvisited = [a for a in node.actions if node.stats[a].visits == 0]
-        if unvisited:
-            return rng.choice(unvisited)
-        return max(node.actions, key=lambda a: self.score(node, a))
+    def select(self, node: TreeNode, rng: random.Random) -> int:
+        unvisited = np.flatnonzero(node.action_visits == 0)
+        if len(unvisited):
+            return int(rng.choice(unvisited))
+        return int(np.argmax(self.scores(node)))
 
 
 class EpsilonGreedyPriorPolicy(SelectionPolicy):
@@ -80,18 +89,12 @@ class EpsilonGreedyPriorPolicy(SelectionPolicy):
     Q̂ is zero (e.g. no priors computed and no rewards observed yet).
     """
 
-    def select(self, node: TreeNode, rng: random.Random) -> Index:
-        weights = [max(0.0, self._q(node, a)) for a in node.actions]
-        total = sum(weights)
+    def select(self, node: TreeNode, rng: random.Random) -> int:
+        cumulative = np.cumsum(np.maximum(self._q(node), 0.0))
+        total = cumulative[-1]
         if total <= 0.0:
-            return rng.choice(node.actions)
-        threshold = rng.random() * total
-        cumulative = 0.0
-        for action, weight in zip(node.actions, weights, strict=True):
-            cumulative += weight
-            if cumulative >= threshold:
-                return action
-        return node.actions[-1]
+            return rng.randrange(len(cumulative))
+        return int(np.searchsorted(cumulative, rng.random() * total, "left"))
 
 
 class BoltzmannPolicy(SelectionPolicy):
@@ -112,15 +115,7 @@ class BoltzmannPolicy(SelectionPolicy):
     def temperature(self) -> float:
         return self._tau
 
-    def select(self, node: TreeNode, rng: random.Random) -> Index:
-        values = [self._q(node, a) / self._tau for a in node.actions]
-        peak = max(values)
-        weights = [math.exp(v - peak) for v in values]
-        total = sum(weights)
-        threshold = rng.random() * total
-        cumulative = 0.0
-        for action, weight in zip(node.actions, weights, strict=True):
-            cumulative += weight
-            if cumulative >= threshold:
-                return action
-        return node.actions[-1]
+    def select(self, node: TreeNode, rng: random.Random) -> int:
+        values = self._q(node) / self._tau
+        cumulative = np.cumsum(np.exp(values - values.max()))
+        return int(np.searchsorted(cumulative, rng.random() * cumulative[-1], "left"))

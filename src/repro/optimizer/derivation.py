@@ -15,12 +15,21 @@ The store keeps singleton observations in a per-query dict (O(|C|) probes)
 and larger observations in a per-query list scanned with subset tests; in
 budget-constrained runs the latter stays short (at most one entry per
 counted call on the query), keeping derivation cheap enough to be treated
-as "free" the way the paper does.
+as "free" the way the paper does. A member-keyed index (member → query →
+observations containing it) answers the whole-workload and incremental
+probes — :meth:`CostDerivation.lowest_within`,
+:meth:`CostDerivation.derived_cost_with_extra`,
+:meth:`CostDerivation.has_observation` — by touching only the observations
+that share an index with the probed configuration.
 """
 
 from __future__ import annotations
 
+import math
+
 from repro.catalog import Index
+
+_NO_ENTRIES: dict[str, list[tuple[frozenset[Index], float]]] = {}
 
 
 class CostDerivation:
@@ -30,11 +39,10 @@ class CostDerivation:
         self._exact: dict[tuple[str, frozenset[Index]], float] = {}
         self._singletons: dict[str, dict[Index, float]] = {}
         self._compound: dict[str, list[tuple[frozenset[Index], float]]] = {}
-        # Secondary index: compound entries per (qid, member index) — lets
-        # greedy probe "does adding z tighten d(q, C ∪ {z})?" in O(entries
-        # containing z) instead of scanning all compounds.
-        self._compound_by_member: dict[
-            tuple[str, Index], list[tuple[frozenset[Index], float]]
+        # Every non-empty observation under each of its members, per query:
+        # a probe of C touches only the observations sharing an index with C.
+        self._by_member: dict[
+            Index, dict[str, list[tuple[frozenset[Index], float]]]
         ] = {}
         self._empty: dict[str, float] = {}
 
@@ -50,14 +58,15 @@ class CostDerivation:
         size = len(configuration)
         if size == 0:
             self._empty[qid] = cost
-        elif size == 1:
+            return
+        entry = (configuration, cost)
+        if size == 1:
             (index,) = configuration
             self._singletons.setdefault(qid, {})[index] = cost
         else:
-            entry = (configuration, cost)
             self._compound.setdefault(qid, []).append(entry)
-            for member in configuration:
-                self._compound_by_member.setdefault((qid, member), []).append(entry)
+        for member in configuration:
+            self._by_member.setdefault(member, {}).setdefault(qid, []).append(entry)
 
     def known_cost(self, qid: str, configuration: frozenset[Index]) -> float | None:
         """The recorded what-if cost for the exact pair, if any."""
@@ -98,6 +107,28 @@ class CostDerivation:
                 best = cost
         return best
 
+    def lowest_within(self, configuration: frozenset[Index]) -> dict[str, float]:
+        """Per query, the lowest recorded cost of a non-empty subset of ``C``.
+
+        Queries with no observation inside ``configuration`` are absent, so
+        ``d(q, C)`` is ``min(c(q, ∅), lowest[q])`` where present and
+        ``c(q, ∅)`` elsewhere. Recorded keys are compared with
+        ``configuration`` as given, which is Equation 1 for a query whenever
+        its keys are normalized: a key inside ``relevant(q)`` is a subset of
+        ``C`` exactly when it is a subset of ``C ∩ relevant(q)``.
+        """
+        lowest: dict[str, float] = {}
+        by_member = self._by_member
+        for member in configuration:
+            for qid, entries in by_member.get(member, _NO_ENTRIES).items():
+                best = lowest.get(qid, math.inf)
+                for entry, cost in entries:
+                    if cost < best and entry <= configuration:
+                        best = cost
+                if best < math.inf:
+                    lowest[qid] = best
+        return lowest
+
     def derived_cost_with_extra(
         self,
         qid: str,
@@ -108,17 +139,11 @@ class CostDerivation:
         """``d(q, C ∪ {z})`` given ``base_derived = d(q, C)``.
 
         Only observations *containing* ``z`` can tighten the base value, so
-        the probe touches the singleton entry for ``z`` plus the compound
-        entries listing ``z`` as a member.
+        the probe touches just the entries listed under ``z``.
         """
         best = base_derived
-        singletons = self._singletons.get(qid)
-        if singletons:
-            cost = singletons.get(extra)
-            if cost is not None and cost < best:
-                best = cost
-        for entry, cost in self._compound_by_member.get((qid, extra), ()):
-            if cost < best and entry.issubset(configuration_with_extra):
+        for entry, cost in self._by_member.get(extra, _NO_ENTRIES).get(qid, ()):
+            if cost < best and entry <= configuration_with_extra:
                 best = cost
         return best
 
@@ -142,10 +167,7 @@ class CostDerivation:
         observation can tighten the bound — so derived-only search can skip
         the pair entirely.
         """
-        singletons = self._singletons.get(qid)
-        if singletons and index in singletons:
-            return True
-        return (qid, index) in self._compound_by_member
+        return qid in self._by_member.get(index, _NO_ENTRIES)
 
     def singleton_costs(self, qid: str) -> dict[Index, float]:
         """All recorded singleton costs for ``qid`` (copy)."""

@@ -222,6 +222,8 @@ class WhatIfOptimizer:
         self._derivation = CostDerivation()
         self._log: list[WhatIfCall] = []
         self._empty_costs: dict[str, float] = {}
+        self._weighted_empties: list[float] | None = None
+        self._positions = {query.qid: position for position, query in enumerate(workload)}
         self._stats = WhatIfStats()
         self._cost_observers: list = []
 
@@ -762,19 +764,27 @@ class WhatIfOptimizer:
         """Per-query *weighted* derived costs, in workload order (one pass).
 
         The batched form of :meth:`derived_cost` used by episode evaluation
-        hot loops; hoists the key normalization and store lookups out of the
-        per-query call chain.
+        hot loops: every query starts at its empty cost, and only queries
+        with an observation inside the configuration are lowered, found
+        through the store's member-keyed index
+        (:meth:`~repro.optimizer.derivation.CostDerivation.lowest_within`).
+        Keys need no per-query normalization: every key the store records
+        already is normalized.
         """
+        if self._weighted_empties is None:
+            self._weighted_empties = [
+                query.weight * self.empty_cost(query) for query in self._workload
+            ]
+        costs = self._weighted_empties.copy()
         key = config_key(configuration)
-        derivation = self._derivation
-        out: list[float] = []
-        for query in self._workload:
-            norm = self._norm_key(self.prepared(query), key) if key else key
-            out.append(
-                query.weight
-                * derivation.derived_cost(query.qid, norm, self.empty_cost(query))
-            )
-        return out
+        if key:
+            empties = self._empty_costs
+            positions = self._positions
+            for qid, cost in self._derivation.lowest_within(key).items():
+                position = positions.get(qid)
+                if position is not None and cost < empties[qid]:
+                    costs[position] = self._workload[position].weight * cost
+        return costs
 
     def derived_workload_cost(self, configuration) -> float:
         """``d(W, C)`` summed over the workload (weighted)."""

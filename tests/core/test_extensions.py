@@ -95,7 +95,7 @@ class TestRAVE:
             seed=0,
         )
         search.run()
-        assert search._amaf  # AMAF statistics were recorded
+        assert search._amaf_visits.any()  # AMAF statistics were recorded
 
     def test_zero_weight_disables_amaf(self, toy_workload, toy_candidates):
         optimizer = WhatIfOptimizer(toy_workload, budget=50)
@@ -107,7 +107,7 @@ class TestRAVE:
             seed=0,
         )
         search.run()
-        assert not search._amaf
+        assert not search._amaf_visits.any()
 
     def test_rave_quality_comparable(self, toy_workload, toy_candidates):
         """RAVE must not catastrophically hurt the default configuration."""

@@ -1,67 +1,57 @@
 """Search-tree node bookkeeping tests."""
 
+import numpy as np
 import pytest
 
-from repro.catalog import Index
-from repro.core.node import ActionStats, TreeNode
+from repro.core.node import TreeNode
 
-
-@pytest.fixture
-def actions(star_schema):
-    fact = star_schema.table("fact")
-    return [Index.build(fact, [c]) for c in ("fk1", "fk2", "cat")]
-
-
-class TestActionStats:
-    def test_prior_before_visits(self):
-        stats = ActionStats(prior=0.4)
-        assert stats.q_value == 0.4
-
-    def test_mean_after_visits(self):
-        stats = ActionStats(prior=0.4)
-        stats.update(0.2)
-        stats.update(0.6)
-        assert stats.q_value == pytest.approx(0.4)
-        assert stats.visits == 2
+#: Three actions, as candidate positions.
+ACTIONS = np.arange(3)
 
 
 class TestTreeNode:
-    def test_create_seeds_priors(self, actions):
-        node = TreeNode.create(frozenset(), actions, {actions[0]: 0.7})
-        assert node.q_value(actions[0]) == 0.7
-        assert node.q_value(actions[1]) == 0.0
+    def test_prior_before_visits(self):
+        node = TreeNode.create(frozenset(), ACTIONS, np.array([0.4, 0.0, 0.0]))
+        assert node.q[0] == 0.4
 
-    def test_negative_prior_clamped(self, actions):
-        node = TreeNode.create(frozenset(), actions, {actions[0]: -0.5})
-        assert node.q_value(actions[0]) == 0.0
+    def test_mean_after_visits(self):
+        node = TreeNode.create(frozenset(), ACTIONS, np.array([0.4, 0.0, 0.0]))
+        node.update(0, 0.2)
+        node.update(0, 0.6)
+        assert node.q[0] == pytest.approx(0.4)
+        assert node.action_visits[0] == 2
 
-    def test_update_counts_visits(self, actions):
-        node = TreeNode.create(frozenset(), actions)
-        node.update(actions[0], 0.5)
-        node.update(actions[1], 0.1)
+    def test_create_seeds_priors(self):
+        node = TreeNode.create(frozenset(), ACTIONS, np.array([0.7, 0.0, 0.0]))
+        assert node.q[0] == 0.7
+        assert node.q[1] == 0.0
+
+    def test_negative_prior_clamped(self):
+        node = TreeNode.create(frozenset(), ACTIONS, np.array([-0.5, 0.0, 0.0]))
+        assert node.q[0] == 0.0
+
+    def test_priors_sliced_by_position(self):
+        node = TreeNode.create(frozenset(), np.array([0, 2]), np.array([0.1, 0.2, 0.3]))
+        assert node.q.tolist() == [0.1, 0.3]
+
+    def test_update_counts_visits(self):
+        node = TreeNode.create(frozenset(), ACTIONS)
+        node.update(0, 0.5)
+        node.update(1, 0.1)
         assert node.visits == 2
-        assert node.action_visits(actions[0]) == 1
+        assert node.action_visits[0] == 1
 
-    def test_leaf_and_terminal(self, actions):
-        node = TreeNode.create(frozenset(), actions)
+    def test_leaf_and_terminal(self):
+        node = TreeNode.create(frozenset(), ACTIONS)
         assert node.is_leaf
         assert not node.is_terminal
-        terminal = TreeNode.create(frozenset(actions), [])
+        terminal = TreeNode.create(frozenset(), np.empty(0, dtype=np.intp))
         assert terminal.is_terminal
 
-    def test_best_action_by_q(self, actions):
-        node = TreeNode.create(frozenset(), actions)
-        node.update(actions[1], 0.9)
-        node.update(actions[0], 0.2)
-        assert node.best_action_by_q() == actions[1]
-
-    def test_best_action_none_when_terminal(self, actions):
-        assert TreeNode.create(frozenset(actions), []).best_action_by_q() is None
-
-    def test_subtree_size(self, actions):
-        root = TreeNode.create(frozenset(), actions)
-        child = TreeNode.create(frozenset({actions[0]}), actions[1:])
-        root.children[actions[0]] = child
-        grandchild = TreeNode.create(frozenset(actions[:2]), actions[2:])
-        child.children[actions[1]] = grandchild
+    def test_subtree_size(self):
+        root = TreeNode.create(frozenset(), ACTIONS)
+        child = TreeNode.create(frozenset(), ACTIONS[1:])
+        root.children[0] = child
+        grandchild = TreeNode.create(frozenset(), ACTIONS[2:])
+        child.children[1] = grandchild
         assert root.subtree_size() == 3

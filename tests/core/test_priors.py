@@ -7,6 +7,7 @@ import pytest
 from repro.core.priors import (
     compute_singleton_priors,
     prior_pair_count,
+    relevant_by_query,
     relevant_indexes,
 )
 from repro.optimizer.whatif import WhatIfOptimizer
@@ -26,7 +27,7 @@ class TestRelevantIndexes:
                 assert index.table in tables
 
     def test_pair_count_positive(self, optimizer, toy_candidates):
-        assert prior_pair_count(optimizer, toy_candidates) > 0
+        assert prior_pair_count(relevant_by_query(optimizer, toy_candidates)) > 0
 
 
 class TestComputePriors:
@@ -52,7 +53,7 @@ class TestComputePriors:
         assert zero_count >= len(toy_candidates) - 1
 
     def test_full_budget_finds_useful_indexes(self, optimizer, toy_candidates):
-        pairs = prior_pair_count(optimizer, toy_candidates)
+        pairs = prior_pair_count(relevant_by_query(optimizer, toy_candidates))
         priors = compute_singleton_priors(
             optimizer, toy_candidates, budget=pairs, rng=random.Random(0)
         )
@@ -67,7 +68,7 @@ class TestComputePriors:
         lower bound of η(W, {I}).
         """
         optimizer = WhatIfOptimizer(toy_workload, budget=None)
-        pairs = prior_pair_count(optimizer, toy_candidates)
+        pairs = prior_pair_count(relevant_by_query(optimizer, toy_candidates))
         priors = compute_singleton_priors(
             optimizer, toy_candidates, budget=pairs, rng=random.Random(0)
         )

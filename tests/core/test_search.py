@@ -174,7 +174,7 @@ class TestUCTSlowProgress:
         )
         search.run()
         root = search.root
-        visit_counts = [root.stats[a].visits for a in root.actions]
+        visit_counts = root.action_visits.tolist()
         # No action is visited twice while siblings remain unvisited.
         if 0 in visit_counts:
             assert max(visit_counts) <= 1
@@ -201,3 +201,48 @@ class TestUCTSlowProgress:
         uct_depth = depth_of(MCTSConfig(selection_policy="uct", use_priors=False))
         prior_depth = depth_of(MCTSConfig())
         assert uct_depth <= prior_depth + 1
+
+
+class TestWideCandidateSet:
+    """A TPC-DS session at the paper's defaults (761 candidates, B = 500,
+    K = 20), pinned to the values the dict-backed tree produced."""
+
+    def test_tpcds_session_is_pinned(self):
+        from collections import Counter
+
+        from repro.tuners import MCTSTuner
+        from repro.workload.suites.tpcds import tpcds_workload
+
+        tuner = MCTSTuner(seed=0)
+        result = tuner.tune(tpcds_workload(), 500, TuningConstraints(max_indexes=20))
+        assert result.calls_used == 500
+        assert tuner.last_search.episodes == 2108
+        assert Counter(event.kind for event in result.events) == {
+            "budget_grant": 500,
+            "checkpoint": 19,
+            "phase": 3,
+            "whatif_call": 500,
+        }
+        assert sorted(index.display() for index in result.configuration) == [
+            "catalog_sales(cs_customer_sk) INCLUDE (cs_catalog_page_sk, cs_net_profit, cs_ship_mode_sk)",
+            "catalog_sales(cs_list_price, cs_catalog_page_sk, cs_customer_sk)",
+            "catalog_sales(cs_warehouse_sk) INCLUDE (cs_call_center_sk, cs_catalog_page_sk, cs_customer_sk, cs_item_sk, cs_sold_date_sk)",
+            "catalog_sales(cs_warehouse_sk) INCLUDE (cs_customer_sk, cs_net_paid)",
+            "inventory(inv_item_sk) INCLUDE (inv_date_sk, inv_warehouse_sk)",
+            "inventory(inv_quantity_on_hand) INCLUDE (inv_date_sk, inv_item_sk, inv_warehouse_sk)",
+            "inventory(inv_warehouse_sk) INCLUDE (inv_date_sk, inv_item_sk)",
+            "inventory(inv_warehouse_sk) INCLUDE (inv_date_sk, inv_item_sk, inv_quantity_on_hand)",
+            "store_sales(ss_cdemo_sk)",
+            "store_sales(ss_customer_sk) INCLUDE (ss_cdemo_sk, ss_hdemo_sk, ss_item_sk, ss_promo_sk, ss_quantity, ss_store_sk)",
+            "store_sales(ss_customer_sk) INCLUDE (ss_cdemo_sk, ss_hdemo_sk, ss_item_sk, ss_promo_sk, ss_sold_date_sk, ss_store_sk)",
+            "store_sales(ss_item_sk) INCLUDE (ss_cdemo_sk, ss_customer_sk, ss_hdemo_sk, ss_promo_sk, ss_store_sk)",
+            "store_sales(ss_item_sk) INCLUDE (ss_customer_sk, ss_ext_tax, ss_net_paid, ss_promo_sk, ss_sold_date_sk, ss_store_sk)",
+            "store_sales(ss_item_sk) INCLUDE (ss_customer_sk, ss_net_paid_inc_tax, ss_sold_date_sk)",
+            "store_sales(ss_promo_sk) INCLUDE (ss_cdemo_sk, ss_customer_sk, ss_hdemo_sk, ss_sales_price, ss_sold_date_sk)",
+            "store_sales(ss_promo_sk) INCLUDE (ss_cdemo_sk, ss_item_sk)",
+            "store_sales(ss_sales_price)",
+            "store_sales(ss_store_sk) INCLUDE (ss_cdemo_sk, ss_hdemo_sk, ss_item_sk, ss_list_price, ss_promo_sk, ss_sold_date_sk)",
+            "web_sales(ws_customer_sk)",
+            "web_sales(ws_ship_mode_sk) INCLUDE (ws_customer_sk, ws_ext_wholesale_cost, ws_item_sk, ws_sold_date_sk, ws_web_page_sk, ws_web_site_sk)",
+        ]
+        assert result.true_improvement() == 39.17846489885921
