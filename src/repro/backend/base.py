@@ -52,6 +52,10 @@ class CostBackend(Protocol):
 
     The contract (see DESIGN.md §5e for the full statement):
 
+    * a configuration is an iterable of indexes or an ``int`` bitmask over
+      the backend's index positions (:meth:`position` interns an index;
+      bit ``1 << position`` stands for it), interchangeably, in every
+      method that takes one; :meth:`trial_cost` takes masks only;
     * a call is *counted* iff the normalized (query, configuration) pair is
       uncached and the budget :attr:`policy` grants it; cached pairs are
       free and bit-stable;
@@ -107,6 +111,8 @@ class CostBackend(Protocol):
 
     def prepared(self, query: "Query") -> "PreparedQuery": ...
 
+    def position(self, index: "Index") -> int: ...
+
     @property
     def whatif_shard(self) -> "Path | None": ...
 
@@ -125,11 +131,7 @@ class CostBackend(Protocol):
     def whatif_cost(self, query: "Query", configuration) -> float: ...
 
     def trial_cost(
-        self,
-        query: "Query",
-        base_cost: float,
-        trial: "frozenset[Index]",
-        extra: "Index",
+        self, query: "Query", base_cost: float, trial: int, extra: int
     ) -> float: ...
 
     def whatif_prefetch(self, pairs, *, limit: int | None = None) -> int: ...

@@ -113,20 +113,18 @@ class NoisyBackend(AnalyticBackend):
         and are not reported to cost observers (observers watch the costs
         the search saw).
         """
-        from repro.optimizer.whatif import config_key
-
-        key = config_key(configuration)
-        if not key:
+        mask = self._mask(configuration)
+        if not mask:
             return self.empty_cost(query)
         prepared = self.prepared(query)
-        norm = self._norm_key(prepared, key)
+        norm = self._norm(query.qid, mask)
         if not norm:
             return self.empty_cost(query)
         cached = self._true_cache.get((query.qid, norm))
         if cached is not None:
             return cached
         start = perf_counter()
-        cost = self._model.cost(prepared, norm)
+        cost = self._model.cost(prepared, self._configuration(norm))
         self._stats.cost_seconds += perf_counter() - start
         self._stats.cost_evaluations += 1
         self._true_cache[(query.qid, norm)] = cost

@@ -46,7 +46,6 @@ from repro.backend.dbms.hypo import HypoIndexState
 from repro.catalog import Index
 from repro.exceptions import OptimizerError, TuningError
 from repro.optimizer.prepared import PreparedQuery
-from repro.optimizer.whatif import config_key
 from repro.workload.query import Query
 
 #: Per-connection setup: planner determinism (the toy/TPC-H suites never
@@ -297,8 +296,7 @@ class PostgresBackend(AnalyticBackend):
 
     def explain(self, query: Query, configuration) -> PostgresPlan:
         """The live hypothetical plan behind a what-if cost (uncounted)."""
-        key = config_key(configuration)
-        norm = self._norm_key(self.prepared(query), key) if key else key
+        norm = self._normalized_key(query, configuration)
         sql = self._sql[query.qid]
         return self._run(lambda session: session.plan(sql, norm))
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.catalog import Index, Schema
+from repro.catalog import Index, Schema, index_sort_key
 from repro.catalog.table import PAGE_BYTES
 from repro.optimizer import selectivity as sel
 from repro.optimizer.plan import AccessPlan, JoinPlan, QueryPlan
@@ -171,9 +171,17 @@ class CostModel:
         return total
 
     def explain(self, prepared: PreparedQuery, configuration) -> QueryPlan:
-        """Like :meth:`cost` but returning the full plan tree."""
+        """Like :meth:`cost` but returning the full plan tree.
+
+        Each operator keeps the first of exactly tied options, so the
+        configuration is grouped in :func:`~repro.catalog.index_sort_key`
+        order: the plan names the same index whatever order the
+        configuration iterates in (set order follows ``PYTHONHASHSEED``).
+        The cost is order-independent either way — every choice is a
+        minimum — so :meth:`cost` groups in the order it is given.
+        """
         self._ensure_constants(prepared)
-        by_table = self._group_by_table(configuration)
+        by_table = self._group_by_table(sorted(configuration, key=index_sort_key))
         _, plan = self._price(prepared, by_table, explain=True)
         assert plan is not None
         return plan

@@ -11,13 +11,17 @@ itself is known. The restriction to singleton subsets (Equation 2) — the
 form for which the paper proves submodularity (Theorem 1) — is exposed as
 :meth:`CostDerivation.singleton_derived_cost`.
 
-The store keeps singleton observations in a per-query dict (O(|C|) probes)
-and larger observations in a per-query list scanned with subset tests; in
-budget-constrained runs the latter stays short (at most one entry per
-counted call on the query), keeping derivation cheap enough to be treated
-as "free" the way the paper does. A member-keyed index (member → query →
-observations containing it) answers the whole-workload and incremental
-probes — :meth:`CostDerivation.lowest_within`,
+Configurations are bitmasks over index *positions*: the
+:class:`~repro.optimizer.whatif.WhatIfOptimizer` interns every index it
+sees to a position and hands the store ``int`` masks, so "observation
+``S`` ⊆ ``C``" is the single test ``S & ~C == 0``. The store keeps
+singleton observations in a per-query dict keyed by position (O(|C|)
+probes) and larger observations in a per-query list scanned with that
+subset test; in budget-constrained runs the latter stays short (at most
+one entry per counted call on the query), keeping derivation cheap enough
+to be treated as "free" the way the paper does. A member-keyed index
+(position → query → observations containing it) answers the
+whole-workload and incremental probes — :meth:`CostDerivation.lowest_within`,
 :meth:`CostDerivation.derived_cost_with_extra`,
 :meth:`CostDerivation.has_observation` — by touching only the observations
 that share an index with the probed configuration.
@@ -27,48 +31,53 @@ from __future__ import annotations
 
 import math
 
-from repro.catalog import Index
+_NO_ENTRIES: dict[str, list[tuple[int, float]]] = {}
 
-_NO_ENTRIES: dict[str, list[tuple[frozenset[Index], float]]] = {}
+
+def mask_positions(mask: int) -> list[int]:
+    """The positions of ``mask``'s set bits, lowest first."""
+    positions = []
+    while mask:
+        low = mask & -mask
+        positions.append(low.bit_length() - 1)
+        mask ^= low
+    return positions
 
 
 class CostDerivation:
     """Incrementally maintained store of known what-if costs per query."""
 
     def __init__(self) -> None:
-        self._exact: dict[tuple[str, frozenset[Index]], float] = {}
-        self._singletons: dict[str, dict[Index, float]] = {}
-        self._compound: dict[str, list[tuple[frozenset[Index], float]]] = {}
+        self._exact: dict[tuple[str, int], float] = {}
+        self._singletons: dict[str, dict[int, float]] = {}
+        self._compound: dict[str, list[tuple[int, float]]] = {}
         # Every non-empty observation under each of its members, per query:
         # a probe of C touches only the observations sharing an index with C.
-        self._by_member: dict[
-            Index, dict[str, list[tuple[frozenset[Index], float]]]
-        ] = {}
+        self._by_member: dict[int, dict[str, list[tuple[int, float]]]] = {}
         self._empty: dict[str, float] = {}
 
     # ------------------------------------------------------------------ #
 
-    def record(self, qid: str, configuration: frozenset[Index], cost: float) -> None:
-        """Record an observed what-if cost ``c(q, C)``."""
+    def record(self, qid: str, configuration: int, cost: float) -> None:
+        """Record an observed what-if cost ``c(q, C)`` (``C`` as a mask)."""
         key = (qid, configuration)
         previous = self._exact.get(key)
         if previous is not None and previous <= cost:
             return
         self._exact[key] = cost
-        size = len(configuration)
-        if size == 0:
+        if not configuration:
             self._empty[qid] = cost
             return
         entry = (configuration, cost)
-        if size == 1:
-            (index,) = configuration
-            self._singletons.setdefault(qid, {})[index] = cost
+        members = mask_positions(configuration)
+        if len(members) == 1:
+            self._singletons.setdefault(qid, {})[members[0]] = cost
         else:
             self._compound.setdefault(qid, []).append(entry)
-        for member in configuration:
+        for member in members:
             self._by_member.setdefault(member, {}).setdefault(qid, []).append(entry)
 
-    def known_cost(self, qid: str, configuration: frozenset[Index]) -> float | None:
+    def known_cost(self, qid: str, configuration: int) -> float | None:
         """The recorded what-if cost for the exact pair, if any."""
         return self._exact.get((qid, configuration))
 
@@ -82,14 +91,12 @@ class CostDerivation:
 
     # ------------------------------------------------------------------ #
 
-    def derived_cost(
-        self, qid: str, configuration: frozenset[Index], empty_cost: float
-    ) -> float:
+    def derived_cost(self, qid: str, configuration: int, empty_cost: float) -> float:
         """``d(q, C)`` per Equation 1.
 
         Args:
             qid: Query id.
-            configuration: The configuration to derive a cost for.
+            configuration: The configuration (mask) to derive a cost for.
             empty_cost: ``c(q, ∅)`` — always a known subset cost.
         """
         best = self._empty.get(qid, empty_cost)
@@ -98,16 +105,17 @@ class CostDerivation:
             best = exact
         singletons = self._singletons.get(qid)
         if singletons:
-            for index in configuration:
-                cost = singletons.get(index)
+            for member in mask_positions(configuration):
+                cost = singletons.get(member)
                 if cost is not None and cost < best:
                     best = cost
+        outside = ~configuration
         for entry, cost in self._compound.get(qid, ()):
-            if cost < best and entry.issubset(configuration):
+            if cost < best and not entry & outside:
                 best = cost
         return best
 
-    def lowest_within(self, configuration: frozenset[Index]) -> dict[str, float]:
+    def lowest_within(self, configuration: int) -> dict[str, float]:
         """Per query, the lowest recorded cost of a non-empty subset of ``C``.
 
         Queries with no observation inside ``configuration`` are absent, so
@@ -119,11 +127,12 @@ class CostDerivation:
         """
         lowest: dict[str, float] = {}
         by_member = self._by_member
-        for member in configuration:
+        outside = ~configuration
+        for member in mask_positions(configuration):
             for qid, entries in by_member.get(member, _NO_ENTRIES).items():
                 best = lowest.get(qid, math.inf)
                 for entry, cost in entries:
-                    if cost < best and entry <= configuration:
+                    if cost < best and not entry & outside:
                         best = cost
                 if best < math.inf:
                     lowest[qid] = best
@@ -133,35 +142,37 @@ class CostDerivation:
         self,
         qid: str,
         base_derived: float,
-        configuration_with_extra: frozenset[Index],
-        extra: Index,
+        configuration_with_extra: int,
+        extra: int,
     ) -> float:
         """``d(q, C ∪ {z})`` given ``base_derived = d(q, C)``.
 
-        Only observations *containing* ``z`` can tighten the base value, so
-        the probe touches just the entries listed under ``z``.
+        ``extra`` is the position of ``z``. Only observations *containing*
+        ``z`` can tighten the base value, so the probe touches just the
+        entries listed under ``z``.
         """
         best = base_derived
+        outside = ~configuration_with_extra
         for entry, cost in self._by_member.get(extra, _NO_ENTRIES).get(qid, ()):
-            if cost < best and entry <= configuration_with_extra:
+            if cost < best and not entry & outside:
                 best = cost
         return best
 
     def singleton_derived_cost(
-        self, qid: str, configuration: frozenset[Index], empty_cost: float
+        self, qid: str, configuration: int, empty_cost: float
     ) -> float:
         """``d(q, C)`` restricted to singleton subsets (Equation 2)."""
         best = self._empty.get(qid, empty_cost)
         singletons = self._singletons.get(qid)
         if singletons:
-            for index in configuration:
-                cost = singletons.get(index)
+            for member in mask_positions(configuration):
+                cost = singletons.get(member)
                 if cost is not None and cost < best:
                     best = cost
         return best
 
-    def has_observation(self, qid: str, index: Index) -> bool:
-        """Whether any recorded configuration for ``qid`` contains ``index``.
+    def has_observation(self, qid: str, index: int) -> bool:
+        """Whether any recorded configuration for ``qid`` contains position ``index``.
 
         When false, ``d(q, C ∪ {index}) = d(q, C)`` for every ``C`` — no
         observation can tighten the bound — so derived-only search can skip
@@ -169,6 +180,6 @@ class CostDerivation:
         """
         return qid in self._by_member.get(index, _NO_ENTRIES)
 
-    def singleton_costs(self, qid: str) -> dict[Index, float]:
-        """All recorded singleton costs for ``qid`` (copy)."""
+    def singleton_costs(self, qid: str) -> dict[int, float]:
+        """All recorded singleton costs for ``qid``, by position (copy)."""
         return dict(self._singletons.get(qid, ()))

@@ -25,7 +25,11 @@ performance state maintained by the cost model:
 It also knows which indexes are *relevant* to the query
 (:func:`index_is_relevant`): an index that can produce no access option, no
 INLJ probe, and no sort avoidance cannot change the query's plan or cost,
-so what-if cache keys can safely be normalised to the relevant subset.
+so what-if cache keys can safely be normalised to the relevant subset. The
+test reads only the accesses and join steps on the index's own table,
+through the per-table bucket (:attr:`PreparedQuery.by_table`) built here;
+the :class:`~repro.optimizer.whatif.WhatIfOptimizer` keeps the answers as
+one relevance bitmask per query over its interned index positions.
 """
 
 from __future__ import annotations
@@ -128,7 +132,9 @@ class PreparedQuery:
         params: The cost-model parameters the cost constants were computed
             with (``None`` until a cost model attaches them).
         stage_cost: Price of the sort/group stage (cost constant).
-        relevance: Per-index memo of :func:`index_is_relevant`.
+        by_table: Per table name, the accesses on it (in binding order) and
+            the join steps whose inner access is on it (in join order) —
+            all :func:`index_is_relevant` needs to read.
     """
 
     qid: str
@@ -141,34 +147,13 @@ class PreparedQuery:
     aggregate_only: bool = False
     params: "CostModelParams | None" = None
     stage_cost: float = 0.0
-    relevance: dict[Index, bool] = field(default_factory=dict)
+    by_table: dict[str, tuple[list[PreparedAccess], list[PreparedJoinStep]]] = field(
+        default_factory=dict
+    )
 
     @property
     def bindings(self) -> list[str]:
         return list(self.accesses)
-
-    def relevant_subset(self, configuration: frozenset[Index]) -> frozenset[Index]:
-        """``configuration ∩ relevant(q)`` — the indexes that can affect cost.
-
-        Returns ``configuration`` itself (same object) when every index is
-        relevant, so callers can detect collapse with an identity check and
-        fully-relevant keys avoid a rebuild.
-        """
-        memo = self.relevance
-        dropped = False
-        kept: list[Index] = []
-        for index in configuration:
-            relevant = memo.get(index)
-            if relevant is None:
-                relevant = index_is_relevant(self, index)
-                memo[index] = relevant
-            if relevant:
-                kept.append(index)
-            else:
-                dropped = True
-        if not dropped:
-            return configuration
-        return frozenset(kept)
 
 
 def index_is_relevant(prepared: PreparedQuery, index: Index) -> bool:
@@ -187,13 +172,15 @@ def index_is_relevant(prepared: PreparedQuery, index: Index) -> bool:
 
     When none holds, the index contributes no option to any minimum the
     model takes, so ``cost(q, C) == cost(q, C − {index})`` exactly; dropping
-    it from cache keys is semantics-preserving.
+    it from cache keys is semantics-preserving. Only the index's own table
+    can satisfy any of them, so the scan starts from that table's bucket.
     """
-    table_name = index.table
+    bucket = prepared.by_table.get(index.table)
+    if bucket is None:
+        return False
+    accesses, steps = bucket
     first_key = index.key_columns[0]
-    for access in prepared.accesses.values():
-        if access.table.name != table_name:
-            continue
+    for access in accesses:
         if (
             first_key in access.equality_selectivity
             or first_key in access.range_selectivity
@@ -201,10 +188,8 @@ def index_is_relevant(prepared: PreparedQuery, index: Index) -> bool:
             return True
         if index.covers(access.required_columns):
             return True
-    for step in prepared.join_steps:
+    for step in steps:
         access = step.access
-        if access.table.name != table_name:
-            continue
         for column in index.key_columns:
             if column in step.join_columns:
                 return True
@@ -331,6 +316,12 @@ def prepare_query(schema: Schema, bound: BoundQuery) -> PreparedQuery:
         if all(binding == only_binding for binding, _ in wanted):
             order_columns = tuple(column for _, column in wanted)
 
+    by_table: dict[str, tuple[list[PreparedAccess], list[PreparedJoinStep]]] = {}
+    for access in accesses.values():
+        by_table.setdefault(access.table.name, ([], []))[0].append(access)
+    for step in steps:
+        by_table[step.access.table.name][1].append(step)
+
     return PreparedQuery(
         qid=bound.qid,
         accesses=accesses,
@@ -340,4 +331,5 @@ def prepare_query(schema: Schema, bound: BoundQuery) -> PreparedQuery:
         order_columns=order_columns,
         sort_rows=rows if needs_sort else 0.0,
         aggregate_only=bool(bound.group_by) and not bound.order_by,
+        by_table=by_table,
     )

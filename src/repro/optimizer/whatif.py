@@ -16,17 +16,31 @@ mirrors the AutoAdmin "what-if" API [Chaudhuri & Narasayya, SIGMOD'98]:
   the policy ``admits``/``charge`` questions and reports committed calls to
   the session event stream when one is attached.
 
-Two layers make the simulated optimizer fast without touching paper
+Three layers make the simulated optimizer fast without touching paper
 semantics:
 
+* **Position-keyed configurations** — the engine interns every index to a
+  position the first time it sees one and works on ``int`` bitmasks over
+  those positions: the in-memory cache, the batch dedupe set and the
+  :class:`~repro.optimizer.derivation.CostDerivation` store are keyed on
+  ``(qid, mask)``. Every public method takes a configuration either as an
+  iterable of indexes or as a mask (:meth:`WhatIfOptimizer.position` gives
+  an index's bit), so greedy search carries one mask per step and probes
+  ``step | bit`` without hashing an index. ``frozenset[Index]`` is built
+  only where one is consumed: pricing (the cost model, the persistent
+  shard key, the noise factor, the Postgres sync), cost observers, the
+  call log, and :meth:`WhatIfOptimizer.explain`.
 * **Relevant-index cache normalization** — every cache key is collapsed to
   ``C ∩ relevant(q)`` (see
-  :func:`~repro.optimizer.prepared.index_is_relevant`), so configurations
-  differing only in indexes the query cannot use share one cache entry, one
-  counted call, and one derivation record. A call is counted iff the
-  *normalized* key is uncached; costs are bit-identical because irrelevant
-  indexes contribute no plan options. Disable with ``normalize_cache=False``
-  to reproduce whole-key caching.
+  :func:`~repro.optimizer.prepared.index_is_relevant`), one AND with the
+  query's relevance mask, so configurations differing only in indexes the
+  query cannot use share one cache entry, one counted call, and one
+  derivation record. The relevance mask grows lazily: positions interned
+  after the query was prepared are tested (on their own table only) the
+  first time a mask reaches them. A call is counted iff the *normalized*
+  key is uncached; costs are bit-identical because irrelevant indexes
+  contribute no plan options. Disable with ``normalize_cache=False`` to
+  reproduce whole-key caching (keys are then the raw masks).
 * **Batched costing** — :meth:`whatif_prefetch` (and
   :meth:`whatif_workload_costs` on top of it) is one pipeline: uncached
   (query, key) pairs are gathered into waves, each wave is priced through
@@ -67,18 +81,10 @@ from repro.catalog import Index
 from repro.config import ReproConfig
 from repro.exceptions import TuningError
 from repro.optimizer.cost_model import CostModel
-from repro.optimizer.derivation import CostDerivation
-from repro.optimizer.prepared import PreparedQuery
+from repro.optimizer.derivation import CostDerivation, mask_positions
+from repro.optimizer.prepared import PreparedQuery, index_is_relevant
 from repro.workload.analysis import bind_query
 from repro.workload.query import Query, Workload
-
-#: Canonical immutable representation of a configuration.
-ConfigKey = frozenset
-
-
-def config_key(configuration) -> frozenset[Index]:
-    """Normalise any iterable of indexes into a hashable configuration key."""
-    return frozenset(configuration)
 
 
 @dataclass(frozen=True, slots=True)
@@ -153,6 +159,14 @@ class WhatIfStats:
         }
 
 
+@dataclass(slots=True)
+class _Relevance:
+    """A query's relevance mask over the positions below ``known``."""
+
+    mask: int = 0
+    known: int = 0
+
+
 class WhatIfOptimizer:
     """Budget-metered, cached what-if costing for one workload.
 
@@ -218,9 +232,12 @@ class WhatIfOptimizer:
         self._pcache = None
         self._pricing_executor = None
         self._prepared: dict[str, PreparedQuery] = {}
-        self._cache: dict[tuple[str, frozenset[Index]], float] = {}
+        self._relevance: dict[str, _Relevance] = {}
+        self._indexes: list[Index] = []
+        self._index_positions: dict[Index, int] = {}
+        self._cache: dict[tuple[str, int], float] = {}
         self._derivation = CostDerivation()
-        self._log: list[WhatIfCall] = []
+        self._log: list[tuple[str, int, float]] = []
         self._empty_costs: dict[str, float] = {}
         self._weighted_empties: list[float] | None = None
         self._positions = {query.qid: position for position, query in enumerate(workload)}
@@ -267,8 +284,17 @@ class WhatIfOptimizer:
 
     @property
     def call_log(self) -> list[WhatIfCall]:
-        """The realised layout: counted calls in issue order."""
-        return list(self._log)
+        """The realised layout: counted calls in issue order.
+
+        The engine logs ``(qid, mask, cost)``; each read builds the calls'
+        configurations afresh.
+        """
+        return [
+            WhatIfCall(
+                ordinal=ordinal, qid=qid, configuration=self._configuration(norm), cost=cost
+            )
+            for ordinal, (qid, norm, cost) in enumerate(self._log, start=1)
+        ]
 
     @property
     def derivation(self) -> CostDerivation:
@@ -317,6 +343,7 @@ class WhatIfOptimizer:
             bound = bind_query(self._workload.schema, query.statement, query.qid)
             cached = self._model.prepare(bound)
             self._prepared[query.qid] = cached
+            self._relevance[query.qid] = _Relevance()
         return cached
 
     @property
@@ -346,17 +373,67 @@ class WhatIfOptimizer:
     # key normalization and pricing helpers
     # ------------------------------------------------------------------ #
 
-    def _norm_key(
-        self, prepared: PreparedQuery, key: frozenset[Index]
-    ) -> frozenset[Index]:
-        """``key ∩ relevant(q)`` under normalization, else ``key`` unchanged.
+    def position(self, index: Index) -> int:
+        """The position ``index`` is interned at (its bit is ``1 << position``).
 
-        Returns the *same object* when nothing is dropped, so callers can
-        detect collapses with an identity check.
+        Positions are handed out in first-sight order and never change for
+        the optimizer's lifetime; equal indexes share one position.
         """
-        if self._normalize and key:
-            return prepared.relevant_subset(key)
-        return key
+        position = self._index_positions.get(index)
+        if position is None:
+            position = len(self._indexes)
+            self._indexes.append(index)
+            self._index_positions[index] = position
+        return position
+
+    def _mask(self, configuration) -> int:
+        """A configuration — a mask, or an iterable of indexes — as a mask."""
+        if isinstance(configuration, int):
+            return configuration
+        positions = self._index_positions
+        mask = 0
+        for index in configuration:
+            position = positions.get(index)
+            if position is None:
+                position = self.position(index)
+            mask |= 1 << position
+        return mask
+
+    def _configuration(self, mask: int) -> frozenset[Index]:
+        """The indexes of ``mask``, as a frozenset built in position order.
+
+        Built only where a consumer needs indexes (pricing, the call log,
+        cost observers, plans): costs are minima of per-index values plus a
+        sum over the fixed join order, so the order of construction never
+        changes a price.
+        """
+        return frozenset([self._indexes[position] for position in mask_positions(mask)])
+
+    def _norm(self, qid: str, mask: int) -> int:
+        """``mask ∩ relevant(q)`` under normalization, else ``mask`` unchanged.
+
+        The query must have been :meth:`prepared`. A result equal to
+        ``mask`` means nothing was dropped. Positions interned since the
+        query's relevance was last extended are tested the first time a
+        mask reaches them.
+        """
+        if not self._normalize:
+            return mask
+        relevance = self._relevance[qid]
+        if mask.bit_length() > relevance.known:
+            self._extend_relevance(qid, relevance)
+        return mask & relevance.mask
+
+    def _extend_relevance(self, qid: str, relevance: _Relevance) -> None:
+        """Test every position interned since ``relevance`` was last extended."""
+        prepared = self._prepared[qid]
+        indexes = self._indexes
+        mask = relevance.mask
+        for position in range(relevance.known, len(indexes)):
+            if index_is_relevant(prepared, indexes[position]):
+                mask |= 1 << position
+        relevance.mask = mask
+        relevance.known = len(indexes)
 
     def _evaluate(self, prepared: PreparedQuery, key: frozenset[Index]) -> float:
         """One raw cost evaluation — the single cost-backend seam.
@@ -440,13 +517,17 @@ class WhatIfOptimizer:
             self._store(prepared.qid, key, cost)
         return cost
 
-    def _commit_call(self, qid: str, key: frozenset[Index], cost: float) -> None:
-        """Record one counted call: cache, derivation store, and layout log."""
-        self._cache[(qid, key)] = cost
-        self._derivation.record(qid, key, cost)
-        self._log.append(
-            WhatIfCall(ordinal=len(self._log) + 1, qid=qid, configuration=key, cost=cost)
-        )
+    def _commit_call(
+        self, qid: str, norm: int, key: frozenset[Index], cost: float
+    ) -> None:
+        """Record one counted call: cache, derivation store, and layout log.
+
+        ``norm`` is the normalized mask and ``key`` the same configuration
+        as indexes (the one that was priced, handed to cost observers).
+        """
+        self._cache[(qid, norm)] = cost
+        self._derivation.record(qid, norm, cost)
+        self._log.append((qid, norm, cost))
         if self._cost_observers:
             self._notify_cost(qid, key, cost)
         if self._events is not None:
@@ -473,7 +554,7 @@ class WhatIfOptimizer:
         if cost is None:
             cost = self._price(self.prepared(query), frozenset())
             self._empty_costs[query.qid] = cost
-            self._derivation.record(query.qid, frozenset(), cost)
+            self._derivation.record(query.qid, 0, cost)
             if self._cost_observers:
                 self._notify_cost(query.qid, frozenset(), cost)
         return cost
@@ -484,10 +565,11 @@ class WhatIfOptimizer:
 
     def is_cached(self, query: Query, configuration) -> bool:
         """Whether ``whatif_cost`` for this pair would be free."""
-        key = config_key(configuration)
-        if not key:
+        mask = self._mask(configuration)
+        if not mask:
             return True
-        norm = self._norm_key(self.prepared(query), key)
+        self.prepared(query)
+        norm = self._norm(query.qid, mask)
         return not norm or (query.qid, norm) in self._cache
 
     def whatif_cost(self, query: Query, configuration) -> float:
@@ -501,37 +583,39 @@ class WhatIfOptimizer:
             BudgetExhaustedError: If the pair is uncached and the budget
                 policy denies the call.
         """
-        key = config_key(configuration)
-        if not key:
+        mask = self._mask(configuration)
+        if not mask:
             return self.empty_cost(query)
+        qid = query.qid
         prepared = self.prepared(query)
-        norm = self._norm_key(prepared, key)
+        norm = self._norm(qid, mask)
         if not norm:
             # Every index was irrelevant: the plan is the empty-config plan.
             self._stats.cache_hits += 1
             self._stats.normalized_hits += 1
             return self.empty_cost(query)
-        cached = self._cache.get((query.qid, norm))
+        cached = self._cache.get((qid, norm))
         if cached is not None:
             self._stats.cache_hits += 1
-            if norm is not key:
+            if norm != mask:
                 self._stats.normalized_hits += 1
             return cached
-        self._policy.check(query.qid)
-        cost = self._price(prepared, norm)
-        self._policy.charge(query.qid)
+        self._policy.check(qid)
+        key = self._configuration(norm)
+        cost = self._price(prepared, key)
+        self._policy.charge(qid)
         self._stats.cache_misses += 1
-        self._commit_call(query.qid, norm, cost)
+        self._commit_call(qid, norm, key, cost)
         return cost
 
-    def trial_cost(
-        self, query: Query, base_cost: float, trial: frozenset[Index], extra: Index
-    ) -> float:
+    def trial_cost(self, query: Query, base_cost: float, trial: int, extra: int) -> float:
         """FCFS cost of ``C ∪ {extra}`` given ``base_cost = cost(q, C)``.
 
-        The greedy hot path: while the policy admits the query this is a
-        counted what-if call; afterwards it derives incrementally — only
-        observations containing ``extra`` can improve on ``base_cost``.
+        The greedy hot path: ``trial`` is the mask of ``C ∪ {extra}`` and
+        ``extra`` the added index's :meth:`position`. While the policy
+        admits the query this is a counted what-if call; afterwards it
+        derives incrementally — only observations containing ``extra`` can
+        improve on ``base_cost``.
         """
         if self._policy.admits(query.qid):
             # Invariant: admits() is pure and guarantees the immediately
@@ -540,13 +624,14 @@ class WhatIfOptimizer:
             # regime is handled explicitly below, so no try/except or
             # post-hoc cache re-check is needed.
             return self.whatif_cost(query, trial)
-        norm = self._norm_key(self.prepared(query), trial)
+        self.prepared(query)
+        norm = self._norm(query.qid, trial)
         if not norm:
             return self.empty_cost(query)
         cached = self._cache.get((query.qid, norm))
         if cached is not None:
             self._stats.cache_hits += 1
-            if norm is not trial:
+            if norm != trial:
                 self._stats.normalized_hits += 1
             return cached
         return self._derivation.derived_cost_with_extra(
@@ -588,45 +673,49 @@ class WhatIfOptimizer:
         executor = self._ensure_pricing_executor()
         wave_size = executor.wave_size
         pairs_iter = iter(pairs)
-        seen: set[tuple[str, frozenset[Index]]] = set()
-        granted: list[tuple[str, frozenset[Index], float]] = []
+        seen: set[tuple[str, int]] = set()
+        granted: list[tuple[str, int, frozenset[Index], float]] = []
         try:
             while limit is None or len(granted) < limit:
                 room = wave_size if limit is None else min(wave_size, limit - len(granted))
                 wave: list[tuple[str, PreparedQuery, frozenset[Index]]] = []
+                norms: list[int] = []
                 for query, configuration in pairs_iter:
-                    key = config_key(configuration)
-                    if not key:
+                    mask = self._mask(configuration)
+                    if not mask:
                         continue
+                    qid = query.qid
                     prepared = self.prepared(query)
-                    norm = self._norm_key(prepared, key)
+                    norm = self._norm(qid, mask)
                     if not norm:
                         continue
-                    cache_key = (query.qid, norm)
+                    cache_key = (qid, norm)
                     if cache_key in self._cache or cache_key in seen:
                         continue
                     seen.add(cache_key)
-                    wave.append((query.qid, prepared, norm))
+                    wave.append((qid, prepared, self._configuration(norm)))
+                    norms.append(norm)
                     if len(wave) >= room:
                         break
                 if not wave:
                     break
                 costs = self._price_wave(wave, executor)
-                for (qid, prepared, norm), cost in zip(wave, costs, strict=True):
+                for pair, norm, cost in zip(wave, norms, costs, strict=True):
+                    qid, _, key = pair
                     if cost is None and self._policy.admits(qid):
                         # Refused when the wave was priced, admitted now (no
                         # shipped policy does this): price before charging.
-                        (cost,) = self._price_wave([(qid, prepared, norm)], executor)
+                        (cost,) = self._price_wave([pair], executor)
                     if not self._policy.try_charge(qid):
                         if cost is not None:
                             self._stats.speculation_wasted += 1
                         continue
                     self._stats.cost_evaluations += 1
-                    granted.append((qid, norm, cost))
+                    granted.append((qid, norm, key, cost))
         finally:
-            for qid, norm, cost in granted:
+            for qid, norm, key, cost in granted:
                 self._stats.cache_misses += 1
-                self._commit_call(qid, norm, cost)
+                self._commit_call(qid, norm, key, cost)
             if granted:
                 self._stats.batch_calls += 1
                 self._stats.batched_pairs += len(granted)
@@ -645,12 +734,12 @@ class WhatIfOptimizer:
         misses: list[int] = []
         speculative = executor.jobs > 1
         recall = self._whatif_cache is not None
-        for position, (qid, _, norm) in enumerate(wave):
+        for position, (qid, _, key) in enumerate(wave):
             if not self._policy.admits(qid):
                 continue
             if speculative:
                 self._stats.speculative_priced += 1
-            recalled = self._recall(qid, norm) if recall else None
+            recalled = self._recall(qid, key) if recall else None
             if recalled is None:
                 misses.append(position)
             else:
@@ -664,8 +753,8 @@ class WhatIfOptimizer:
             for position, cost in zip(misses, fresh, strict=True):
                 costs[position] = cost
                 if recall:
-                    qid, _, norm = wave[position]
-                    self._store(qid, norm, cost)
+                    qid, _, key = wave[position]
+                    self._store(qid, key, cost)
         return costs
 
     def _price_shard(
@@ -679,7 +768,7 @@ class WhatIfOptimizer:
         The postgres backend overrides this to price its shard over one
         pooled connection.
         """
-        return [self._evaluate(prepared, norm) for _, prepared, norm in shard]
+        return [self._evaluate(prepared, key) for _, prepared, key in shard]
 
     def _ensure_pricing_executor(self):
         """The wave executor (lazy; one inline job when pricing is serial)."""
@@ -712,18 +801,19 @@ class WhatIfOptimizer:
         """
         if on_exhausted not in ("raise", "derived"):
             raise TuningError(f"unknown on_exhausted mode {on_exhausted!r}")
-        keys = [config_key(c) for c in configurations]
+        masks = [self._mask(c) for c in configurations]
         queries = list(self._workload)
-        self.whatif_prefetch((q, key) for key in keys for q in queries)
+        self.whatif_prefetch((q, mask) for mask in masks for q in queries)
 
         totals: list[float] = []
-        for key in keys:
+        for mask in masks:
             total = 0.0
             for query in queries:
-                if not key:
+                if not mask:
                     total += query.weight * self.empty_cost(query)
                     continue
-                norm = self._norm_key(self.prepared(query), key)
+                self.prepared(query)
+                norm = self._norm(query.qid, mask)
                 if not norm:
                     self._stats.cache_hits += 1
                     self._stats.normalized_hits += 1
@@ -732,7 +822,7 @@ class WhatIfOptimizer:
                 cached = self._cache.get((query.qid, norm))
                 if cached is not None:
                     self._stats.cache_hits += 1
-                    if norm is not key:
+                    if norm != mask:
                         self._stats.normalized_hits += 1
                     total += query.weight * cached
                     continue
@@ -756,9 +846,11 @@ class WhatIfOptimizer:
 
     def derived_cost(self, query: Query, configuration) -> float:
         """``d(q, C)`` per Equation 1 — free, uses only known what-if costs."""
-        key = config_key(configuration)
-        norm = self._norm_key(self.prepared(query), key) if key else key
-        return self._derivation.derived_cost(query.qid, norm, self.empty_cost(query))
+        mask = self._mask(configuration)
+        if mask:
+            self.prepared(query)
+            mask = self._norm(query.qid, mask)
+        return self._derivation.derived_cost(query.qid, mask, self.empty_cost(query))
 
     def derived_query_costs(self, configuration) -> list[float]:
         """Per-query *weighted* derived costs, in workload order (one pass).
@@ -776,11 +868,11 @@ class WhatIfOptimizer:
                 query.weight * self.empty_cost(query) for query in self._workload
             ]
         costs = self._weighted_empties.copy()
-        key = config_key(configuration)
-        if key:
+        mask = self._mask(configuration)
+        if mask:
             empties = self._empty_costs
             positions = self._positions
-            for qid, cost in self._derivation.lowest_within(key).items():
+            for qid, cost in self._derivation.lowest_within(mask).items():
                 position = positions.get(qid)
                 if position is not None and cost < empties[qid]:
                     costs[position] = self._workload[position].weight * cost
@@ -800,19 +892,20 @@ class WhatIfOptimizer:
         The paper measures final improvements "in terms of the actual
         what-if cost" (Section 7); this is that measurement hook.
         """
-        key = config_key(configuration)
-        if not key:
+        mask = self._mask(configuration)
+        if not mask:
             return self.empty_cost(query)
         prepared = self.prepared(query)
-        norm = self._norm_key(prepared, key)
+        norm = self._norm(query.qid, mask)
         if not norm:
             return self.empty_cost(query)
         cached = self._cache.get((query.qid, norm))
         if cached is not None:
             return cached
-        cost = self._price(prepared, norm)
+        key = self._configuration(norm)
+        cost = self._price(prepared, key)
         if self._cost_observers:
-            self._notify_cost(query.qid, norm, cost)
+            self._notify_cost(query.qid, key, cost)
         return cost
 
     def explain(self, query: Query, configuration):
@@ -825,11 +918,18 @@ class WhatIfOptimizer:
         Irrelevant indexes never appear in plans, so normalization leaves
         the returned plan unchanged.
         """
-        key = config_key(configuration)
-        norm = self._norm_key(self.prepared(query), key) if key else key
-        return self._model.explain(self.prepared(query), norm)
+        key = self._normalized_key(query, configuration)
+        return self._model.explain(self.prepared(query), key)
+
+    def _normalized_key(self, query: Query, configuration) -> frozenset[Index]:
+        """``configuration`` normalized for ``query``, as indexes."""
+        mask = self._mask(configuration)
+        if mask:
+            self.prepared(query)
+            mask = self._norm(query.qid, mask)
+        return self._configuration(mask)
 
     def true_workload_cost(self, configuration) -> float:
         """Uncounted ground-truth workload cost (evaluation only)."""
-        key = config_key(configuration)
-        return sum(q.weight * self.true_cost(q, key) for q in self._workload)
+        mask = self._mask(configuration)
+        return sum(q.weight * self.true_cost(q, mask) for q in self._workload)

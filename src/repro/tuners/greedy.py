@@ -58,39 +58,46 @@ def greedy_enumerate(
     optimizer = session.optimizer
     queries = list(workload or optimizer.workload)
     pool: list[Index] = sorted(candidates, key=index_sort_key)
+    # The engine's position of each index: a step's configuration is carried
+    # as a bitmask, and a trial is that mask plus one bit.
+    position = {index: optimizer.position(index) for index in pool}
 
     # Relevance map: only queries touching an index's table can change cost.
-    tables_of = {
-        query.qid: frozenset(
-            access.table.name for access in optimizer.prepared(query).accesses.values()
-        )
-        for query in queries
-    }
+    tables_of = {query.qid: optimizer.prepared(query).by_table for query in queries}
     relevant = {
         index: [q for q in queries if index.table in tables_of[q.qid]]
         for index in pool
     }
 
     best_config: frozenset[Index] = frozenset()
+    best_mask = 0
     current = {q.qid: optimizer.empty_cost(q) for q in queries}
     best_cost = sum(q.weight * current[q.qid] for q in queries)
 
     # Once the budget is spent the derivation store is frozen: a (query,
     # index) pair with no recorded observation can never change the trial
     # cost, so the post-budget sweep restricts itself to observed pairs.
-    informative: dict[Index, list] | None = None
+    affected_by = relevant
 
     while pool and len(best_config) < constraints.max_indexes:
-        if session.exhausted and informative is None:
+        if session.exhausted and affected_by is relevant:
             derivation = optimizer.derivation
-            informative = {
+            affected_by = {
                 index: [
                     q
                     for q in relevant[index]
-                    if derivation.has_observation(q.qid, index)
+                    if derivation.has_observation(q.qid, position[index])
                 ]
                 for index in pool
             }
+        # This step's trials, each index tested against the constraints once:
+        # the prefetch below and the trial loop both walk this list.
+        trials = [
+            (index, affected)
+            for index in pool
+            if (affected := affected_by[index])
+            and constraints.admits(best_config, extra_bytes=index.estimated_size_bytes)
+        ]
         # Batch-price this step's counted calls up front, in the exact
         # (index, query) order the trial loop below would issue them.
         # Prefetch dedupes, reserves through the budget policy, and commits
@@ -98,46 +105,34 @@ def greedy_enumerate(
         # sequential loop — the loop then reads everything from the cache.
         if not session.exhausted:
             optimizer.whatif_prefetch(
-                (query, best_config | {index})
-                for index in pool
-                if (informative.get(index) if informative is not None else relevant[index])
-                and constraints.admits(
-                    best_config, extra_bytes=index.estimated_size_bytes
-                )
-                for query in (
-                    informative[index] if informative is not None else relevant[index]
-                )
+                (query, best_mask | 1 << position[index])
+                for index, affected in trials
+                for query in affected
             )
-        step_config = best_config
+        added = None
         step_cost = best_cost
-        for index in pool:
-            affected = (
-                informative.get(index, []) if informative is not None else relevant[index]
-            )
-            if not affected:
-                continue
-            if not constraints.admits(best_config, extra_bytes=index.estimated_size_bytes):
-                continue
-            trial = best_config | {index}
+        for index, affected in trials:
+            extra = position[index]
+            trial = best_mask | 1 << extra
             trial_cost = best_cost
             for query in affected:
                 trial_cost += query.weight * (
-                    optimizer.trial_cost(query, current[query.qid], trial, index)
+                    optimizer.trial_cost(query, current[query.qid], trial, extra)
                     - current[query.qid]
                 )
             if trial_cost < step_cost:
-                step_config, step_cost = trial, trial_cost
+                added, step_cost = index, trial_cost
         if step_cost >= best_cost:
             break
-        (added,) = step_config - best_config
-        best_config = step_config
+        best_config = best_config | {added}
+        best_mask |= 1 << position[added]
         # Refresh per-query costs: only queries touching the added index's
         # table can have changed. Same batching: prefetch in loop order so
         # the FCFS truncation point matches the sequential evaluation.
         if not session.exhausted:
-            optimizer.whatif_prefetch((query, best_config) for query in relevant[added])
+            optimizer.whatif_prefetch((query, best_mask) for query in relevant[added])
         for query in relevant[added]:
-            current[query.qid] = session.evaluated_cost(query, best_config)
+            current[query.qid] = session.evaluated_cost(query, best_mask)
         best_cost = sum(q.weight * current[q.qid] for q in queries)
         pool = [index for index in pool if index not in best_config]
         if checkpoints:

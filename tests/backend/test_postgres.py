@@ -522,7 +522,7 @@ class TestPostgresBackend:
         queries = [
             q
             for q in toy_workload.queries
-            if backend._norm_key(backend.prepared(q), config) == config
+            if backend._normalized_key(q, config) == config
         ]
         assert len(queries) >= 2, "toy workload lost its fact-table queries"
         before = server.creates

@@ -127,11 +127,12 @@ def ref_actions(candidates, constraints: TuningConstraints, state) -> list:
 
 
 def ref_derived_query_costs(optimizer: WhatIfOptimizer, configuration) -> list[float]:
-    key = frozenset(configuration)
+    mask = optimizer._mask(configuration)
     derivation = optimizer.derivation
     out = []
     for query in optimizer.workload:
-        norm = optimizer._norm_key(optimizer.prepared(query), key) if key else key
+        optimizer.prepared(query)
+        norm = optimizer._norm(query.qid, mask) if mask else mask
         out.append(
             query.weight
             * derivation.derived_cost(query.qid, norm, optimizer.empty_cost(query))
@@ -327,13 +328,19 @@ def test_derived_costs_match_reference(data, engine, toy_workload, toy_candidate
     base = configuration(data.draw(_configurations))
     extra = pool[data.draw(st.integers(0, len(pool) - 1))]
     trial = base | {extra}
+    position = optimizer.position(extra)
     for query in toy_workload:
         known = [
             call for call in log if call.qid == query.qid and extra in call.configuration
         ]
-        assert derivation.has_observation(query.qid, extra) == bool(known)
+        assert derivation.has_observation(query.qid, position) == bool(known)
         base_cost = optimizer.derived_cost(query, base)
         expected = min(
             [base_cost] + [call.cost for call in known if call.configuration <= trial]
         )
-        assert derivation.derived_cost_with_extra(query.qid, base_cost, trial, extra) == expected
+        assert (
+            derivation.derived_cost_with_extra(
+                query.qid, base_cost, optimizer._mask(trial), position
+            )
+            == expected
+        )

@@ -154,6 +154,26 @@ class TestDeterminism:
             model.cost(prepared, [index])
         )
 
+    def test_explain_breaks_exact_ties_independently_of_order(self, tpch):
+        """Two TPC-H ``q2`` partsupp indexes price exactly alike; the plan
+        must name the same one however the configuration iterates (set
+        order follows ``PYTHONHASHSEED``, and the DBA-bandits tuner credits
+        the named index)."""
+        model = CostModel(tpch.schema)
+        query = next(q for q in tpch if q.qid == "q2")
+        prepared = model.prepare(bind_query(tpch.schema, query.statement, query.qid))
+        partsupp = tpch.schema.table("partsupp")
+        a = Index.build(partsupp, ["ps_partkey"], ["ps_suppkey"])
+        b = Index.build(partsupp, ["ps_suppkey"], ["ps_partkey"])
+        assert model.cost(prepared, [a]) == model.cost(prepared, [b])
+
+        def named(plan):
+            return [plan.first.index, *(join.inner.index for join in plan.joins)]
+
+        forward = named(model.explain(prepared, [a, b]))
+        assert a.display() in forward or b.display() in forward
+        assert forward == named(model.explain(prepared, [b, a]))
+
     def test_irrelevant_index_changes_nothing(self, model, star_schema):
         prepared = prepared_for(model, star_schema, "SELECT val FROM fact WHERE fk1 = 1")
         dim_index = Index.build(star_schema.table("dim2"), ["name"])

@@ -122,15 +122,29 @@ class TestCallCollapsing:
     def test_relevant_subset_returns_same_object_when_all_relevant(
         self, toy_workload, toy_candidates
     ):
+        """The collapse rule: a key of relevant indexes normalizes to itself
+        (the same mask), so a repeat lookup is a plain hit, not a normalized
+        one; adding an irrelevant index collapses onto the same entry."""
         optimizer = WhatIfOptimizer(toy_workload)
         query = toy_workload[0]
         prepared = optimizer.prepared(query)
         relevant = frozenset(
             ix for ix in toy_candidates if index_is_relevant(prepared, ix)
         )
-        if not relevant:
-            pytest.skip("no relevant index for q0")
-        assert prepared.relevant_subset(relevant) is relevant
+        irrelevant = [ix for ix in toy_candidates if not index_is_relevant(prepared, ix)]
+        if not relevant or not irrelevant:
+            pytest.skip("q0 needs relevant and irrelevant candidates")
+        mask = optimizer._mask(relevant)
+        assert optimizer._norm(query.qid, mask) == mask
+        padded = optimizer._mask(relevant | {irrelevant[0]})
+        assert optimizer._norm(query.qid, padded) == mask
+
+        optimizer.whatif_cost(query, relevant)
+        optimizer.whatif_cost(query, relevant)
+        assert optimizer.stats.normalized_hits == 0
+        optimizer.whatif_cost(query, relevant | {irrelevant[0]})
+        assert optimizer.stats.normalized_hits == 1
+        assert optimizer.calls_used == 1
 
 
 class TestStatsCounters:

@@ -120,7 +120,12 @@ class WhatIfMachine(RuleBasedStateMachine):
             return
         trial = base | {extra_index}
         base_cost = self.optimizer.derived_cost(query, base)
-        fast = self.optimizer.trial_cost(query, base_cost, trial, extra_index)
+        fast = self.optimizer.trial_cost(
+            query,
+            base_cost,
+            self.optimizer._mask(trial),
+            self.optimizer.position(extra_index),
+        )
         full = self.optimizer.derived_cost(query, trial)
         assert fast == pytest.approx(full)
 

@@ -1,5 +1,8 @@
 """Tests for the incremental greedy hot path: trial_cost / has_observation /
-derived_cost_with_extra must agree exactly with the full derivation."""
+derived_cost_with_extra must agree exactly with the full derivation.
+
+``trial_cost`` takes the trial configuration as a mask and the added index
+as a position; the derivation store's member queries take positions."""
 
 import pytest
 
@@ -38,7 +41,9 @@ class TestTrialCostAgreement:
                 base_cost = optimizer.derived_cost(query, base)
                 for extra in pool[base_size:]:
                     trial = base | {extra}
-                    fast = optimizer.trial_cost(query, base_cost, trial, extra)
+                    fast = optimizer.trial_cost(
+                        query, base_cost, optimizer._mask(trial), optimizer.position(extra)
+                    )
                     full = optimizer.derived_cost(query, trial)
                     assert fast == pytest.approx(full), (
                         f"{query.qid} base={base_size} extra={extra.display()}"
@@ -50,15 +55,15 @@ class TestTrialCostAgreement:
         trial = frozenset(pool[:2])  # evaluated exactly during seeding
         exact = optimizer.true_cost(query, trial)
         fast = optimizer.trial_cost(
-            query, optimizer.empty_cost(query), trial, pool[1]
+            query, optimizer.empty_cost(query), optimizer._mask(trial), optimizer.position(pool[1])
         )
         assert fast == exact
 
     def test_counts_calls_while_budget_remains(self, toy_workload, toy_candidates):
         optimizer = WhatIfOptimizer(toy_workload, budget=5)
         query = toy_workload[0]
-        trial = frozenset(toy_candidates[:1])
-        optimizer.trial_cost(query, optimizer.empty_cost(query), trial, toy_candidates[0])
+        extra = optimizer.position(toy_candidates[0])
+        optimizer.trial_cost(query, optimizer.empty_cost(query), 1 << extra, extra)
         assert optimizer.calls_used == 1
 
 
@@ -69,7 +74,7 @@ class TestHasObservation:
         for entry in optimizer.call_log:
             if len(entry.configuration) == 1:
                 (index,) = entry.configuration
-                assert derivation.has_observation(entry.qid, index)
+                assert derivation.has_observation(entry.qid, optimizer.position(index))
 
     def test_reflects_compound_members(self, seeded):
         optimizer, _ = seeded
@@ -77,7 +82,7 @@ class TestHasObservation:
         for entry in optimizer.call_log:
             if len(entry.configuration) > 1:
                 for index in entry.configuration:
-                    assert derivation.has_observation(entry.qid, index)
+                    assert derivation.has_observation(entry.qid, optimizer.position(index))
 
     def test_false_for_unseen_pairs(self, seeded, toy_workload, toy_candidates):
         optimizer, _ = seeded
@@ -90,7 +95,9 @@ class TestHasObservation:
         }
         for query in toy_workload:
             if (query.qid, unseen_index) not in seen_pairs:
-                assert not derivation.has_observation(query.qid, unseen_index)
+                assert not derivation.has_observation(
+                    query.qid, optimizer.position(unseen_index)
+                )
 
     def test_no_observation_means_no_change(self, seeded, toy_workload, toy_candidates):
         """The optimisation's soundness condition, verified directly."""
@@ -98,7 +105,7 @@ class TestHasObservation:
         derivation = optimizer.derivation
         for query in toy_workload:
             for extra in toy_candidates:
-                if derivation.has_observation(query.qid, extra):
+                if derivation.has_observation(query.qid, optimizer.position(extra)):
                     continue
                 base = frozenset(pool[:3])
                 base_cost = optimizer.derived_cost(query, base)

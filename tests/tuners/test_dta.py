@@ -121,3 +121,82 @@ class TestMergeDeterminism:
             (c.ordinal, c.qid, c.configuration, c.cost)
             for c in second.optimizer.call_log
         ]
+
+
+class TestRealDSessionPin:
+    """DTA on Real-D (791 tables) under Wii and a storage cap, recording a
+    what-if cache shard: the engine's heaviest workload, pinned to the values
+    the frozenset-keyed what-if engine produced."""
+
+    def test_real_d_session_is_pinned(self, tmp_path, session_summary):
+        import hashlib
+
+        from repro.config import ReproConfig
+        from repro.workload.suites.real import real_d_workload
+
+        workload = real_d_workload(num_tables=791)
+        cap = 3 * workload.schema.total_size_bytes
+        result = DTATuner().tune(
+            workload,
+            5000,
+            TuningConstraints(max_indexes=20, max_storage_bytes=cap),
+            optimizer_config=ReproConfig(whatif_cache=str(tmp_path)),
+            budget_policy="wii",
+        )
+        summary = session_summary(result)
+        improvement = result.true_improvement()
+        result.optimizer.close()
+        (shard,) = tmp_path.glob("whatif-*.jsonl")
+        assert summary == PINNED_REAL_D
+        assert improvement == PINNED_REAL_D_IMPROVEMENT
+        assert hashlib.sha256(shard.read_bytes()).hexdigest() == PINNED_REAL_D_SHARD
+
+
+PINNED_REAL_D = {
+    "call_log": "9aeeafe81e42dc6656820620d10cb77688acd74872a07a9c19f86e2c307ebd02",
+    "calls_used": 5000,
+    "configuration": [
+        "t00000(a2) INCLUDE (id)",
+        "t00000(id) INCLUDE (a1)",
+        "t00001(id)",
+        "t00002(fk_t00000) INCLUDE (id)",
+        "t00002(id) INCLUDE (fk_t00000)",
+        "t00004(id) INCLUDE (a0)",
+        "t00026(fk_t00002) INCLUDE (id)",
+        "t00038(fk_t00001) INCLUDE (id)",
+        "t00090(fk_t00001) INCLUDE (id)",
+        "t00090(fk_t00002) INCLUDE (a0, id)",
+        "t00090(id)",
+        "t00161(fk_t00002) INCLUDE (a5)",
+        "t00161(id) INCLUDE (fk_t00002)",
+        "t00234(fk_t00091) INCLUDE (a1, a2)",
+        "t00414(id)",
+        "t00424(fk_t00002)",
+        "t00461(id)",
+        "t00486(fk_t00095) INCLUDE (fk_t00001, id)",
+        "t00721(id)",
+        "t00770(id)"
+    ],
+    "events": {
+        "budget_deny": 24,
+        "budget_grant": 5000,
+        "checkpoint": 14,
+        "phase": 14,
+        "whatif_call": 5000
+    },
+    "stats": {
+        "batch_calls": 397,
+        "batched_pairs": 5000,
+        "cache_hits": 71727,
+        "cache_misses": 5000,
+        "cost_evaluations": 5032,
+        "normalized_hits": 61753,
+        "persistent_hits": 0,
+        "speculation_wasted": 0,
+        "speculative_priced": 0
+    }
+}
+PINNED_REAL_D_IMPROVEMENT = 84.04217997810758
+PINNED_REAL_D_SHARD = (
+    "d264551479b3f061be2b3598cf97dc136b325bd4dacec4c63279d59514c24a22"
+)

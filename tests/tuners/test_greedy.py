@@ -153,3 +153,47 @@ class TestTheorem3OrderInsensitivity:
             config = greedy_enumerate(optimizer, pool, constraints)
             costs.add(round(optimizer.derived_workload_cost(config), 6))
         assert len(costs) == 1
+
+
+class TestRealMSessionPin:
+    """Vanilla greedy on Real-M (48 tables, 960 candidates), pinned to the
+    values the frozenset-keyed what-if engine produced."""
+
+    def test_real_m_session_is_pinned(self, session_summary):
+        from repro.workload.suites.real import real_m_workload
+
+        result = VanillaGreedyTuner().tune(
+            real_m_workload(num_tables=48), 1000, TuningConstraints(max_indexes=20)
+        )
+        assert session_summary(result) == PINNED_REAL_M
+        assert result.true_improvement() == PINNED_REAL_M_IMPROVEMENT
+
+
+PINNED_REAL_M = {
+    "call_log": "ef33dc5ee5737678b7db1a61bb0f1010207a105b146c6031f5cdc4c346fb57b7",
+    "calls_used": 1000,
+    "configuration": [
+        "t00000(a0)",
+        "t00000(a0) INCLUDE (a2, id)",
+        "t00000(a0) INCLUDE (id)",
+        "t00000(a0, a3) INCLUDE (id)"
+    ],
+    "events": {
+        "budget_deny": 317,
+        "budget_grant": 1000,
+        "checkpoint": 4,
+        "whatif_call": 1000
+    },
+    "stats": {
+        "batch_calls": 1,
+        "batched_pairs": 1000,
+        "cache_hits": 1674,
+        "cache_misses": 1000,
+        "cost_evaluations": 1317,
+        "normalized_hits": 440,
+        "persistent_hits": 0,
+        "speculation_wasted": 0,
+        "speculative_priced": 0
+    }
+}
+PINNED_REAL_M_IMPROVEMENT = 27.86618655100722
