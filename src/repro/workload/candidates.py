@@ -92,19 +92,23 @@ class CandidateGeneratorOptions:
     max_candidates_per_query: int = 24
 
 
+#: ``(table, key columns, include columns)``: an index's ``index_sort_key``.
+_Signature = tuple[str, tuple[str, ...], tuple[str, ...]]
+
+
 class CandidateGenerator:
     """Generates candidate indexes for queries and workloads."""
 
     def __init__(self, schema: Schema, options: CandidateGeneratorOptions | None = None):
         self._schema = schema
         self._options = options or CandidateGeneratorOptions()
+        self._built: dict[_Signature, Index] = {}
 
     # ------------------------------------------------------------------ #
 
     def for_query(self, bound: BoundQuery) -> list[Index]:
         """Candidate indexes for one bound query (Figure 3, step 2)."""
-        candidates: list[Index] = []
-        seen: set[tuple] = set()
+        signatures: set[_Signature] = set()
 
         def emit(table_name: str, keys: list[str], includes: list[str]) -> None:
             keys = list(dict.fromkeys(keys))  # dedupe, keep order
@@ -112,18 +116,15 @@ class CandidateGenerator:
                 return
             payload = [c for c in includes if c not in keys]
             payload = payload[: self._options.max_include_columns]
-            signature = (table_name, tuple(keys), tuple(sorted(payload)))
-            if signature in seen:
-                return
-            seen.add(signature)
-            table = self._schema.table(table_name)
-            candidates.append(Index.build(table, keys, tuple(sorted(payload))))
+            signatures.add((table_name, tuple(keys), tuple(sorted(payload))))
 
         for access in bound.accesses.values():
             self._emit_for_access(bound, access, emit)
 
-        candidates.sort(key=index_sort_key)
-        return candidates[: self._options.max_candidates_per_query]
+        # A signature is its index's ``index_sort_key``, so the per-query
+        # cap is applied before any index is built.
+        kept = sorted(signatures)[: self._options.max_candidates_per_query]
+        return [self._index(signature) for signature in kept]
 
     def for_workload(self, workload: Workload) -> list[Index]:
         """Deduplicated union of per-query candidates over ``workload``."""
@@ -139,6 +140,15 @@ class CandidateGenerator:
         return merged
 
     # ------------------------------------------------------------------ #
+
+    def _index(self, signature: _Signature) -> Index:
+        """The sized index for ``signature``; queries share many, so each is built once."""
+        index = self._built.get(signature)
+        if index is None:
+            table_name, keys, include = signature
+            table = self._schema.table(table_name)
+            index = self._built[signature] = Index.build(table, keys, include)
+        return index
 
     def _bind(self, workload: Workload, query: Query) -> BoundQuery:
         from repro.workload.analysis import bind_query

@@ -16,6 +16,8 @@ Generation is fully deterministic from the module seeds.
 
 from __future__ import annotations
 
+import random
+
 from repro.catalog import Column, ColumnStats, ColumnType, ForeignKey, Schema, Table
 from repro.rng import make_rng
 from repro.workload.query import Workload
@@ -53,19 +55,7 @@ def enterprise_schema(
         else:
             raw_sizes.append(rng.lognormvariate(0.0, 1.8))
 
-    # Topology: each non-root table gets 1-3 parents; hubs are preferred
-    # attachment points for the first ~20 satellites after them, which
-    # yields star clusters with snowflake tails and cross-links.
-    parents: dict[int, list[int]] = {i: [] for i in range(num_tables)}
-    for child in range(1, num_tables):
-        fanout = 1 + (rng.random() < 0.35) + (rng.random() < 0.1)
-        choices = list(range(child))
-        weights = [raw_sizes[p] + 0.2 for p in choices]
-        chosen: set[int] = set()
-        for _ in range(fanout):
-            (pick,) = rng.choices(choices, weights=weights, k=1)
-            chosen.add(pick)
-        parents[child] = sorted(chosen)
+    parents = _pick_parents(rng, raw_sizes)
 
     # Scale raw sizes so the total heap roughly matches target_bytes.
     column_counts = [3 + rng.randrange(6) for _ in range(num_tables)]
@@ -136,6 +126,31 @@ def enterprise_schema(
             )
 
     return Schema(name=name, tables=tables, foreign_keys=foreign_keys)
+
+
+def _pick_parents(rng: random.Random, raw_sizes: list[float]) -> list[list[int]]:
+    """Each table's sorted foreign-key parents among the tables before it.
+
+    Each non-root table gets 1-3 parents, drawn with weight ``size + 0.2``;
+    hubs are preferred attachment points for the first ~20 satellites
+    after them, which yields star clusters with snowflake tails and
+    cross-links. The cumulative weights grow by one entry per table and
+    are summed left to right, as ``random.choices`` sums ``weights``, so
+    every draw matches a per-table weight list without rebuilding it.
+    """
+    parents: list[list[int]] = [[] for _ in raw_sizes]
+    cum_weights: list[float] = []
+    running = 0.0
+    for child in range(1, len(raw_sizes)):
+        running += raw_sizes[child - 1] + 0.2
+        cum_weights.append(running)
+        fanout = 1 + (rng.random() < 0.35) + (rng.random() < 0.1)
+        chosen: set[int] = set()
+        for _ in range(fanout):
+            (pick,) = rng.choices(range(child), cum_weights=cum_weights, k=1)
+            chosen.add(pick)
+        parents[child] = sorted(chosen)
+    return parents
 
 
 def real_d_workload(num_tables: int = 7_912) -> Workload:

@@ -13,10 +13,10 @@ published description is Table 1's complexity statistics.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from repro.catalog import Column, ColumnType, Schema
+from repro.catalog import Column, ColumnType, ForeignKey, Schema
 from repro.exceptions import TuningError
 from repro.rng import make_rng
 from repro.workload.query import Query, Workload
@@ -79,6 +79,31 @@ class SynthesisProfile:
             raise TuningError("require 0 <= min_joins <= max_joins")
         if self.start_table_bias not in ("large", "uniform", "hot"):
             raise TuningError(f"unknown start_table_bias {self.start_table_bias!r}")
+        # Written as ``not (valid)`` so that NaN is rejected too.
+        if not self.max_blowup_factor > 0:
+            raise TuningError("max_blowup_factor must be positive")
+        for name in (
+            "equality_fraction",
+            "aggregate_probability",
+            "group_by_probability",
+            "order_by_probability",
+            "dim_filter_bias",
+        ):
+            if not 0 <= getattr(self, name) <= 1:
+                raise TuningError(f"{name} must lie in [0, 1]")
+        if not self.filters_per_query >= 0:
+            raise TuningError("filters_per_query must be non-negative")
+        if self.projection_columns < 1:
+            raise TuningError("projection_columns must be at least 1")
+
+
+class _Edge(NamedTuple):
+    """A join edge out of a walked table, with what the blow-up cap reads."""
+
+    neighbor: str
+    fk: ForeignKey
+    rows: int  # the neighbor's row count
+    ndv: int  # distinct values on the join key: the larger side, at least 1
 
 
 class WorkloadSynthesizer:
@@ -88,11 +113,13 @@ class WorkloadSynthesizer:
         self._schema = schema
         self._profile = profile
         self._rng = make_rng(seed)
+        self._table_names = schema.table_names
         self._hot_tables = self._pick_hot_tables()
+        self._edges: dict[str, list[_Edge]] = {}
 
     def _pick_hot_tables(self) -> list[str]:
         names = sorted(
-            self._schema.table_names,
+            self._table_names,
             key=lambda n: -self._schema.table(n).row_count,
         )
         return names[: max(1, self._profile.hot_table_count)]
@@ -112,7 +139,7 @@ class WorkloadSynthesizer:
     def _start_table(self) -> str:
         rng = self._rng
         bias = self._profile.start_table_bias
-        names = self._schema.table_names
+        names = self._table_names
         if bias == "uniform":
             return rng.choice(names)
         if bias == "hot":
@@ -122,17 +149,21 @@ class WorkloadSynthesizer:
         weights = [max(1, self._schema.table(n).row_count) for n in names]
         return rng.choices(names, weights=weights, k=1)[0]
 
-    def _joined_cardinality(self, current: float, table: str, fk) -> float:
-        """Estimated output rows after joining ``table`` via ``fk``."""
-        new_rows = self._schema.table(table).row_count
-        child_key = self._schema.column(fk.child_table, fk.child_column)
-        parent_key = self._schema.column(fk.parent_table, fk.parent_column)
-        ndv = max(
-            child_key.stats.distinct_count, parent_key.stats.distinct_count, 1
-        )
-        return current * new_rows / ndv
+    def _edges_of(self, table: str) -> list[_Edge]:
+        """``table``'s join edges in foreign-key order, looked up once."""
+        edges = self._edges.get(table)
+        if edges is None:
+            schema = self._schema
+            edges = []
+            for neighbor, fk in schema.joinable_neighbors(table):
+                child_key = schema.column(fk.child_table, fk.child_column)
+                parent_key = schema.column(fk.parent_table, fk.parent_column)
+                ndv = max(child_key.stats.distinct_count, parent_key.stats.distinct_count, 1)
+                edges.append(_Edge(neighbor, fk, schema.table(neighbor).row_count, ndv))
+            self._edges[table] = edges
+        return edges
 
-    def _walk_join_tree(self, target_joins: int) -> tuple[list[str], list]:
+    def _walk_join_tree(self, target_joins: int) -> tuple[list[str], list[ForeignKey]]:
         """Random connected subtree of the FK graph: (tables, fk edges).
 
         Edges whose estimated join output would exceed the profile's
@@ -140,31 +171,35 @@ class WorkloadSynthesizer:
         analytic queries avoid unfiltered many-to-many fact joins.
         """
         rng = self._rng
-        tables = [self._start_table()]
-        edges = []
-        used = set(tables)
-        cardinality = float(self._schema.table(tables[0]).row_count)
+        factor = self._profile.max_blowup_factor
+        start = self._start_table()
+        tables = [start]
+        joins: list[ForeignKey] = []
+        used = {start}
+        cardinality = float(self._schema.table(start).row_count)
         largest = cardinality
-        while len(edges) < target_joins:
-            frontier = []
-            for table in tables:
-                for neighbor, fk in self._schema.joinable_neighbors(table):
-                    if neighbor in used:
-                        continue
-                    neighbor_rows = self._schema.table(neighbor).row_count
-                    cap = self._profile.max_blowup_factor * max(largest, neighbor_rows)
-                    if self._joined_cardinality(cardinality, neighbor, fk) > cap:
-                        continue
-                    frontier.append((table, neighbor, fk))
+        while len(joins) < target_joins:
+            # The cap is max_blowup_factor * max(largest, rows), with max
+            # inlined: this runs once per edge per step. ``not >`` rather
+            # than ``<=`` lets an edge through under a NaN cap (an
+            # infinite factor over zero-row tables).
+            frontier = [
+                edge
+                for table in tables
+                for edge in self._edges_of(table)
+                if edge.neighbor not in used
+                and not cardinality * edge.rows / edge.ndv
+                > factor * (edge.rows if edge.rows > largest else largest)
+            ]
             if not frontier:
                 break
-            _, neighbor, fk = rng.choice(frontier)
-            cardinality = self._joined_cardinality(cardinality, neighbor, fk)
-            largest = max(largest, self._schema.table(neighbor).row_count)
+            neighbor, fk, rows, ndv = rng.choice(frontier)
+            cardinality = cardinality * rows / ndv
+            largest = max(largest, rows)
             tables.append(neighbor)
             used.add(neighbor)
-            edges.append(fk)
-        return tables, edges
+            joins.append(fk)
+        return tables, joins
 
     def _filterable_columns(self, tables: list[str]) -> list[tuple[str, Column]]:
         columns: list[tuple[str, Column]] = []

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.catalog import index_sort_key
 from repro.workload.analysis import bind_query
 from repro.workload.candidates import (
     CandidateGenerator,
@@ -107,6 +108,22 @@ class TestQueryCandidates:
         first = CandidateGenerator(star_schema).for_workload(toy_workload)
         second = CandidateGenerator(star_schema).for_workload(toy_workload)
         assert first == second
+
+    def test_shared_generator_builds_each_signature_once(self):
+        from repro.workload.suites.tpcds import tpcds_workload
+
+        workload = tpcds_workload()
+        shared = CandidateGenerator(workload.schema)
+        built: dict[tuple, object] = {}
+        for query in workload:
+            bound = bind_query(workload.schema, query.statement, query.qid)
+            fresh = CandidateGenerator(workload.schema).for_query(bound)
+            candidates = shared.for_query(bound)
+            # Same indexes, sizes included, as a generator that shares nothing.
+            assert [repr(ix) for ix in candidates] == [repr(ix) for ix in fresh]
+            for index in candidates:
+                assert built.setdefault(index_sort_key(index), index) is index
+        assert len(built) == len(shared.for_workload(workload))
 
 
 class TestWorkloadCandidates:

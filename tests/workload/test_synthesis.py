@@ -22,6 +22,45 @@ class TestProfileValidation:
         with pytest.raises(TuningError):
             SynthesisProfile(start_table_bias="weird")
 
+    @pytest.mark.parametrize("factor", [0.0, -1.0, float("nan")])
+    def test_rejects_non_positive_blowup_factor(self, factor):
+        # A zero cap rejects every edge: each query would have no joins.
+        with pytest.raises(TuningError, match="max_blowup_factor"):
+            SynthesisProfile(min_joins=3, max_joins=5, max_blowup_factor=factor)
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "equality_fraction",
+            "aggregate_probability",
+            "group_by_probability",
+            "order_by_probability",
+            "dim_filter_bias",
+        ],
+    )
+    @pytest.mark.parametrize("value", [-0.2, 1.7, float("nan")])
+    def test_rejects_fraction_outside_unit_interval(self, name, value):
+        with pytest.raises(TuningError, match=name):
+            SynthesisProfile(**{name: value})
+
+    @pytest.mark.parametrize("name", ["equality_fraction", "dim_filter_bias"])
+    @pytest.mark.parametrize("value", [0.0, 1.0])
+    def test_accepts_unit_interval_bounds(self, name, value):
+        assert getattr(SynthesisProfile(**{name: value}), name) == value
+
+    @pytest.mark.parametrize("mean", [-3, -0.5, float("nan")])
+    def test_rejects_negative_filters_per_query(self, mean):
+        with pytest.raises(TuningError, match="filters_per_query"):
+            SynthesisProfile(filters_per_query=mean)
+
+    def test_accepts_zero_filters_per_query(self):
+        assert SynthesisProfile(filters_per_query=0).filters_per_query == 0
+
+    @pytest.mark.parametrize("width", [0, -1])
+    def test_rejects_projection_columns_below_one(self, width):
+        with pytest.raises(TuningError, match="projection_columns"):
+            SynthesisProfile(projection_columns=width)
+
 
 class TestGeneration:
     def test_query_count(self, star_schema):
