@@ -13,7 +13,9 @@ Contract every policy must honour:
 * :meth:`~BudgetPolicy.admits` is a *pure* query — no state changes, no
   events. If it returns ``True``, an immediately following
   :meth:`~BudgetPolicy.charge` for the same query must succeed (sessions are
-  single-threaded).
+  single-threaded). The engine consults it only for pairs its in-memory
+  cache cannot answer, so a policy must not rely on how often, or for
+  which pairs, it is asked.
 * :meth:`~BudgetPolicy.charge` consumes exactly one unit of the global meter
   (plus policy-specific bookkeeping) and emits a ``budget_grant`` event.
 * A denial raises :class:`~repro.exceptions.BudgetExhaustedError` (or

@@ -61,6 +61,16 @@ class Index:
     def __hash__(self) -> int:
         return self._cached_hash  # type: ignore[attr-defined]
 
+    def __reduce__(self):
+        # Unpickle through the constructor, so the receiving process hashes
+        # under its own string-hash seed: a copied ``_cached_hash`` from a
+        # parent with another seed would break set and dict membership
+        # against equal indexes the receiver builds itself.
+        return (
+            type(self),
+            (self.table, self.key_columns, self.include_columns, self.estimated_size_bytes),
+        )
+
     @classmethod
     def build(
         cls,

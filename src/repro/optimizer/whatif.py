@@ -612,31 +612,35 @@ class WhatIfOptimizer:
         """FCFS cost of ``C ∪ {extra}`` given ``base_cost = cost(q, C)``.
 
         The greedy hot path: ``trial`` is the mask of ``C ∪ {extra}`` and
-        ``extra`` the added index's :meth:`position`. While the policy
-        admits the query this is a counted what-if call; afterwards it
-        derives incrementally — only observations containing ``extra`` can
-        improve on ``base_cost``.
+        ``extra`` the added index's :meth:`position`. A cached pair is
+        answered before the policy is consulted: both regimes would answer
+        it with the same cost and the same hit counts, and ``admits`` is
+        pure. Otherwise, while the policy admits the query this is a counted
+        what-if call; afterwards it derives incrementally — only
+        observations containing ``extra`` can improve on ``base_cost``.
         """
-        if self._policy.admits(query.qid):
+        qid = query.qid
+        if qid not in self._relevance:
+            self.prepared(query)
+        norm = self._norm(qid, trial)
+        if norm:
+            cached = self._cache.get((qid, norm))
+            if cached is not None:
+                self._stats.cache_hits += 1
+                if norm != trial:
+                    self._stats.normalized_hits += 1
+                return cached
+        # A zero key goes through the policy: only the admitted regime
+        # counts it as a (normalized) hit.
+        if self._policy.admits(qid):
             # Invariant: admits() is pure and guarantees the immediately
-            # following charge succeeds, so whatif_cost cannot raise here —
-            # cached pairs return before the policy is touched. The denied
-            # regime is handled explicitly below, so no try/except or
-            # post-hoc cache re-check is needed.
+            # following charge succeeds, so whatif_cost cannot raise here.
+            # The denied regime is handled explicitly below, so no
+            # try/except or post-hoc cache re-check is needed.
             return self.whatif_cost(query, trial)
-        self.prepared(query)
-        norm = self._norm(query.qid, trial)
         if not norm:
             return self.empty_cost(query)
-        cached = self._cache.get((query.qid, norm))
-        if cached is not None:
-            self._stats.cache_hits += 1
-            if norm != trial:
-                self._stats.normalized_hits += 1
-            return cached
-        return self._derivation.derived_cost_with_extra(
-            query.qid, base_cost, trial, extra
-        )
+        return self._derivation.derived_cost_with_extra(qid, base_cost, trial, extra)
 
     # ------------------------------------------------------------------ #
     # batched costing
@@ -648,7 +652,10 @@ class WhatIfOptimizer:
         Pairs are normalized and deduplicated *in issue order* and gathered
         into waves of :attr:`~repro.backend.concurrent.PricingExecutor.wave_size`
         pairs (one when :attr:`pricing_jobs` is 1), never more than what is
-        left of ``limit``. :meth:`_price_wave` prices a wave's admitted
+        left of ``limit``. The scan is lean because most pairs are cached:
+        an ``int`` configuration is its own mask, a query is prepared only
+        the first time one is seen, and its prepared form is read only for a
+        pair that enters a wave. :meth:`_price_wave` prices a wave's admitted
         pairs, then each pair reserves its counted call through the budget
         policy's :meth:`~repro.budget.policy.BudgetPolicy.try_charge` in issue order
         (denied pairs are skipped and left uncached). Granted pairs are
@@ -672,6 +679,8 @@ class WhatIfOptimizer:
         """
         executor = self._ensure_pricing_executor()
         wave_size = executor.wave_size
+        relevance = self._relevance
+        cache = self._cache
         pairs_iter = iter(pairs)
         seen: set[tuple[str, int]] = set()
         granted: list[tuple[str, int, frozenset[Index], float]] = []
@@ -681,19 +690,24 @@ class WhatIfOptimizer:
                 wave: list[tuple[str, PreparedQuery, frozenset[Index]]] = []
                 norms: list[int] = []
                 for query, configuration in pairs_iter:
-                    mask = self._mask(configuration)
+                    mask = (
+                        configuration
+                        if isinstance(configuration, int)
+                        else self._mask(configuration)
+                    )
                     if not mask:
                         continue
                     qid = query.qid
-                    prepared = self.prepared(query)
+                    if qid not in relevance:
+                        self.prepared(query)
                     norm = self._norm(qid, mask)
                     if not norm:
                         continue
                     cache_key = (qid, norm)
-                    if cache_key in self._cache or cache_key in seen:
+                    if cache_key in cache or cache_key in seen:
                         continue
                     seen.add(cache_key)
-                    wave.append((qid, prepared, self._configuration(norm)))
+                    wave.append((qid, self._prepared[qid], self._configuration(norm)))
                     norms.append(norm)
                     if len(wave) >= room:
                         break

@@ -57,46 +57,51 @@ def greedy_enumerate(
     session = as_session(session)
     optimizer = session.optimizer
     queries = list(workload or optimizer.workload)
-    pool: list[Index] = sorted(candidates, key=index_sort_key)
-    # The engine's position of each index: a step's configuration is carried
-    # as a bitmask, and a trial is that mask plus one bit.
-    position = {index: optimizer.position(index) for index in pool}
 
     # Relevance map: only queries touching an index's table can change cost.
-    tables_of = {query.qid: optimizer.prepared(query).by_table for query in queries}
-    relevant = {
-        index: [q for q in queries if index.table in tables_of[q.qid]]
-        for index in pool
-    }
+    # One grouping per table, each list in workload order.
+    queries_on: dict[str, list] = {}
+    for query in queries:
+        for table in optimizer.prepared(query).by_table:
+            queries_on.setdefault(table, []).append(query)
+    # The pool in canonical order, each index carried with its engine
+    # position (a step's configuration is a bitmask, and a trial is that
+    # mask plus one bit) and the queries a trial of it probes, so a step
+    # hashes no index.
+    pool = [
+        (index, optimizer.position(index), queries_on.get(index.table, []))
+        for index in sorted(candidates, key=index_sort_key)
+    ]
 
     best_config: frozenset[Index] = frozenset()
     best_mask = 0
+    # The storage cap as room left: a trial fits iff its size is at most
+    # ``room``. The loop guard keeps ``len(best_config) < K``, so this is
+    # exactly ``constraints.admits(best_config, extra_bytes=size)``.
+    room = constraints.max_storage_bytes
     current = {q.qid: optimizer.empty_cost(q) for q in queries}
     best_cost = sum(q.weight * current[q.qid] for q in queries)
 
     # Once the budget is spent the derivation store is frozen: a (query,
     # index) pair with no recorded observation can never change the trial
     # cost, so the post-budget sweep restricts itself to observed pairs.
-    affected_by = relevant
+    narrowed = False
 
     while pool and len(best_config) < constraints.max_indexes:
-        if session.exhausted and affected_by is relevant:
-            derivation = optimizer.derivation
-            affected_by = {
-                index: [
-                    q
-                    for q in relevant[index]
-                    if derivation.has_observation(q.qid, position[index])
-                ]
-                for index in pool
-            }
-        # This step's trials, each index tested against the constraints once:
-        # the prefetch below and the trial loop both walk this list.
+        if not narrowed and session.exhausted:
+            narrowed = True
+            has_observation = optimizer.derivation.has_observation
+            pool = [
+                (index, extra, [q for q in affected if has_observation(q.qid, extra)])
+                for index, extra, affected in pool
+            ]
+        # This step's trials, each index tested against the storage cap once
+        # and carried with its position and trial mask: the prefetch below
+        # and the trial loop both walk this list.
         trials = [
-            (index, affected)
-            for index in pool
-            if (affected := affected_by[index])
-            and constraints.admits(best_config, extra_bytes=index.estimated_size_bytes)
+            (index, extra, best_mask | 1 << extra, affected)
+            for index, extra, affected in pool
+            if affected and (room is None or index.estimated_size_bytes <= room)
         ]
         # Batch-price this step's counted calls up front, in the exact
         # (index, query) order the trial loop below would issue them.
@@ -105,36 +110,38 @@ def greedy_enumerate(
         # sequential loop — the loop then reads everything from the cache.
         if not session.exhausted:
             optimizer.whatif_prefetch(
-                (query, best_mask | 1 << position[index])
-                for index, affected in trials
-                for query in affected
+                (query, trial) for _, _, trial, affected in trials for query in affected
             )
         added = None
         step_cost = best_cost
-        for index, affected in trials:
-            extra = position[index]
-            trial = best_mask | 1 << extra
+        for index, extra, trial, affected in trials:
             trial_cost = best_cost
             for query in affected:
+                base = current[query.qid]
                 trial_cost += query.weight * (
-                    optimizer.trial_cost(query, current[query.qid], trial, extra)
-                    - current[query.qid]
+                    optimizer.trial_cost(query, base, trial, extra) - base
                 )
             if trial_cost < step_cost:
-                added, step_cost = index, trial_cost
+                added, added_extra, step_cost = index, extra, trial_cost
         if step_cost >= best_cost:
             break
         best_config = best_config | {added}
-        best_mask |= 1 << position[added]
+        best_mask |= 1 << added_extra
+        if room is not None:
+            room -= added.estimated_size_bytes
         # Refresh per-query costs: only queries touching the added index's
         # table can have changed. Same batching: prefetch in loop order so
         # the FCFS truncation point matches the sequential evaluation.
+        refreshed = queries_on.get(added.table, [])
         if not session.exhausted:
-            optimizer.whatif_prefetch((query, best_mask) for query in relevant[added])
-        for query in relevant[added]:
+            optimizer.whatif_prefetch((query, best_mask) for query in refreshed)
+        for query in refreshed:
             current[query.qid] = session.evaluated_cost(query, best_mask)
         best_cost = sum(q.weight * current[q.qid] for q in queries)
-        pool = [index for index in pool if index not in best_config]
+        # Earlier members left the pool in their own steps, and equal
+        # indexes share a position: this drops exactly the entries now in
+        # ``best_config``.
+        pool = [entry for entry in pool if entry[1] != added_extra]
         if checkpoints:
             session.checkpoint(best_config)
         if history is not None:

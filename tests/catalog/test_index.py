@@ -99,3 +99,60 @@ class TestSizeModel:
         second = Index.build(table, ["a"])
         assert first == second
         assert hash(first) == hash(second)
+
+
+class TestPickling:
+    """An unpickled index hashes under the receiving process's hash seed."""
+
+    _DUMP = (
+        "import pickle, sys\n"
+        "from repro.catalog import Index\n"
+        "index = Index(table='orders', key_columns=('o_custkey', 'o_orderdate'),"
+        " include_columns=('o_totalprice',), estimated_size_bytes=8192)\n"
+        "sys.stdout.buffer.write(pickle.dumps([index, index]))\n"
+    )
+    _LOAD = (
+        "import pickle, sys\n"
+        "from repro.catalog import Index\n"
+        "loaded, again = pickle.loads(sys.stdin.buffer.read())\n"
+        "fresh = Index(table='orders', key_columns=('o_custkey', 'o_orderdate'),"
+        " include_columns=('o_totalprice',), estimated_size_bytes=8192)\n"
+        "assert loaded is again\n"
+        "assert loaded == fresh\n"
+        "assert hash(loaded) == hash(fresh), (hash(loaded), hash(fresh))\n"
+        "assert loaded in {fresh} and fresh in {loaded}\n"
+        "assert {loaded: 1}[fresh] == 1\n"
+        "print('ok')\n"
+    )
+
+    def test_round_trip_keeps_fields(self, table):
+        import pickle
+
+        index = Index.build(table, ["a", "b"], ["c"])
+        copy = pickle.loads(pickle.dumps(index))
+        assert copy == index
+        assert copy.estimated_size_bytes == index.estimated_size_bytes
+        assert hash(copy) == hash(index)
+
+    def test_hash_follows_the_loading_process_seed(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+
+        def run(code, seed, stdin=None):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            return subprocess.run(
+                [sys.executable, "-c", code],
+                input=stdin,
+                env=env,
+                capture_output=True,
+                check=True,
+            ).stdout
+
+        dumped = run(self._DUMP, "0")
+        assert run(self._LOAD, "1", dumped).strip() == b"ok"

@@ -138,3 +138,42 @@ class TestTpchGrid:
         serial = _run_grid(tpch, candidates, jobs=1)
         parallel = _run_grid(tpch, candidates, jobs=jobs)
         assert_records_identical(serial, parallel)
+
+
+class TestSpawnedWorkers:
+    """Workers that do not share the parent's string-hash seed (spawn on
+    macOS and Windows, forkserver on Linux from Python 3.14) receive pickled
+    candidates and build equal indexes of their own; both must hash alike."""
+
+    def test_spawn_pool_grid_matches_serial(self, tpch, monkeypatch):
+        import functools
+        import os
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
+
+        import repro.parallel.executor as executor
+        from repro.workload.candidates import CandidateGenerator
+
+        candidates = CandidateGenerator(tpch.schema).for_workload(tpch)
+        roster = {
+            "dta": (lambda seed: DTATuner(), False),
+            "vanilla_greedy": (lambda seed: VanillaGreedyTuner(), False),
+        }
+
+        def grid(jobs):
+            runner = ExperimentRunner(
+                tpch, candidates=candidates, seeds=[1, 2], keep_results=False, parallel=jobs
+            )
+            return runner.run_grid(roster, budgets=[60], k_values=[5])
+
+        serial = grid(1)
+        # Spawned workers take the hash seed from the environment: pick one
+        # that differs from this process's.
+        worker_seed = "1" if os.environ.get("PYTHONHASHSEED") == "0" else "0"
+        monkeypatch.setenv("PYTHONHASHSEED", worker_seed)
+        monkeypatch.setattr(
+            executor,
+            "ProcessPoolExecutor",
+            functools.partial(ProcessPoolExecutor, mp_context=get_context("spawn")),
+        )
+        assert_records_identical(serial, grid(2))

@@ -200,3 +200,77 @@ PINNED_REAL_D_IMPROVEMENT = 84.04217997810758
 PINNED_REAL_D_SHARD = (
     "d264551479b3f061be2b3598cf97dc136b325bd4dacec4c63279d59514c24a22"
 )
+
+
+class TestRealDStoragePin:
+    """The Real-D session with a storage cap that binds: 0.2× the database
+    size rejects 7,151 of 30,396 greedy trials, so the storage test of the
+    greedy step is pinned (the 3× cap above rejects none)."""
+
+    def test_real_d_storage_session_is_pinned(self, tmp_path, session_summary):
+        import hashlib
+
+        from repro.config import ReproConfig
+        from repro.workload.suites.real import real_d_workload
+
+        workload = real_d_workload(num_tables=791)
+        cap = int(0.2 * workload.schema.total_size_bytes)
+        result = DTATuner().tune(
+            workload,
+            5000,
+            TuningConstraints(max_indexes=20, max_storage_bytes=cap),
+            optimizer_config=ReproConfig(whatif_cache=str(tmp_path)),
+            budget_policy="wii",
+        )
+        summary = session_summary(result)
+        improvement = result.true_improvement()
+        result.optimizer.close()
+        (shard,) = tmp_path.glob("whatif-*.jsonl")
+        assert summary == PINNED_REAL_D_STORAGE
+        assert improvement == PINNED_REAL_D_STORAGE_IMPROVEMENT
+        assert hashlib.sha256(shard.read_bytes()).hexdigest() == PINNED_REAL_D_STORAGE_SHARD
+        assert sum(index.estimated_size_bytes for index in result.configuration) <= cap
+
+
+PINNED_REAL_D_STORAGE = {
+    "call_log": "e2f5fb16332eccefd9cf8f3e2cca1a810dd77d595d828c16df3c8ca28f549e45",
+    "calls_used": 5000,
+    "configuration": [
+        "t00000(id) INCLUDE (a1)",
+        "t00001(id)",
+        "t00002(id) INCLUDE (fk_t00000)",
+        "t00004(id) INCLUDE (a0)",
+        "t00026(fk_t00002) INCLUDE (id)",
+        "t00090(id)",
+        "t00161(fk_t00002) INCLUDE (a5)",
+        "t00161(id) INCLUDE (fk_t00002)",
+        "t00316(fk_t00001)",
+        "t00461(id)",
+        "t00534(fk_t00002)",
+        "t00561(fk_t00002)",
+        "t00729(fk_t00002)",
+        "t00762(fk_t00002)"
+    ],
+    "events": {
+        "budget_deny": 14,
+        "budget_grant": 5000,
+        "checkpoint": 14,
+        "phase": 14,
+        "whatif_call": 5000
+    },
+    "stats": {
+        "batch_calls": 383,
+        "batched_pairs": 5000,
+        "cache_hits": 36945,
+        "cache_misses": 5000,
+        "cost_evaluations": 5032,
+        "normalized_hits": 26514,
+        "persistent_hits": 0,
+        "speculation_wasted": 0,
+        "speculative_priced": 0
+    }
+}
+PINNED_REAL_D_STORAGE_IMPROVEMENT = 76.32381591109502
+PINNED_REAL_D_STORAGE_SHARD = (
+    "94e416be4508a90bbed3c67748133692a501e71e94bc6b65a687915ad53c2200"
+)
