@@ -55,12 +55,7 @@ from repro.exceptions import (
     UnknownColumnError,
     UnknownTableError,
 )
-from repro.optimizer import (
-    BudgetAllocationMatrix,
-    CostDerivation,
-    CostModel,
-    CostModelParams,
-)
+from repro.optimizer import CostDerivation, CostModel, CostModelParams
 
 # Back-compat re-export: new code should go through repro.backend.
 from repro.optimizer import WhatIfOptimizer  # repro-lint: off[REP007]
@@ -97,7 +92,6 @@ __all__ = [
     "AutoAdminGreedyTuner",
     "BACKEND_NAMES",
     "BackendSpec",
-    "BudgetAllocationMatrix",
     "BudgetExhaustedError",
     "CandidateGenerator",
     "CatalogError",

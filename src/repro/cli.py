@@ -40,7 +40,7 @@ from repro.eval.experiments import EXPERIMENTS, ExperimentSettings, run_experime
 from repro.eval.report import bench_payload
 from repro.eval.runner import ExperimentRunner
 from repro.eval.timemodel import WhatIfTimeModel
-from repro.exceptions import ReproError, TuningError
+from repro.exceptions import ReproError
 from repro.rng import spawn_seeds
 from repro.tuners import (
     AutoAdminGreedyTuner,
@@ -181,6 +181,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--json", default=None, metavar="PATH",
                     help="write the machine-readable BENCH payload to PATH "
                          "('-' for stdout)")
+    ev.set_defaults(backend_trace=None, pg_schema=None)
 
     explain = sub.add_parser("explain", help="show a hypothetical plan")
     explain.add_argument("--workload", required=True, choices=available_workloads())
@@ -212,6 +213,8 @@ def _build_parser() -> argparse.ArgumentParser:
     load.add_argument("--pg-schema", default=None, metavar="SCHEMA",
                       help="schema to create the tables in "
                            "(default: REPRO_PG_SCHEMA or search_path)")
+    load.set_defaults(backend=None, backend_trace=None, noise=None,
+                      noise_seed=None, whatif_cache=None)
     return parser
 
 
@@ -241,46 +244,17 @@ def _write_trace(result, destination: str) -> None:
     print(f"trace: {len(lines)} events -> {destination}")
 
 
-def _backend_spec(args: argparse.Namespace) -> BackendSpec | None:
-    """The tune command's backend selection (``None`` = env/config default).
-
-    Returns ``None`` when no backend flag was given, so the downstream
-    resolution (:func:`repro.backend.factory.resolve_spec`) falls back to
-    ``REPRO_BACKEND`` and friends exactly as library callers do. Any single
-    flag switches to an explicit spec built from the environment defaults
-    with only the given overrides applied, so e.g. ``--whatif-cache`` alone
-    never resets ``REPRO_BACKEND``.
-    """
-    overrides = {
-        field: value
-        for field, value in (
-            ("name", args.backend),
-            ("trace_path", args.backend_trace),
-            ("noise", args.noise),
-            ("noise_seed", args.noise_seed),
-            ("pg_dsn", args.pg_dsn),
-            ("pg_schema", args.pg_schema),
-            ("whatif_cache", args.whatif_cache),
-        )
-        if value is not None
-    }
-    if not overrides:
-        return None
-    config = ReproConfig.from_env()
-    name = overrides.get("name", config.backend)
-    trace = overrides.get("trace_path", config.backend_trace)
-    if name == "replay" and not trace:
-        raise TuningError(f"--backend {name} requires --backend-trace PATH")
-    defaults = {
-        "name": config.backend,
-        "trace_path": config.backend_trace,
-        "noise": config.noise,
-        "noise_seed": config.noise_seed,
-        "pg_dsn": config.pg_dsn,
-        "pg_schema": config.pg_schema,
-        "whatif_cache": config.whatif_cache,
-    }
-    return BackendSpec(**{**defaults, **overrides})
+def _backend_spec(args: argparse.Namespace) -> BackendSpec:
+    """The backend the command's flags select over the ``REPRO_*`` defaults."""
+    return BackendSpec.from_env(
+        name=args.backend,
+        trace_path=args.backend_trace,
+        noise=args.noise,
+        noise_seed=args.noise_seed,
+        pg_dsn=args.pg_dsn,
+        pg_schema=args.pg_schema,
+        whatif_cache=args.whatif_cache,
+    )
 
 
 def _cmd_tune_multi_seed(args: argparse.Namespace, workload, constraints) -> int:
@@ -422,7 +396,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    settings = ExperimentSettings.from_env()
+    settings = ExperimentSettings.from_env(_backend_spec(args))
     overrides = {}
     if args.scale is not None:
         overrides["scale"] = args.scale
@@ -438,27 +412,18 @@ def _cmd_eval(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return 2
         overrides["jobs"] = args.jobs
-    if args.backend is not None:
-        overrides["backend"] = args.backend
-    if args.noise is not None:
-        overrides["noise"] = args.noise
-    if args.noise_seed is not None:
-        overrides["noise_seed"] = args.noise_seed
-    if args.pg_dsn is not None:
-        overrides["pg_dsn"] = args.pg_dsn
-    if args.whatif_cache is not None:
-        overrides["whatif_cache"] = args.whatif_cache
     if overrides:
         settings = replace(settings, **overrides)
     artifact = run_experiment(args.figure, settings)
     print(artifact.text)
     if args.json is not None:
         provenance = None
-        if settings.backend == "postgres" and settings.pg_dsn:
+        backend = settings.backend
+        if backend.name == "postgres" and backend.pg_dsn:
             from repro.backend.postgres import postgres_provenance
 
             provenance = postgres_provenance(
-                settings.pg_dsn, schema=settings.pg_schema
+                backend.pg_dsn, schema=backend.pg_schema
             )
         payload = bench_payload(
             artifact.figure,
@@ -498,18 +463,17 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 def _cmd_load(args: argparse.Namespace) -> int:
     from repro.backend.dbms.loader import materialize_workload
 
-    config = ReproConfig.from_env()
-    dsn = args.pg_dsn or config.pg_dsn
-    if not dsn:
+    backend = _backend_spec(args)
+    if not backend.pg_dsn:
         print("error: load needs --pg-dsn or REPRO_PG_DSN", file=sys.stderr)
         return 2
     workload = get_workload(args.workload, scale=args.scale)
     loaded = materialize_workload(
-        dsn,
+        backend.pg_dsn,
         workload,
         scale=args.scale,
         max_rows=args.max_rows,
-        schema=args.pg_schema or config.pg_schema,
+        schema=backend.pg_schema,
     )
     total = sum(loaded.values())
     for table, rows in loaded.items():

@@ -26,7 +26,7 @@ from repro.exceptions import ConstraintError
 #: imports this module).
 _BUDGET_POLICY_NAMES = ("fcfs", "wii", "esc", "esc+wii")
 
-#: Cost-backend names accepted by :attr:`ReproConfig.backend`. Mirrors
+#: Cost-backend names accepted by :attr:`BackendSpec.name`. Mirrors
 #: :data:`repro.backend.factory.BACKEND_NAMES` (kept literal here so the
 #: config layer never imports the backend package — the backend package
 #: imports this module).
@@ -64,6 +64,91 @@ def int_env(name: str, default: int) -> int:
 
 
 @dataclass(frozen=True)
+class BackendSpec:
+    """The cost-backend selection: the one home of the backend settings.
+
+    Everything a worker process needs to rebuild the backend: plain
+    primitives, no live objects, so a spec pickles across the experiment
+    process pool. Equal specs build behaviourally identical backends (the
+    noisy perturbation stream is keyed on ``noise_seed``, not on object
+    identity), which is what makes parallel grid cells reproducible.
+    :func:`repro.backend.factory.build_backend` exchanges a spec for a live
+    backend; :meth:`from_env` is the one reader of the settings'
+    ``REPRO_*`` variables.
+
+    Attributes:
+        name: Registered backend name — ``"analytic"`` (the simulated
+            optimizer, bit-identical baseline), ``"noisy"`` (seeded
+            multiplicative perturbation for robustness studies),
+            ``"replay"`` (serve a recorded session from its what-if cache
+            shard; zero cost-model invocations), or ``"postgres"``.
+            **Semantic knob** for ``"noisy"`` and ``"postgres"``.
+        trace_path: The what-if cache shard file the replay backend serves
+            (``DIR/whatif-<fingerprint>.jsonl`` of a session recorded with
+            ``whatif_cache``); required by replay, ignored by the others.
+        noise: Relative noise level σ of the noisy backend; each non-empty
+            (query, configuration) cost is multiplied by ``exp(σ·z)`` with
+            ``z`` a seeded standard normal. ``0`` reproduces the analytic
+            backend bit-for-bit.
+        noise_seed: Seed of the noisy backend's perturbation stream.
+        pg_dsn: Connection string for the postgres backend (e.g.
+            ``postgresql://user@host/db``). ``None`` defers to
+            ``REPRO_PG_DSN`` at build time, so a spec built in code can
+            resolve the DSN in the worker's environment.
+        pg_schema: Optional schema (``search_path``) for the postgres
+            backend's tables; ``None`` uses the server default.
+        whatif_cache: Persistent cross-session what-if cache directory
+            (:mod:`repro.backend.cache`); ``"1"``/``"default"`` select
+            ``~/.cache/repro``. ``None`` defers to
+            :attr:`ReproConfig.whatif_cache`. Never affects results.
+    """
+
+    name: str = "analytic"
+    trace_path: str | None = None
+    noise: float = 0.1
+    noise_seed: int = 0
+    pg_dsn: str | None = None
+    pg_schema: str | None = None
+    whatif_cache: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.name not in _BACKEND_NAMES:
+            raise ConstraintError(
+                f"unknown backend {self.name!r}; expected one of {_BACKEND_NAMES}"
+            )
+        if self.noise < 0:
+            raise ConstraintError(f"noise must be non-negative, got {self.noise}")
+
+    @classmethod
+    def from_env(cls, **flags) -> "BackendSpec":
+        """The spec the ``REPRO_*`` variables select, with ``flags`` applied.
+
+        Reads ``REPRO_BACKEND``, ``REPRO_BACKEND_TRACE``, ``REPRO_NOISE``,
+        ``REPRO_NOISE_SEED``, ``REPRO_PG_DSN``, ``REPRO_PG_SCHEMA`` and
+        ``REPRO_WHATIF_CACHE``. Each keyword names a field; a value other
+        than ``None`` wins over its variable (the CLI passes its flags
+        straight through), ``None`` keeps the variable's value.
+
+        Raises:
+            ConstraintError: When a variable is malformed or the resulting
+                spec is invalid.
+        """
+        settings = {
+            "name": os.environ.get("REPRO_BACKEND", "analytic"),
+            "trace_path": os.environ.get("REPRO_BACKEND_TRACE") or None,
+            "noise": float_env("REPRO_NOISE", 0.1),
+            "noise_seed": int_env("REPRO_NOISE_SEED", 0),
+            "pg_dsn": os.environ.get("REPRO_PG_DSN") or None,
+            "pg_schema": os.environ.get("REPRO_PG_SCHEMA") or None,
+            "whatif_cache": os.environ.get("REPRO_WHATIF_CACHE") or None,
+        }
+        settings.update(
+            (field, value) for field, value in flags.items() if value is not None
+        )
+        return cls(**settings)
+
+
+@dataclass(frozen=True)
 class ReproConfig:
     """Engine/runtime knobs plus the session's budget-policy selection.
 
@@ -87,7 +172,9 @@ class ReproConfig:
             (:mod:`repro.backend.cache`); ``None`` disables it, ``"1"`` /
             ``"default"`` select ``~/.cache/repro``. A cache hit replaces
             pricing work, never a budget charge, so warm runs stay
-            bit-identical to cold ones.
+            bit-identical to cold ones. :class:`BackendSpec` declares it
+            too, so a grid cell carries it across the process pool; a
+            spec's own value wins over this one.
         budget_policy: Default budget discipline for tuning sessions —
             ``"fcfs"`` (Section 4.2.1, default), ``"wii"`` (per-query
             slices with dynamic reallocation), ``"esc"`` (early stop over
@@ -106,28 +193,10 @@ class ReproConfig:
             and outcomes are unchanged; a detected invariant violation
             raises :class:`~repro.exceptions.InvariantViolationError`
             instead of silently continuing.
-        backend: Default cost backend for tuning sessions — ``"analytic"``
-            (the simulated optimizer, bit-identical baseline), ``"noisy"``
-            (seeded multiplicative perturbation for robustness studies),
-            ``"replay"`` (serve a recorded session from its what-if cache
-            shard; zero cost-model invocations), or ``"postgres"``. A
-            session is recorded by running it with ``whatif_cache``.
-            **Semantic knob** for ``"noisy"``: perturbed costs change
-            tuner decisions by design.
-        backend_trace: The what-if cache shard file the replay backend
-            serves (``DIR/whatif-<fingerprint>.jsonl`` of a recorded
-            session); required by replay, unused by the others.
-        noise: Relative noise level σ of the noisy backend; each non-empty
-            (query, configuration) cost is multiplied by ``exp(σ·z)`` with
-            ``z`` a seeded standard normal. ``0`` reproduces the analytic
-            backend bit-for-bit.
-        noise_seed: Seed of the noisy backend's perturbation stream.
-        pg_dsn: Connection string for the ``"postgres"`` backend (e.g.
-            ``postgresql://user@host/db``). Required by that backend,
-            unused by the others. **Semantic knob**: costs come from the
-            live planner, not the analytic model.
-        pg_schema: Optional schema (``search_path``) for the postgres
-            backend's tables; ``None`` uses the server default.
+        backend: Default cost backend for tuning sessions (a
+            :class:`BackendSpec`; analytic unless built from the
+            environment). A session is recorded by running it with
+            ``whatif_cache``.
     """
 
     normalize_cache: bool = True
@@ -137,12 +206,7 @@ class ReproConfig:
     esc_patience: int = 3
     esc_min_delta: float = 0.1
     sanitize: bool = False
-    backend: str = "analytic"
-    backend_trace: str | None = None
-    noise: float = 0.1
-    noise_seed: int = 0
-    pg_dsn: str | None = None
-    pg_schema: str | None = None
+    backend: BackendSpec = BackendSpec()
 
     def __post_init__(self) -> None:
         if self.budget_policy not in _BUDGET_POLICY_NAMES:
@@ -162,23 +226,15 @@ class ReproConfig:
             raise ConstraintError(
                 f"esc_min_delta must be non-negative, got {self.esc_min_delta}"
             )
-        if self.backend not in _BACKEND_NAMES:
-            raise ConstraintError(
-                f"unknown backend {self.backend!r}; "
-                f"expected one of {_BACKEND_NAMES}"
-            )
-        if self.noise < 0:
-            raise ConstraintError(f"noise must be non-negative, got {self.noise}")
 
     @classmethod
     def from_env(cls) -> "ReproConfig":
         """Build a config from the ``REPRO_*`` environment knobs.
 
-        Recognised: ``REPRO_NORMALIZE_CACHE``, ``REPRO_WHATIF_CACHE``,
-        ``REPRO_BUDGET_POLICY``, ``REPRO_WII_RELEASE_RATE``,
-        ``REPRO_ESC_PATIENCE``, ``REPRO_ESC_MIN_DELTA``, ``REPRO_SANITIZE``,
-        ``REPRO_BACKEND``, ``REPRO_BACKEND_TRACE``, ``REPRO_NOISE``,
-        ``REPRO_NOISE_SEED``, ``REPRO_PG_DSN``, ``REPRO_PG_SCHEMA``.
+        Recognised: ``REPRO_NORMALIZE_CACHE``, ``REPRO_BUDGET_POLICY``,
+        ``REPRO_WII_RELEASE_RATE``, ``REPRO_ESC_PATIENCE``,
+        ``REPRO_ESC_MIN_DELTA``, ``REPRO_SANITIZE``, plus the backend
+        settings' variables through :meth:`BackendSpec.from_env`.
         """
         normalize = os.environ.get("REPRO_NORMALIZE_CACHE", "1") not in (
             "0",
@@ -191,20 +247,16 @@ class ReproConfig:
             "false",
             "no",
         )
+        backend = BackendSpec.from_env()
         return cls(
             normalize_cache=normalize,
-            whatif_cache=os.environ.get("REPRO_WHATIF_CACHE") or None,
+            whatif_cache=backend.whatif_cache,
             budget_policy=os.environ.get("REPRO_BUDGET_POLICY", "fcfs"),
             wii_release_rate=float_env("REPRO_WII_RELEASE_RATE", 0.5),
             esc_patience=int_env("REPRO_ESC_PATIENCE", 3),
             esc_min_delta=float_env("REPRO_ESC_MIN_DELTA", 0.1),
             sanitize=sanitize,
-            backend=os.environ.get("REPRO_BACKEND", "analytic"),
-            backend_trace=os.environ.get("REPRO_BACKEND_TRACE") or None,
-            noise=float_env("REPRO_NOISE", 0.1),
-            noise_seed=int_env("REPRO_NOISE_SEED", 0),
-            pg_dsn=os.environ.get("REPRO_PG_DSN") or None,
-            pg_schema=os.environ.get("REPRO_PG_SCHEMA") or None,
+            backend=backend,
         )
 
 

@@ -23,14 +23,13 @@ through it.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
-from repro.backend.factory import BackendSpec
 from repro.config import (
     ABLATION_PRESETS,
+    BackendSpec,
     MCTSConfig,
-    ReproConfig,
     TuningConstraints,
     float_env,
     int_env,
@@ -71,43 +70,34 @@ class ExperimentSettings:
         k_values: Cardinality grid (``REPRO_KS``).
         jobs: Worker processes for grid execution (``REPRO_JOBS``); 1 runs
             serially, N > 1 is bit-identical but concurrent.
-        backend: Cost-backend name the grids run against
-            (``REPRO_BACKEND``); ``"analytic"`` is the exact engine. The
-            ``record`` backend is single-session and rejected by the
-            runner.
-        noise: Noise scale σ for the noisy backend (``REPRO_NOISE``).
-        noise_seed: Perturbation seed for the noisy backend
-            (``REPRO_NOISE_SEED``).
-        pg_dsn: Connection string for the postgres backend
-            (``REPRO_PG_DSN``).
-        pg_schema: Schema namespace for the postgres backend
-            (``REPRO_PG_SCHEMA``).
-        whatif_cache: Persistent cross-session what-if cache directory
-            (``REPRO_WHATIF_CACHE``); ``None`` disables. Never changes
-            costs or budget accounting.
+        backend: The cost backend every grid cell runs against (see
+            :class:`~repro.config.BackendSpec`); analytic, the exact
+            engine, by default. Replay serves one recorded session, so a
+            grid cannot run on it.
     """
 
     scale: float = 0.1
     seeds: int = 3
     k_values: tuple[int, ...] = (5, 10, 20)
     jobs: int = 1
-    backend: str = "analytic"
-    noise: float = 0.1
-    noise_seed: int = 0
-    pg_dsn: str | None = None
-    pg_schema: str | None = None
-    whatif_cache: str | None = None
+    backend: BackendSpec = BackendSpec()
+
+    def __post_init__(self) -> None:
+        if self.backend.name == "replay":
+            raise ConstraintError(
+                "replay serves one recorded session; experiment grids "
+                "cannot run on it"
+            )
 
     @classmethod
-    def from_env(cls) -> "ExperimentSettings":
+    def from_env(cls, backend: BackendSpec | None = None) -> "ExperimentSettings":
         """Settings from ``REPRO_SCALE``, ``REPRO_SEEDS``, ``REPRO_KS`` and
-        ``REPRO_JOBS``; the backend knobs come from their one reader,
-        :meth:`ReproConfig.from_env`.
+        ``REPRO_JOBS``; the backend is ``backend``, or else the one
+        :meth:`BackendSpec.from_env` reads.
 
         Raises:
             ConstraintError: When a variable is set to a malformed value.
         """
-        config = ReproConfig.from_env()
         ks_raw = os.environ.get("REPRO_KS", "5,10,20")
         try:
             ks = tuple(int(k) for k in ks_raw.split(",") if k.strip())
@@ -120,31 +110,7 @@ class ExperimentSettings:
             seeds=int_env("REPRO_SEEDS", 3),
             k_values=ks,
             jobs=max(1, int_env("REPRO_JOBS", 1)),
-            backend=config.backend,
-            noise=config.noise,
-            noise_seed=config.noise_seed,
-            pg_dsn=config.pg_dsn,
-            pg_schema=config.pg_schema,
-            whatif_cache=config.whatif_cache,
-        )
-
-    def backend_spec(self) -> BackendSpec | None:
-        """The backend selection for grid cells (``None`` = analytic).
-
-        ``None`` (rather than an analytic spec) keeps the default path
-        byte-identical with pre-backend archives. A persistent cache forces
-        an explicit spec even for the analytic backend — it is
-        non-semantic, so the records stay identical.
-        """
-        if self.backend == "analytic" and self.whatif_cache is None:
-            return None
-        return BackendSpec(
-            name=self.backend,
-            noise=self.noise,
-            noise_seed=self.noise_seed,
-            pg_dsn=self.pg_dsn,
-            pg_schema=self.pg_schema,
-            whatif_cache=self.whatif_cache,
+            backend=backend or BackendSpec.from_env(),
         )
 
     def budgets_for(self, workload_name: str) -> list[int]:
@@ -258,7 +224,7 @@ def figure2_whatif_time(settings: ExperimentSettings | None = None) -> tuple[lis
         budgets,
         constraints,
         stochastic=False,
-        backend=settings.backend_spec(),
+        backend=settings.backend,
     )
     rows = []
     lines = [
@@ -296,7 +262,7 @@ def _grid_experiment(
         budgets,
         list(settings.k_values),
         max_storage_bytes,
-        backend=settings.backend_spec(),
+        backend=settings.backend,
     )
     model = WhatIfTimeModel(workload)
     minutes = {b: model.minutes_for_budget(b) for b in budgets}
@@ -392,7 +358,7 @@ def convergence(
             budget,
             constraints,
             stochastic=False,
-            backend=settings.backend_spec(),
+            backend=settings.backend,
         )
         result = record.results[0]
         if label == "mcts":
@@ -484,14 +450,9 @@ def robustness(
         points: list[tuple[float, float]] = []
         for noise in NOISE_GRID:
             backend = (
-                None
+                replace(settings.backend, name="analytic")
                 if noise <= 0.0
-                else BackendSpec(
-                    name="noisy",
-                    noise=noise,
-                    noise_seed=settings.noise_seed,
-                    whatif_cache=settings.whatif_cache,
-                )
+                else replace(settings.backend, name="noisy", noise=noise)
             )
             record = runner.run_cell(
                 factory, budget, constraints, stochastic=stochastic, backend=backend

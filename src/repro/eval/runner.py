@@ -116,6 +116,10 @@ class ExperimentRunner:
         parallel: Worker processes for cell execution. ``1`` (default) runs
             serially in-process; ``N > 1`` fans (tuner, K, B, seed) units
             out via :mod:`repro.parallel` with a deterministic merge.
+
+    A run's backend selection — a spec, a name, or ``None`` for the
+    environment's — is resolved once, here in the parent, never in a
+    worker, so every cell runs and its record names the same backend.
     """
 
     def __init__(
@@ -160,13 +164,6 @@ class ExperimentRunner:
     # cell spec construction and aggregation (shared serial/parallel)
     # ------------------------------------------------------------------ #
 
-    @staticmethod
-    def _resolve_backend(backend: BackendSpec | str | None) -> BackendSpec | None:
-        """Resolve a grid-level backend selection once, in this process."""
-        if backend is None:
-            return None
-        return backend if isinstance(backend, BackendSpec) else resolve_spec(backend)
-
     def _cell_specs(
         self,
         factory: TunerFactory,
@@ -204,7 +201,7 @@ class ExperimentRunner:
         budget: int,
         budget_policy: str | None,
         results: list[TuningResult],
-        backend: BackendSpec | None = None,
+        backend: BackendSpec,
     ) -> RunRecord:
         """Fold per-seed outcomes (in seed order) into one record.
 
@@ -262,7 +259,7 @@ class ExperimentRunner:
             cost_seconds=_mean(cost_secs),
             persistent_hits=_mean(persist_hits),
             budget_policy=budget_policy or "fcfs",
-            backend=backend.name if backend is not None else "analytic",
+            backend=backend.name,
             event_counts=event_counts,
             stop_reasons=stop_reasons,
             seeds=[outcome.seed for outcome in outcomes],
@@ -304,10 +301,10 @@ class ExperimentRunner:
                 :meth:`~repro.tuners.base.Tuner.tune` (``None`` keeps the
                 config default, FCFS).
             backend: Optional cost-backend selection (name or picklable
-                spec) applied to every seed (``None`` keeps the config
-                default, analytic).
+                spec) applied to every seed (``None`` selects the
+                environment's backend, analytic by default).
         """
-        backend = self._resolve_backend(backend)
+        backend = resolve_spec(backend)
         specs = self._cell_specs(
             factory, budget, constraints, stochastic, budget_policy, backend=backend
         )
@@ -334,7 +331,7 @@ class ExperimentRunner:
         Like :meth:`run_grid` with a single algorithm and a single ``K``;
         under ``parallel > 1`` all (budget, seed) units run concurrently.
         """
-        backend = self._resolve_backend(backend)
+        backend = resolve_spec(backend)
         cells = [
             self._cell_specs(
                 factory, budget, constraints, stochastic, budget_policy,
@@ -374,12 +371,13 @@ class ExperimentRunner:
             budget_policy: Optional budget-discipline name applied to all
                 cells (``None`` keeps the config default, FCFS).
             backend: Optional cost-backend selection applied to all cells
-                (``None`` keeps the config default, analytic).
+                (``None`` selects the environment's backend, analytic by
+                default).
 
         Returns:
             Records ordered by (K, budget, insertion order of factories).
         """
-        backend = self._resolve_backend(backend)
+        backend = resolve_spec(backend)
         cells: list[list[CellSpec]] = []
         cell_meta: list[tuple[int, TuningConstraints]] = []
         for k in k_values:
@@ -407,7 +405,7 @@ class ExperimentRunner:
         cells: list[list[CellSpec]],
         cell_meta: list[tuple[int, TuningConstraints]],
         budget_policy: str | None,
-        backend: BackendSpec | None = None,
+        backend: BackendSpec,
     ) -> list[RunRecord]:
         """Run grouped cell specs (serially or pooled) and aggregate each."""
         records: list[RunRecord] = []

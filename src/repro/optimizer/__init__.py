@@ -6,21 +6,19 @@ estimated cost without building anything. The public entry point is
 :class:`~repro.optimizer.whatif.WhatIfOptimizer`, which adds the two pieces
 of bookkeeping budget-aware tuning relies on — a what-if cache and a counted
 budget — plus :mod:`~repro.optimizer.derivation` implementing derived cost
-(Section 3.1) and :mod:`~repro.optimizer.matrix` implementing the budget
-allocation matrix formalism (Section 3.2).
+(Section 3.1). The budget allocation matrix of Section 3.2 is never built:
+:attr:`~repro.optimizer.whatif.WhatIfOptimizer.call_log` is the layout a
+run realises.
 """
 
 from repro.optimizer.cost_model import CostModel, CostModelParams
 from repro.optimizer.derivation import CostDerivation
-from repro.optimizer.matrix import BudgetAllocationMatrix, Layout
 from repro.optimizer.whatif import BudgetMeter, WhatIfOptimizer
 
 __all__ = [
-    "BudgetAllocationMatrix",
     "BudgetMeter",
     "CostDerivation",
     "CostModel",
     "CostModelParams",
-    "Layout",
     "WhatIfOptimizer",
 ]

@@ -138,12 +138,14 @@ def test_trace_file_layout(tmp_path, toy_workload, counting_pairs):
     assert len(opened) == 3
 
 
-def test_record_requires_a_trace_path():
-    # Recording is a run with --whatif-cache; only replay takes a path.
+def test_record_requires_a_trace_path(toy_workload):
+    # Recording is a run with --whatif-cache; only replay takes a path,
+    # and it is checked when the backend is built: the trace may come from
+    # a flag applied after the environment selected replay.
     with pytest.raises(TuningError, match="unknown backend 'record'"):
         BackendSpec(name="record")
     with pytest.raises(TuningError, match="trace path"):
-        BackendSpec(name="replay")
+        build_backend(BackendSpec(name="replay"), toy_workload)
 
 
 def test_replay_prices_serially_at_any_job_count(

@@ -1,8 +1,13 @@
 """Experiment runner tests."""
 
+import pytest
+
+from repro.backend import BackendSpec
 from repro.config import TuningConstraints
 from repro.eval.runner import ExperimentRunner
-from repro.tuners import MCTSTuner, VanillaGreedyTuner
+from repro.exceptions import TuningError
+from repro.tuners import DTATuner, MCTSTuner, VanillaGreedyTuner
+from repro.workload.suites import get_workload
 
 
 class TestRunCell:
@@ -128,3 +133,43 @@ class TestBudgetPolicies:
             budget_policy="wii",
         )
         assert [r.budget_policy for r in records] == ["wii"]
+
+
+class TestBackendResolution:
+    """A cell resolves its backend once, in the parent, and records it."""
+
+    @staticmethod
+    def _dta_cell(backend=None):
+        runner = ExperimentRunner(get_workload("toy"), seeds=[1])
+        return runner.run_cell(
+            lambda seed: DTATuner(),
+            40,
+            TuningConstraints(max_indexes=5),
+            stochastic=False,
+            backend=backend,
+        )
+
+    def test_default_backend_is_the_one_recorded(self, monkeypatch):
+        for name in ("REPRO_BACKEND", "REPRO_NOISE", "REPRO_NOISE_SEED"):
+            monkeypatch.delenv(name, raising=False)
+        analytic = self._dta_cell()
+        noisy = self._dta_cell("noisy")
+        monkeypatch.setenv("REPRO_BACKEND", "noisy")
+        resolved = self._dta_cell()
+        assert (analytic.backend, round(analytic.improvement_mean, 4)) == (
+            "analytic",
+            49.6986,
+        )
+        assert (resolved.backend, round(resolved.improvement_mean, 4)) == (
+            "noisy",
+            48.9427,
+        )
+        assert resolved.improvement_mean == noisy.improvement_mean
+
+    def test_replay_without_a_trace_fails_before_any_cell_runs(self, monkeypatch):
+        def no_cells(*args, **kwargs):  # pragma: no cover - must never run
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(ExperimentRunner, "_cell_specs", no_cells)
+        with pytest.raises(TuningError, match="requires a trace path"):
+            self._dta_cell(BackendSpec(name="replay"))

@@ -267,9 +267,289 @@ class TestEvalCommand:
         monkeypatch.setenv("REPRO_SCALE", "0.02")
         assert main(["eval", "--figure", "table1", "--jobs", "0"]) == 2
 
+    def test_backend_flag_wins_over_the_environment(self, capsys, monkeypatch, tmp_path):
+        import json
+
+        for name, value in (
+            ("REPRO_SCALE", "0.02"), ("REPRO_SEEDS", "1"), ("REPRO_KS", "3"),
+        ):
+            monkeypatch.setenv(name, value)
+
+        def records(path, *flags):
+            assert main(["eval", "--figure", "fig17", "--json", str(path), *flags]) == 0
+            rows = json.loads(path.read_text())["records"]
+            for row in [*rows, *(m for row in rows for m in row["seed_metrics"])]:
+                row.pop("seconds")
+                row.pop("cost_seconds")
+            return rows
+
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        plain = records(tmp_path / "plain.json")
+        monkeypatch.setenv("REPRO_BACKEND", "noisy")
+        flagged = records(tmp_path / "flagged.json", "--backend", "analytic")
+        noisy = records(tmp_path / "noisy.json")
+        capsys.readouterr()
+        assert flagged == plain
+        assert {row["backend"] for row in noisy} == {"noisy"}
+        assert noisy != plain
+
+    def test_replay_is_rejected_with_one_error_line(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_BACKEND", "replay")
+        monkeypatch.setenv("REPRO_BACKEND_TRACE", str(tmp_path / "whatif-x.jsonl"))
+        assert main(["eval", "--figure", "table1"]) == 2
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line == (
+            "error: replay serves one recorded session; experiment grids "
+            "cannot run on it"
+        )
+        monkeypatch.setenv("REPRO_SCALE", "0.02")
+        assert main(["eval", "--figure", "table1", "--backend", "analytic"]) == 0
+
     def test_malformed_env_var_is_a_clean_error(self, capsys, monkeypatch):
         # The flag overrides the value, but the variable is still parsed.
         monkeypatch.setenv("REPRO_NOISE", "abc")
         assert main(["eval", "--figure", "table1", "--noise", "0.2"]) == 2
         err = capsys.readouterr().err
         assert "error: REPRO_NOISE must be a number, got 'abc'" in err
+
+
+# --------------------------------------------------------------------- #
+# backend settings: a flag wins over its environment variable
+# --------------------------------------------------------------------- #
+
+#: The variables behind the seven backend settings.
+_BACKEND_VARS = (
+    "REPRO_BACKEND",
+    "REPRO_BACKEND_TRACE",
+    "REPRO_NOISE",
+    "REPRO_NOISE_SEED",
+    "REPRO_PG_DSN",
+    "REPRO_PG_SCHEMA",
+    "REPRO_WHATIF_CACHE",
+)
+
+_TUNE = ["tune", "--workload", "toy", "--budget", "5", "--algo", "vanilla"]
+
+
+class _Built(Exception):
+    """Stops ``tune`` as soon as its session's backend is built."""
+
+
+class _FakePostgres:
+    """A fake Postgres connection that logs its DSN and every statement."""
+
+    def __init__(self, dsn, log):
+        log.append(f"connect {dsn}")
+        self._log = log
+
+    def cursor(self):
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def execute(self, sql, params=None):
+        self._log.append(sql)
+
+    def fetchone(self):
+        return ("16",)
+
+    def close(self):
+        pass
+
+
+@pytest.fixture
+def clean_backend_env(monkeypatch):
+    for name in _BACKEND_VARS:
+        monkeypatch.delenv(name, raising=False)
+    return monkeypatch
+
+
+@pytest.fixture
+def recorded_shards(clean_backend_env, tmp_path, capsys):
+    """Two copies of one recorded ``toy`` shard, for replay."""
+    assert main([*_TUNE, "--whatif-cache", str(tmp_path / "rec")]) == 0
+    capsys.readouterr()
+    (shard,) = (tmp_path / "rec").glob("whatif-*.jsonl")
+    copy = tmp_path / "copy.jsonl"
+    copy.write_bytes(shard.read_bytes())
+    return {"trace_a": str(shard), "trace_b": str(copy)}
+
+
+@pytest.fixture
+def built_backend(clean_backend_env, recorded_shards, tmp_path):
+    """Run ``tune`` up to its backend build; return a view of what it built."""
+    from repro.backend.postgres import PostgresBackend
+    from repro.tuners import base
+
+    log: list[str] = []
+    built = []
+    real_build = base.build_backend
+    real_init = PostgresBackend.__init__
+
+    def init(self, workload, *args, **kwargs):
+        kwargs.setdefault("connector", lambda dsn: _FakePostgres(dsn, log))
+        real_init(self, workload, *args, **kwargs)
+
+    def spy(*args, **kwargs):
+        backend = real_build(*args, **kwargs)
+        built.append(backend)
+        raise _Built
+
+    clean_backend_env.setattr(PostgresBackend, "__init__", init)
+    clean_backend_env.setattr(base, "build_backend", spy)
+    paths = {
+        **recorded_shards,
+        "A": str(tmp_path / "A"),
+        "B": str(tmp_path / "B"),
+    }
+
+    def fill(value):
+        return value.format(**paths) if isinstance(value, str) else value
+
+    def run(env, flags):
+        for name, value in env.items():
+            clean_backend_env.setenv(name, fill(value))
+        with pytest.raises(_Built):
+            main([*_TUNE, *(fill(flag) for flag in flags)])
+        (backend,) = built
+        cache = backend.whatif_cache
+        view = {
+            "backend": backend.name,
+            "cache": None if cache is None else str(cache),
+        }
+        if backend.name == "noisy":
+            identity = backend.cache_identity()
+            view.update(noise=identity["noise"], noise_seed=identity["noise_seed"])
+        elif backend.name == "replay":
+            view["trace"] = str(backend.whatif_shard)
+        elif backend.name == "postgres":
+            backend.server_info()
+            view["connects"] = [line for line in log if line.startswith("connect ")]
+            view["search_path"] = [line for line in log if "search_path" in line]
+        backend.close()
+        return view
+
+    run.fill = fill
+    return run
+
+
+_NOISY = {"backend": "noisy", "cache": None, "noise": 0.1, "noise_seed": 0}
+_PG = {"backend": "postgres", "cache": None, "search_path": []}
+
+
+@pytest.mark.parametrize(
+    "env, flags, expected",
+    [
+        # backend name
+        ({}, [], {"backend": "analytic", "cache": None}),
+        ({"REPRO_BACKEND": "noisy"}, [], _NOISY),
+        ({}, ["--backend", "noisy"], _NOISY),
+        ({"REPRO_BACKEND": "noisy"}, ["--backend", "analytic"],
+         {"backend": "analytic", "cache": None}),
+        # noise
+        ({"REPRO_NOISE": "0.3"}, ["--backend", "noisy"], {**_NOISY, "noise": 0.3}),
+        ({}, ["--backend", "noisy", "--noise", "0.5"], {**_NOISY, "noise": 0.5}),
+        ({"REPRO_NOISE": "0.3"}, ["--backend", "noisy", "--noise", "0.5"],
+         {**_NOISY, "noise": 0.5}),
+        ({"REPRO_BACKEND": "noisy"}, ["--noise", "0.5"], {**_NOISY, "noise": 0.5}),
+        # noise seed
+        ({"REPRO_NOISE_SEED": "7"}, ["--backend", "noisy"],
+         {**_NOISY, "noise_seed": 7}),
+        ({}, ["--backend", "noisy", "--noise-seed", "9"],
+         {**_NOISY, "noise_seed": 9}),
+        ({"REPRO_NOISE_SEED": "7"}, ["--backend", "noisy", "--noise-seed", "9"],
+         {**_NOISY, "noise_seed": 9}),
+        # persistent what-if cache
+        ({"REPRO_WHATIF_CACHE": "{A}"}, [], {"backend": "analytic", "cache": "{A}"}),
+        ({}, ["--whatif-cache", "{B}"], {"backend": "analytic", "cache": "{B}"}),
+        ({"REPRO_WHATIF_CACHE": "{A}"}, ["--whatif-cache", "{B}"],
+         {"backend": "analytic", "cache": "{B}"}),
+        ({"REPRO_BACKEND": "noisy", "REPRO_NOISE": "0.3"}, ["--whatif-cache", "{B}"],
+         {**_NOISY, "noise": 0.3, "cache": "{B}"}),
+        # replay trace
+        ({"REPRO_BACKEND_TRACE": "{trace_a}"}, ["--backend", "replay"],
+         {"backend": "replay", "cache": "{trace_a}", "trace": "{trace_a}"}),
+        ({}, ["--backend", "replay", "--backend-trace", "{trace_b}"],
+         {"backend": "replay", "cache": "{trace_b}", "trace": "{trace_b}"}),
+        ({"REPRO_BACKEND_TRACE": "{trace_a}"},
+         ["--backend", "replay", "--backend-trace", "{trace_b}"],
+         {"backend": "replay", "cache": "{trace_b}", "trace": "{trace_b}"}),
+        ({"REPRO_BACKEND": "replay"}, ["--backend-trace", "{trace_b}"],
+         {"backend": "replay", "cache": "{trace_b}", "trace": "{trace_b}"}),
+        ({"REPRO_BACKEND": "replay", "REPRO_BACKEND_TRACE": "{trace_a}"}, [],
+         {"backend": "replay", "cache": "{trace_a}", "trace": "{trace_a}"}),
+        # postgres DSN
+        ({"REPRO_PG_DSN": "postgresql://env/db"}, ["--backend", "postgres"],
+         {**_PG, "connects": ["connect postgresql://env/db"]}),
+        ({}, ["--backend", "postgres", "--pg-dsn", "postgresql://flag/db"],
+         {**_PG, "connects": ["connect postgresql://flag/db"]}),
+        ({"REPRO_PG_DSN": "postgresql://env/db"},
+         ["--backend", "postgres", "--pg-dsn", "postgresql://flag/db"],
+         {**_PG, "connects": ["connect postgresql://flag/db"]}),
+        # postgres schema
+        ({}, ["--backend", "postgres", "--pg-dsn", "postgresql://x/y"],
+         {**_PG, "connects": ["connect postgresql://x/y"]}),
+        ({"REPRO_PG_SCHEMA": "env_schema"},
+         ["--backend", "postgres", "--pg-dsn", "postgresql://x/y"],
+         {**_PG, "connects": ["connect postgresql://x/y"],
+          "search_path": ['SET search_path TO "env_schema", public']}),
+        ({}, ["--backend", "postgres", "--pg-dsn", "postgresql://x/y",
+              "--pg-schema", "flag_schema"],
+         {**_PG, "connects": ["connect postgresql://x/y"],
+          "search_path": ['SET search_path TO "flag_schema", public']}),
+        ({"REPRO_PG_SCHEMA": "env_schema"},
+         ["--backend", "postgres", "--pg-dsn", "postgresql://x/y",
+          "--pg-schema", "flag_schema"],
+         {**_PG, "connects": ["connect postgresql://x/y"],
+          "search_path": ['SET search_path TO "flag_schema", public']}),
+    ],
+)
+def test_tune_backend_flag_wins_over_environment(built_backend, env, flags, expected):
+    expected = {key: built_backend.fill(value) for key, value in expected.items()}
+    assert built_backend(env, flags) == expected
+
+
+@pytest.mark.parametrize(
+    "env, flags",
+    [
+        ({}, ["--backend", "replay"]),
+        ({}, ["--backend", "replay", "--seeds", "2", "--jobs", "2"]),
+        ({"REPRO_BACKEND": "replay"}, []),
+        ({"REPRO_NOISE": "abc"}, []),
+        ({"REPRO_NOISE": "abc"}, ["--noise", "0.2"]),
+        ({"REPRO_NOISE_SEED": "1.5"}, ["--backend", "noisy"]),
+        ({"REPRO_BACKEND": "bogus"}, []),
+        ({}, ["--backend", "postgres"]),
+    ],
+)
+def test_tune_bad_backend_settings_are_one_error_line(
+    clean_backend_env, capsys, env, flags
+):
+    for name, value in env.items():
+        clean_backend_env.setenv(name, value)
+    assert main([*_TUNE, *flags]) == 2
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    assert line.startswith("error: ")
+
+
+def test_tune_backend_flags_reach_worker_processes(clean_backend_env, capsys):
+    args = [*_TUNE, "--budget", "20", "--algo", "mcts", "--seeds", "2"]
+    noisy = ["--backend", "noisy", "--noise", "0.8", "--noise-seed", "3"]
+
+    def seed_lines(argv):
+        assert main(argv) == 0
+        return [line for line in capsys.readouterr().out.splitlines() if "seed " in line]
+
+    analytic = seed_lines(args)
+    serial = seed_lines([*args, *noisy])
+    pooled = seed_lines([*args, *noisy, "--jobs", "2"])
+    assert pooled == serial
+    assert serial != analytic
+    clean_backend_env.setenv("REPRO_BACKEND", "noisy")
+    clean_backend_env.setenv("REPRO_NOISE", "0.8")
+    clean_backend_env.setenv("REPRO_NOISE_SEED", "3")
+    assert seed_lines([*args, "--jobs", "2"]) == serial

@@ -4,7 +4,7 @@ import pytest
 
 from repro.catalog import Index
 from repro.config import ABLATION_PRESETS, MCTSConfig, TuningConstraints
-from repro.exceptions import ConstraintError
+from repro.exceptions import ConstraintError, TuningError
 
 
 class TestTuningConstraints:
@@ -138,3 +138,137 @@ class TestReproConfigBudgetKnobs:
         monkeypatch.setenv("REPRO_ESC_PATIENCE", "soon")
         with pytest.raises(ConstraintError):
             ReproConfig.from_env()
+
+
+#: Each backend setting's variable, with a value that is not its default.
+_BACKEND_ENV = {
+    "REPRO_BACKEND": "postgres",
+    "REPRO_BACKEND_TRACE": "shard.jsonl",
+    "REPRO_NOISE": "0.3",
+    "REPRO_NOISE_SEED": "7",
+    "REPRO_PG_DSN": "postgresql://host/db",
+    "REPRO_PG_SCHEMA": "tuning",
+    "REPRO_WHATIF_CACHE": "pcache",
+}
+
+
+class TestBackendSpec:
+    @pytest.fixture
+    def env(self, monkeypatch):
+        for name in _BACKEND_ENV:
+            monkeypatch.delenv(name, raising=False)
+        return monkeypatch
+
+    def test_from_env_defaults(self, env):
+        from repro.config import BackendSpec
+
+        assert BackendSpec.from_env() == BackendSpec()
+
+    @pytest.mark.parametrize(
+        "variable, field, value",
+        [
+            ("REPRO_BACKEND", "name", "postgres"),
+            ("REPRO_BACKEND_TRACE", "trace_path", "shard.jsonl"),
+            ("REPRO_NOISE", "noise", 0.3),
+            ("REPRO_NOISE_SEED", "noise_seed", 7),
+            ("REPRO_PG_DSN", "pg_dsn", "postgresql://host/db"),
+            ("REPRO_PG_SCHEMA", "pg_schema", "tuning"),
+            ("REPRO_WHATIF_CACHE", "whatif_cache", "pcache"),
+        ],
+    )
+    def test_from_env_reads_each_variable(self, env, variable, field, value):
+        from dataclasses import replace
+
+        from repro.config import BackendSpec
+
+        env.setenv(variable, _BACKEND_ENV[variable])
+        assert BackendSpec.from_env() == replace(BackendSpec(), **{field: value})
+
+    def test_flags_win_and_none_defers(self, env):
+        from repro.config import BackendSpec
+
+        for name, value in _BACKEND_ENV.items():
+            env.setenv(name, value)
+        spec = BackendSpec.from_env(name="noisy", noise=0.5, pg_schema=None)
+        assert spec == BackendSpec(
+            name="noisy",
+            trace_path="shard.jsonl",
+            noise=0.5,
+            noise_seed=7,
+            pg_dsn="postgresql://host/db",
+            pg_schema="tuning",
+            whatif_cache="pcache",
+        )
+
+    @pytest.mark.parametrize(
+        "variable, value",
+        [("REPRO_NOISE", "abc"), ("REPRO_NOISE_SEED", "1.5")],
+    )
+    def test_malformed_number_names_its_variable(self, env, variable, value):
+        from repro.config import BackendSpec
+
+        env.setenv(variable, value)
+        with pytest.raises(ConstraintError, match=f"^{variable} must be"):
+            BackendSpec.from_env()
+
+    def test_invalid_settings_rejected(self, env):
+        from repro.config import BackendSpec
+
+        with pytest.raises(ConstraintError, match="unknown backend 'bogus'"):
+            BackendSpec(name="bogus")
+        with pytest.raises(ConstraintError, match="noise must be non-negative"):
+            BackendSpec(noise=-0.1)
+        env.setenv("REPRO_BACKEND", "bogus")
+        with pytest.raises(ConstraintError, match="unknown backend"):
+            BackendSpec.from_env()
+
+    def test_pickles(self):
+        import pickle
+
+        from repro.config import BackendSpec
+
+        spec = BackendSpec(name="noisy", noise=0.2, noise_seed=3, whatif_cache="d")
+        assert pickle.loads(pickle.dumps(spec)) == spec
+
+    def test_explicit_config_keeps_the_analytic_backend(self, env):
+        from repro.config import BackendSpec, ReproConfig
+
+        env.setenv("REPRO_BACKEND", "noisy")
+        assert ReproConfig().backend == BackendSpec()
+        assert ReproConfig.from_env().backend.name == "noisy"
+
+    def test_config_from_env_holds_the_env_spec(self, env):
+        from repro.config import BackendSpec, ReproConfig
+
+        for name, value in _BACKEND_ENV.items():
+            env.setenv(name, value)
+        config = ReproConfig.from_env()
+        assert config.backend == BackendSpec.from_env()
+        assert config.whatif_cache == config.backend.whatif_cache == "pcache"
+
+    def test_reexported_by_the_backend_package(self):
+        import repro
+        import repro.backend
+        import repro.backend.factory
+        from repro.config import BackendSpec
+
+        assert repro.BackendSpec is BackendSpec
+        assert repro.backend.BackendSpec is BackendSpec
+        assert repro.backend.factory.BackendSpec is BackendSpec
+
+    def test_resolve_spec(self, env):
+        from repro.backend.factory import resolve_spec
+        from repro.config import BackendSpec, ReproConfig
+
+        config = ReproConfig(backend=BackendSpec(name="noisy", noise=0.4))
+        spec = BackendSpec(name="postgres")
+        assert resolve_spec(spec, config) is spec
+        assert resolve_spec(None, config) is config.backend
+        assert resolve_spec("analytic", config) == BackendSpec(noise=0.4)
+        env.setenv("REPRO_BACKEND", "noisy")
+        assert resolve_spec(None) == BackendSpec(name="noisy")
+        env.setenv("REPRO_BACKEND", "replay")
+        with pytest.raises(TuningError, match="trace path"):
+            resolve_spec(None)
+        env.setenv("REPRO_BACKEND_TRACE", "shard.jsonl")
+        assert resolve_spec(None) == BackendSpec(name="replay", trace_path="shard.jsonl")
