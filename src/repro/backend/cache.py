@@ -260,14 +260,28 @@ class PersistentWhatIfCache:
             self._rewrite = True
         return costs
 
+    def lookup(
+        self, qid: str, key: frozenset[Index]
+    ) -> tuple[float | None, tuple[str, TraceKey]]:
+        """A pair's persisted cost (``None`` on a miss) and its shard entry.
+
+        The entry is the pair under its canonical key, built once here; a
+        miss's fresh pricing is stored under it with :meth:`put_entry`.
+        """
+        entry = (qid, canonical_key(key))
+        return self._load().get(entry), entry
+
     def get(self, qid: str, key: frozenset[Index]) -> float | None:
         """The persisted cost of a (qid, normalized configuration) pair, if any."""
-        return self._load().get((qid, canonical_key(key)))
+        return self.lookup(qid, key)[0]
 
     def put(self, qid: str, key: frozenset[Index], cost: float) -> None:
         """Remember a fresh pricing (queued for the next :meth:`flush`)."""
+        self.put_entry((qid, canonical_key(key)), cost)
+
+    def put_entry(self, entry: tuple[str, TraceKey], cost: float) -> None:
+        """:meth:`put` for an entry :meth:`lookup` already returned."""
         costs = self._load()
-        entry = (qid, canonical_key(key))
         if entry in costs:
             return
         costs[entry] = cost

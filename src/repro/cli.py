@@ -53,7 +53,6 @@ from repro.tuners import (
     TwoPhaseGreedyTuner,
     VanillaGreedyTuner,
 )
-from repro.workload.analysis import bind_query
 from repro.workload.compression import WorkloadCompressor
 from repro.workload.suites import available_workloads, get_workload
 
@@ -493,7 +492,7 @@ def _cmd_compress(args: argparse.Namespace) -> int:
         f"{len(compressed)} representatives"
     )
     for query in compressed:
-        bound = bind_query(workload.schema, query.statement, query.qid)
+        bound = query.bind(workload.schema)
         print(
             f"  {query.qid:6s} weight={query.weight:6.1f} "
             f"joins={bound.num_joins:2d} tables={len(bound.tables)}"

@@ -37,9 +37,13 @@ def relevant_indexes(optimizer: CostBackend, query: Query, candidates) -> list[I
 
 
 def relevant_by_query(optimizer: CostBackend, candidates) -> dict[str, list[Index]]:
-    """:func:`relevant_indexes` for every workload query, keyed by qid."""
+    """:func:`relevant_indexes` for every workload query, keyed by qid
+    (the pool's list and set built once for the pass)."""
+    schema = optimizer.workload.schema
+    pool = list(candidates)
+    members = set(pool)
     return {
-        query.qid: relevant_indexes(optimizer, query, candidates)
+        query.qid: candidates_for_query(schema, query, pool, pool_set=members)
         for query in optimizer.workload
     }
 

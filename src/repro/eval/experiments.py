@@ -49,7 +49,6 @@ from repro.tuners import (
     TwoPhaseGreedyTuner,
     VanillaGreedyTuner,
 )
-from repro.workload.analysis import bind_query
 from repro.workload.suites import get_workload
 
 #: Paper budget grids.
@@ -191,7 +190,7 @@ def table1_workload_statistics(settings: ExperimentSettings | None = None) -> st
         workload = settings.workload(name)
         joins = filters = scans = 0
         for query in workload:
-            bound = bind_query(workload.schema, query.statement, query.qid)
+            bound = query.bind(workload.schema)
             joins += bound.num_joins
             filters += bound.num_filters
             scans += bound.num_scans

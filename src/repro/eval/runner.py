@@ -202,15 +202,16 @@ class ExperimentRunner:
         budget_policy: str | None,
         results: list[TuningResult],
         backend: BackendSpec,
+        sanitize: bool,
     ) -> RunRecord:
         """Fold per-seed outcomes (in seed order) into one record.
 
         This is the single aggregation path for serial and parallel runs:
         the parallel merge feeds it worker-shipped outcomes, the serial
         loop feeds it in-process ones, and the resulting records are
-        bit-identical (timing fields aside).
+        bit-identical (timing fields aside). ``sanitize`` replays each
+        seed's event stream through the validator.
         """
-        sanitize = ReproConfig.from_env().sanitize
         improvements: list[float] = []
         calls: list[float] = []
         elapsed: list[float] = []
@@ -267,6 +268,12 @@ class ExperimentRunner:
             results=results,
         )
 
+    @staticmethod
+    def _run_settings(backend: BackendSpec | str | None) -> tuple[BackendSpec, bool]:
+        """The run's backend spec and sanitize flag, from one environment read."""
+        config = ReproConfig.from_env()
+        return resolve_spec(backend, config), config.sanitize
+
     def _run_specs_serial(
         self, specs: list[CellSpec]
     ) -> tuple[list[SeedOutcome], list[TuningResult]]:
@@ -304,7 +311,7 @@ class ExperimentRunner:
                 spec) applied to every seed (``None`` selects the
                 environment's backend, analytic by default).
         """
-        backend = resolve_spec(backend)
+        backend, sanitize = self._run_settings(backend)
         specs = self._cell_specs(
             factory, budget, constraints, stochastic, budget_policy, backend=backend
         )
@@ -314,7 +321,7 @@ class ExperimentRunner:
         else:
             outcomes, results = self._run_specs_serial(specs)
         return self._aggregate(
-            outcomes, constraints, budget, budget_policy, results, backend
+            outcomes, constraints, budget, budget_policy, results, backend, sanitize
         )
 
     def run_budget_sweep(
@@ -331,7 +338,7 @@ class ExperimentRunner:
         Like :meth:`run_grid` with a single algorithm and a single ``K``;
         under ``parallel > 1`` all (budget, seed) units run concurrently.
         """
-        backend = resolve_spec(backend)
+        backend, sanitize = self._run_settings(backend)
         cells = [
             self._cell_specs(
                 factory, budget, constraints, stochastic, budget_policy,
@@ -344,6 +351,7 @@ class ExperimentRunner:
             [(budget, constraints) for budget in budgets],
             budget_policy,
             backend,
+            sanitize,
         )
 
     def run_grid(
@@ -377,7 +385,7 @@ class ExperimentRunner:
         Returns:
             Records ordered by (K, budget, insertion order of factories).
         """
-        backend = resolve_spec(backend)
+        backend, sanitize = self._run_settings(backend)
         cells: list[list[CellSpec]] = []
         cell_meta: list[tuple[int, TuningConstraints]] = []
         for k in k_values:
@@ -398,7 +406,7 @@ class ExperimentRunner:
                         )
                     )
                     cell_meta.append((budget, constraints))
-        return self._execute_cells(cells, cell_meta, budget_policy, backend)
+        return self._execute_cells(cells, cell_meta, budget_policy, backend, sanitize)
 
     def _execute_cells(
         self,
@@ -406,6 +414,7 @@ class ExperimentRunner:
         cell_meta: list[tuple[int, TuningConstraints]],
         budget_policy: str | None,
         backend: BackendSpec,
+        sanitize: bool,
     ) -> list[RunRecord]:
         """Run grouped cell specs (serially or pooled) and aggregate each."""
         records: list[RunRecord] = []
@@ -418,7 +427,7 @@ class ExperimentRunner:
                 cursor += len(cell)
                 records.append(
                     self._aggregate(
-                        chunk, constraints, budget, budget_policy, [], backend
+                        chunk, constraints, budget, budget_policy, [], backend, sanitize
                     )
                 )
         else:
@@ -426,7 +435,8 @@ class ExperimentRunner:
                 outcomes, results = self._run_specs_serial(cell)
                 records.append(
                     self._aggregate(
-                        outcomes, constraints, budget, budget_policy, results, backend
+                        outcomes, constraints, budget, budget_policy, results, backend,
+                        sanitize,
                     )
                 )
         return records

@@ -83,7 +83,6 @@ from repro.exceptions import TuningError
 from repro.optimizer.cost_model import CostModel
 from repro.optimizer.derivation import CostDerivation, mask_positions
 from repro.optimizer.prepared import PreparedQuery, index_is_relevant
-from repro.workload.analysis import bind_query
 from repro.workload.query import Query, Workload
 
 
@@ -337,11 +336,11 @@ class WhatIfOptimizer:
             observer(qid, key, cost)
 
     def prepared(self, query: Query) -> PreparedQuery:
-        """The prepared form of ``query`` (bound and cached on first use)."""
+        """The prepared form of ``query`` (prepared and cached on first use,
+        from the bound form :meth:`~repro.workload.query.Query.bind` keeps)."""
         cached = self._prepared.get(query.qid)
         if cached is None:
-            bound = bind_query(self._workload.schema, query.statement, query.qid)
-            cached = self._model.prepare(bound)
+            cached = self._model.prepare(query.bind(self._workload.schema))
             self._prepared[query.qid] = cached
             self._relevance[query.qid] = _Relevance()
         return cached
@@ -481,31 +480,30 @@ class WhatIfOptimizer:
             )
         return self._pcache
 
-    def _recall(self, qid: str, key: frozenset[Index]) -> float | None:
-        """A pricing served by the persistent cache, if it has the pair.
+    def _recall(self, qid: str, key: frozenset[Index]) -> tuple[float | None, tuple]:
+        """The persistent cache's cost for a pair (``None`` on a miss) and its entry.
 
-        Serving a cost here replaces pricing *work* only — callers still
-        charge budget, commit caches, and emit events exactly as for a
-        fresh evaluation (REP001/REP101 discipline).
+        Only called with the persistent cache enabled. Serving a cost here
+        replaces pricing *work* only — callers still charge budget, commit
+        caches, and emit events exactly as for a fresh evaluation
+        (REP001/REP101 discipline). A miss's fresh pricing is stored under
+        the returned entry (:meth:`_store`), so a pair's shard key is built
+        once.
         """
-        pcache = self._persistent_cache()
-        if pcache is None:
-            return None
-        cost = pcache.get(qid, key)
+        cost, entry = self._persistent_cache().lookup(qid, key)
         if cost is not None:
             self._stats.persistent_hits += 1
-        return cost
+        return cost, entry
 
-    def _store(self, qid: str, key: frozenset[Index], cost: float) -> None:
-        """Queue a fresh pricing for the persistent cache, when enabled."""
-        pcache = self._persistent_cache()
-        if pcache is not None:
-            pcache.put(qid, key, cost)
+    def _store(self, entry: tuple, cost: float) -> None:
+        """Queue a fresh pricing under the entry :meth:`_recall` returned."""
+        self._persistent_cache().put_entry(entry, cost)
 
     def _price(self, prepared: PreparedQuery, key: frozenset[Index]) -> float:
         """One instrumented cost evaluation (persistent-cache aware)."""
+        entry = None
         if self._whatif_cache is not None:
-            cost = self._recall(prepared.qid, key)
+            cost, entry = self._recall(prepared.qid, key)
             if cost is not None:
                 self._stats.cost_evaluations += 1
                 return cost
@@ -513,8 +511,8 @@ class WhatIfOptimizer:
         cost = self._evaluate(prepared, key)
         self._stats.cost_seconds += perf_counter() - start
         self._stats.cost_evaluations += 1
-        if self._whatif_cache is not None:
-            self._store(prepared.qid, key, cost)
+        if entry is not None:
+            self._store(entry, cost)
         return cost
 
     def _commit_call(
@@ -745,6 +743,7 @@ class WhatIfOptimizer:
         (inline at one job).
         """
         costs: list[float | None] = [None] * len(wave)
+        entries: dict[int, tuple] = {}
         misses: list[int] = []
         speculative = executor.jobs > 1
         recall = self._whatif_cache is not None
@@ -753,7 +752,9 @@ class WhatIfOptimizer:
                 continue
             if speculative:
                 self._stats.speculative_priced += 1
-            recalled = self._recall(qid, key) if recall else None
+            recalled = None
+            if recall:
+                recalled, entries[position] = self._recall(qid, key)
             if recalled is None:
                 misses.append(position)
             else:
@@ -767,8 +768,7 @@ class WhatIfOptimizer:
             for position, cost in zip(misses, fresh, strict=True):
                 costs[position] = cost
                 if recall:
-                    qid, _, key = wave[position]
-                    self._store(qid, key, cost)
+                    self._store(entries[position], cost)
         return costs
 
     def _price_shard(

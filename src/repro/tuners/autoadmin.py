@@ -40,9 +40,12 @@ class AutoAdminGreedyTuner(Tuner):
 
         refined: list[Index] = []
         seen: set[Index] = set()
+        members = set(candidates)
         session.phase("atomic_configurations")
         for query in workload:
-            local = candidates_for_query(workload.schema, query, candidates)
+            local = candidates_for_query(
+                workload.schema, query, candidates, pool_set=members
+            )
             atoms = atomic_configurations(local, max_size=self._atomic_size)
             scored: list[tuple[float, frozenset[Index]]] = []
             base = optimizer.empty_cost(query)

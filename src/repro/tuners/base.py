@@ -381,7 +381,10 @@ class Tuner(abc.ABC):
                 the spent budget.
             optimizer_config: Engine knobs for the what-if optimizer (cache
                 normalization, batch pool size) and the default budget
-                policy selection; engine knobs never affect outcomes.
+                policy selection; engine knobs never affect outcomes. When
+                omitted, the environment is read once here and the same
+                config is passed to the session, the backend factory and
+                the engine.
             budget_policy: Budget discipline: a policy *name* (see
                 :data:`repro.budget.policy.POLICY_NAMES`) built over
                 ``budget``, or a pre-built policy instance (``budget`` must
@@ -426,7 +429,7 @@ class Tuner(abc.ABC):
                 candidates,
                 constraints,
                 backend=backend,
-                optimizer_config=optimizer_config,
+                optimizer_config=config,
             )
         else:
             session = TuningSession(
@@ -435,7 +438,7 @@ class Tuner(abc.ABC):
                 constraints,
                 policy=policy,
                 backend=backend,
-                optimizer_config=optimizer_config,
+                optimizer_config=config,
             )
         optimizer = session.optimizer
         baseline = session.baseline_cost

@@ -29,13 +29,19 @@ from repro.workload.candidates import candidates_for_query
 from repro.workload.query import Workload
 
 
-def merge_indexes(pool: list[Index], schema) -> list[Index]:
+def merge_indexes(pool: list[Index], schema, built: dict | None = None) -> list[Index]:
     """A simplified index-merging pass (Chaudhuri & Narasayya, ICDE'99).
 
     Two pooled indexes on the same table with the same key prefix are merged
     into one whose INCLUDE list is the union of their payloads — trading a
     little width for fewer indexes, as DTA's merging step does.
+
+    ``built`` maps ``(table, keys, include)`` to an index an earlier pass
+    built for it; DTA keeps one map per run, so a merged index is built and
+    sized once however many slices merge it again, and keeps its identity.
     """
+    if built is None:
+        built = {}
     merged: dict[tuple[str, tuple[str, ...]], set[str]] = {}
     for index in pool:
         key = (index.table, index.key_columns)
@@ -46,9 +52,13 @@ def merge_indexes(pool: list[Index], schema) -> list[Index]:
     # independent of pool arrival order (REP004 discipline; downstream greedy
     # re-sorts by the same canonical key, so outcomes are unchanged).
     for (table_name, keys), payload in sorted(merged.items()):
-        table = schema.table(table_name)
-        include = tuple(sorted(payload - set(keys)))
-        result.append(Index.build(table, keys, include))
+        signature = (table_name, keys, tuple(sorted(payload - set(keys))))
+        index = built.get(signature)
+        if index is None:
+            index = built[signature] = Index.build(
+                schema.table(table_name), keys, signature[2]
+            )
+        result.append(index)
     return result
 
 
@@ -88,6 +98,8 @@ class DTATuner(Tuner):
 
         pool: list[Index] = []
         seen: set[tuple] = set()
+        members = set(candidates)
+        merged: dict[tuple, Index] = {}
         best: frozenset[Index] = frozenset()
         best_cost = optimizer.empty_workload_cost()
 
@@ -101,7 +113,9 @@ class DTATuner(Tuner):
                     if remaining is None
                     else max(1, int(remaining * self._per_query_share))
                 )
-                local = candidates_for_query(schema, query, candidates)
+                local = candidates_for_query(
+                    schema, query, candidates, pool_set=members
+                )
                 if not local:
                     continue
                 singleton = Workload(
@@ -128,7 +142,9 @@ class DTATuner(Tuner):
                         pool.append(index)
 
             working_pool = (
-                merge_indexes(pool, schema) if self._merging and pool else list(pool)
+                merge_indexes(pool, schema, merged)
+                if self._merging and pool
+                else list(pool)
             )
             if not working_pool:
                 continue

@@ -12,7 +12,7 @@ from repro.catalog import Index
 from repro.tuners.base import Tuner, TuningSession
 from repro.tuners.greedy import greedy_enumerate
 from repro.workload.candidates import candidates_for_query
-from repro.workload.query import Query, Workload
+from repro.workload.query import Workload
 
 
 class TwoPhaseGreedyTuner(Tuner):
@@ -29,27 +29,22 @@ class TwoPhaseGreedyTuner(Tuner):
     def __init__(self, per_query_candidates: bool = True):
         self._per_query_candidates = per_query_candidates
 
-    def _phase_one_candidates(
-        self,
-        session: TuningSession,
-        query: Query,
-        candidates: list[Index],
-    ) -> list[Index]:
-        if not self._per_query_candidates:
-            return candidates
-        return candidates_for_query(session.workload.schema, query, candidates)
-
     def _enumerate(self, session: TuningSession) -> frozenset[Index]:
         workload = session.workload
         candidates = session.candidates
         constraints = session.constraints
         refined: list[Index] = []
         seen: set[Index] = set()
+        members = set(candidates)
 
         # Phase 1: tune each query as a singleton workload.
         session.phase("per_query_greedy")
         for query in workload:
-            query_candidates = self._phase_one_candidates(session, query, candidates)
+            query_candidates = (
+                candidates_for_query(workload.schema, query, candidates, pool_set=members)
+                if self._per_query_candidates
+                else candidates
+            )
             if not query_candidates:
                 continue
             singleton = Workload(

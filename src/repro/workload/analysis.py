@@ -91,6 +91,8 @@ class BoundJoin:
 class TableAccess:
     """One FROM-clause entry after binding.
 
+    Read-only once bound (see :class:`BoundQuery`).
+
     Attributes:
         binding: Alias (or table name when unaliased); unique per query.
         table: Underlying table name.
@@ -119,6 +121,10 @@ class TableAccess:
 @dataclass
 class BoundQuery:
     """A fully-bound query ready for costing and candidate generation.
+
+    Read-only once bound: :meth:`Query.bind <repro.workload.query.Query.bind>`
+    shares one instance per schema among all consumers, none of which
+    mutates it or its accesses.
 
     Attributes:
         qid: Id of the source :class:`~repro.workload.Query`.
@@ -374,7 +380,8 @@ class _Binder:
 
 
 def bind_query(schema: Schema, statement: ast.SelectStatement, qid: str) -> BoundQuery:
-    """Bind ``statement`` against ``schema``.
+    """Bind ``statement`` against ``schema`` (workload code binds through
+    :meth:`Query.bind <repro.workload.query.Query.bind>`, which memoizes).
 
     Raises:
         UnknownTableError: For unknown tables or duplicate bindings.

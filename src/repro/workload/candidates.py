@@ -127,12 +127,20 @@ class CandidateGenerator:
         return [self._index(signature) for signature in kept]
 
     def for_workload(self, workload: Workload) -> list[Index]:
-        """Deduplicated union of per-query candidates over ``workload``."""
+        """Deduplicated union of per-query candidates over ``workload``.
+
+        Each query records its own list when the workload's schema is this
+        generator's, for :func:`candidates_for_query` to serve.
+        """
         merged: list[Index] = []
         seen: set[tuple] = set()
+        schema = workload.schema
+        record = schema is self._schema
         for query in workload:
-            bound = self._bind(workload, query)
-            for index in self.for_query(bound):
+            own = self.for_query(query.bind(schema))
+            if record:
+                own = query.record_own_candidates(schema, self._options, own)
+            for index in own:
                 signature = index_sort_key(index)
                 if signature not in seen:
                     seen.add(signature)
@@ -149,11 +157,6 @@ class CandidateGenerator:
             table = self._schema.table(table_name)
             index = self._built[signature] = Index.build(table, keys, include)
         return index
-
-    def _bind(self, workload: Workload, query: Query) -> BoundQuery:
-        from repro.workload.analysis import bind_query
-
-        return bind_query(workload.schema, query.statement, query.qid)
 
     def _selectivity(self, access: TableAccess, column: str) -> float:
         """Combined selectivity of the filters on ``column`` (1.0 if none)."""
@@ -240,6 +243,8 @@ def candidates_for_query(
     query: Query,
     pool: list[Index],
     options: CandidateGeneratorOptions | None = None,
+    *,
+    pool_set: set[Index] | frozenset[Index] | None = None,
 ) -> list[Index]:
     """The subset of ``pool`` that is *this query's own* candidate set.
 
@@ -250,16 +255,25 @@ def candidates_for_query(
     subset of it; for externally-supplied pools that share nothing with the
     generator's output, fall back to table-relevance filtering so every
     query keeps a non-trivial pool.
-    """
-    from repro.workload.analysis import bind_query
 
-    bound = bind_query(schema, query.statement, query.qid)
-    generated = CandidateGenerator(schema, options).for_query(bound)
-    pool_set = set(pool)
-    own = [index for index in generated if index in pool_set]
-    if own:
-        return own
-    tables = {access.table for access in bound.accesses.values()}
+    The generated list is made once per query, schema object and options
+    (:meth:`CandidateGenerator.for_workload` records it, else the first
+    call here does); every call returns a fresh list.
+
+    Args:
+        pool_set: ``set(pool)``, for a caller that asks for many queries
+            over one pool (built here when omitted).
+    """
+    options = options or CandidateGeneratorOptions()
+    own = query.own_candidates(schema, options)
+    if own is None:
+        generated = CandidateGenerator(schema, options).for_query(query.bind(schema))
+        own = query.record_own_candidates(schema, options, generated)
+    members = set(pool) if pool_set is None else pool_set
+    result = [index for index in own if index in members]
+    if result:
+        return result
+    tables = query.bind(schema).tables
     return [index for index in pool if index.table in tables]
 
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.exceptions import TuningError
-from repro.workload.analysis import bind_query
 from repro.workload.query import Query, Workload
 
 if TYPE_CHECKING:  # deferred at runtime: the backend imports workload.analysis
@@ -74,7 +73,7 @@ def signature_distance(a: QuerySignature, b: QuerySignature) -> float:
 def query_signature(optimizer: "CostBackend", query: Query) -> QuerySignature:
     """Compute the compression signature of one query."""
     workload = optimizer.workload
-    bound = bind_query(workload.schema, query.statement, query.qid)
+    bound = query.bind(workload.schema)
     filters = frozenset(
         f"{access.table}.{predicate.column}"
         for access in bound.accesses.values()

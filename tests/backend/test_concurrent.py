@@ -304,6 +304,20 @@ def test_pricing_jobs_option_reaches_the_analytic_backend(request, toy_workload)
 
 
 class TestPersistentCache:
+    def test_lookup_entry_is_the_get_and_put_key(self, toy_candidates, tmp_path):
+        from repro.backend.cache import canonical_key
+
+        key = frozenset(toy_candidates[:2])
+        cache = PersistentWhatIfCache(tmp_path, {"backend": "a"})
+        cost, entry = cache.lookup("q1", key)
+        assert cost is None and entry == ("q1", canonical_key(key))
+        cache.put_entry(entry, 2.5)
+        assert cache.lookup("q1", key) == (2.5, entry)
+        cache.put("q2", key, 3.0)
+        assert cache.flush() == 2
+        reopened = PersistentWhatIfCache(tmp_path, {"backend": "a"})
+        assert (reopened.get("q1", key), reopened.get("q2", key)) == (2.5, 3.0)
+
     def test_warm_run_reprices_zero_pairs_bit_identically(
         self, toy_workload, toy_candidates, tmp_path, monkeypatch
     ):

@@ -1,6 +1,9 @@
 """Shared fixtures: a small star schema, a deterministic toy workload, and
 session-cached benchmark workloads; plus the ``--pricing-jobs N`` option,
-which re-runs the suite with the engine's batch waves priced on N jobs."""
+which re-runs the suite with the engine's batch waves priced on N jobs.
+
+The suite runs under the library defaults whatever ``REPRO_*`` settings
+the caller exports (see :func:`_library_defaults`)."""
 
 from __future__ import annotations
 
@@ -45,6 +48,39 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if "requires_postgres" in item.keywords:
             item.add_marker(skip)
+
+
+#: The settings ``ReproConfig.from_env`` and ``BackendSpec.from_env`` read,
+#: except ``REPRO_SANITIZE`` (a CI job sets it to run the suite under the
+#: sanitizers) and ``REPRO_PG_DSN``/``REPRO_PG_SCHEMA`` (the live Postgres
+#: tests need them).
+_CLEARED_SETTINGS = (
+    "REPRO_BACKEND",
+    "REPRO_BACKEND_TRACE",
+    "REPRO_NOISE",
+    "REPRO_NOISE_SEED",
+    "REPRO_WHATIF_CACHE",
+    "REPRO_NORMALIZE_CACHE",
+    "REPRO_BUDGET_POLICY",
+    "REPRO_WII_RELEASE_RATE",
+    "REPRO_ESC_PATIENCE",
+    "REPRO_ESC_MIN_DELTA",
+)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _library_defaults():
+    """Unset the caller's ``REPRO_*`` settings for the whole session.
+
+    Library calls without an explicit config read the environment, so a
+    pin would otherwise test whatever backend or policy the shell selects.
+    Session scope clears them before any module fixture runs a session; a
+    test's own ``monkeypatch.setenv`` still applies on top.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        for name in _CLEARED_SETTINGS:
+            patch.delenv(name, raising=False)
+        yield
 
 
 @pytest.fixture(scope="session")

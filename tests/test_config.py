@@ -272,3 +272,28 @@ class TestBackendSpec:
             resolve_spec(None)
         env.setenv("REPRO_BACKEND_TRACE", "shard.jsonl")
         assert resolve_spec(None) == BackendSpec(name="replay", trace_path="shard.jsonl")
+
+
+class TestSuiteIsolation:
+    """``tests/conftest.py`` unsets every setting the ``from_env`` readers
+    read, except the ones CI and the live Postgres tests rely on."""
+
+    KEPT = frozenset({"REPRO_SANITIZE", "REPRO_PG_DSN", "REPRO_PG_SCHEMA"})
+
+    def test_every_other_setting_is_cleared(self):
+        import re
+        from pathlib import Path
+
+        import repro.config
+        from tests.conftest import _CLEARED_SETTINGS
+
+        source = Path(repro.config.__file__).read_text(encoding="utf-8")
+        read = set(re.findall(r'"(REPRO_[A-Z_]+)"', source))
+        assert read - self.KEPT == set(_CLEARED_SETTINGS)
+
+    def test_cleared_settings_are_unset(self):
+        import os
+
+        from tests.conftest import _CLEARED_SETTINGS
+
+        assert [name for name in _CLEARED_SETTINGS if name in os.environ] == []

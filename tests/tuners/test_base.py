@@ -98,3 +98,52 @@ class TestCandidateValidation:
             VanillaGreedyTuner().tune(
                 toy_workload, budget=10, candidates=[foreign]
             )
+
+
+class TestOneEnvironmentRead:
+    """``tune()`` without a config reads the environment once and passes that
+    config to the session, the backend factory and the engine; a grid run
+    reads it once more for its backend and sanitize flag."""
+
+    @pytest.fixture
+    def env_reads(self, monkeypatch):
+        from repro.config import ReproConfig
+
+        reads = []
+        original = ReproConfig.from_env.__func__
+
+        def counting(cls):
+            reads.append(cls)
+            return original(cls)
+
+        monkeypatch.setattr(ReproConfig, "from_env", classmethod(counting))
+        return reads
+
+    def test_tune_without_config_reads_once(self, env_reads, toy_workload, toy_candidates):
+        from repro.tuners import DTATuner
+
+        DTATuner().tune(toy_workload, 60, candidates=list(toy_candidates))
+        assert len(env_reads) == 1
+
+    def test_tune_with_config_reads_nothing(self, env_reads, toy_workload, toy_candidates):
+        from repro.config import ReproConfig
+        from repro.tuners import DTATuner
+
+        DTATuner().tune(
+            toy_workload,
+            60,
+            candidates=list(toy_candidates),
+            optimizer_config=ReproConfig(),
+        )
+        assert env_reads == []
+
+    def test_grid_reads_once_per_run(self, env_reads, toy_workload, toy_candidates):
+        from repro.eval.runner import ExperimentRunner
+        from repro.tuners import DTATuner
+
+        runner = ExperimentRunner(toy_workload, list(toy_candidates), seeds=[0])
+        records = runner.run_grid(
+            {"dta": (lambda seed: DTATuner(), False)}, budgets=[30, 60], k_values=[3]
+        )
+        assert len(records) == 2
+        assert len(env_reads) == 1 + len(records)  # the run, then one per tune()

@@ -35,6 +35,23 @@ class TestIndexMerging:
         merged = merge_indexes([a, b], star_schema)
         assert "fk1" not in merged[0].include_columns
 
+    def test_built_map_keeps_unchanged_groups(self, star_schema):
+        from repro.catalog import Index
+
+        fact = star_schema.table("fact")
+        a = Index.build(fact, ["fk1"], ["val"])
+        b = Index.build(fact, ["fk2"])
+        c = Index.build(fact, ["fk2"], ["cat"])
+        built = {}
+        first = merge_indexes([a, b], star_schema, built)
+        second = merge_indexes([a, b, c], star_schema, built)
+        assert second[0] is first[0]  # the fk1 group did not change
+        assert second[1] is not first[1]  # the fk2 group gained a payload
+        assert second == merge_indexes([a, b, c], star_schema)
+        assert [repr(ix) for ix in second] == [
+            repr(ix) for ix in merge_indexes([a, b, c], star_schema)
+        ]
+
 
 class TestDTA:
     def test_respects_budget_and_cardinality(self, toy_workload, toy_candidates):
@@ -121,6 +138,90 @@ class TestMergeDeterminism:
             (c.ordinal, c.qid, c.configuration, c.cost)
             for c in second.optimizer.call_log
         ]
+
+
+class TestMergeAcrossSlices:
+    """DTA keeps one merge map per run: a merged index whose group did not
+    change between two slices is the same object in both."""
+
+    def test_unchanged_groups_keep_their_objects(
+        self, monkeypatch, toy_workload, toy_candidates
+    ):
+        from repro.catalog import index_sort_key
+        from repro.tuners import dta
+
+        passes = []
+        original = dta.merge_indexes
+
+        def recording(pool, schema, *args):
+            merged = original(pool, schema, *args)
+            passes.append(merged)
+            return merged
+
+        monkeypatch.setattr(dta, "merge_indexes", recording)
+        DTATuner(slice_queries=2).tune(
+            toy_workload,
+            120,
+            TuningConstraints(max_indexes=5),
+            candidates=list(toy_candidates),
+        )
+        assert len(passes) > 1
+        shared = 0
+        for before, after in zip(passes, passes[1:]):
+            earlier = {index_sort_key(index): index for index in before}
+            for index in after:
+                same = earlier.get(index_sort_key(index))
+                if same is not None:
+                    assert same is index
+                    shared += 1
+        assert shared
+
+
+class TestShardKeysBuiltOnce:
+    """A pricing builds its persistent-cache shard key once: one
+    ``canonical_key`` call per lookup (a fresh pricing is stored under the
+    key its missed lookup built), on a cold and on a warm run of the pinned
+    Real-D session, whose shard stays byte-identical."""
+
+    def test_one_key_per_lookup(self, tmp_path, monkeypatch):
+        import hashlib
+
+        from repro.backend import cache
+        from repro.config import ReproConfig
+        from repro.workload.suites.real import real_d_workload
+
+        built = []
+        original = cache.canonical_key
+
+        def counting(key):
+            built.append(key)
+            return original(key)
+
+        monkeypatch.setattr(cache, "canonical_key", counting)
+
+        def session():
+            workload = real_d_workload(num_tables=791)
+            cap = 3 * workload.schema.total_size_bytes
+            built.clear()
+            result = DTATuner().tune(
+                workload,
+                5000,
+                TuningConstraints(max_indexes=20, max_storage_bytes=cap),
+                optimizer_config=ReproConfig(whatif_cache=str(tmp_path)),
+                budget_policy="wii",
+            )
+            result.optimizer.close()
+            (shard,) = tmp_path.glob("whatif-*.jsonl")
+            digest = hashlib.sha256(shard.read_bytes()).hexdigest()
+            return result.optimizer.stats, len(built), digest
+
+        cold, cold_keys, cold_digest = session()
+        assert cold.persistent_hits == 0
+        assert cold_keys == cold.cost_evaluations == 5032
+        assert cold_digest == PINNED_REAL_D_SHARD
+        warm, warm_keys, warm_digest = session()
+        assert warm_keys == warm.persistent_hits == warm.cost_evaluations == 5032
+        assert warm_digest == PINNED_REAL_D_SHARD
 
 
 class TestRealDSessionPin:
