@@ -98,10 +98,10 @@ def _call_stream(workload, candidates):
     return stream
 
 
-def _measure(name, workload, *, normalize):
+def _measure(name, workload):
     candidates = CandidateGenerator(workload.schema).for_workload(workload)
     stream = _call_stream(workload, candidates)
-    optimizer = WhatIfOptimizer(workload, normalize_cache=normalize)
+    optimizer = WhatIfOptimizer(workload)
     for query in workload:
         optimizer.empty_cost(query)
     start = time.perf_counter()
@@ -111,7 +111,6 @@ def _measure(name, workload, *, normalize):
     stats = optimizer.stats
     return {
         "name": name,
-        "normalize": normalize,
         "queries": len(workload),
         "candidates": len(candidates),
         "stream": len(stream),
@@ -146,8 +145,7 @@ def test_whatif_throughput(benchmark, archive):
         rows = []
         for name, factory in (("tpch", tpch_workload), ("job", job_workload)):
             workload = factory()
-            rows.append(_measure(name, workload, normalize=True))
-            rows.append(_measure(name, workload, normalize=False))
+            rows.append(_measure(name, workload))
             rows.append((name, _measure_batched(workload)))
         return rows, _measure_concurrent(tpch_workload())
 
@@ -161,7 +159,7 @@ def test_whatif_throughput(benchmark, archive):
         "from the first 60 candidates; empty costs pre-warmed; unlimited",
         "budget. Identical to reports/whatif_throughput_seed.txt.",
         "",
-        f"  {'workload':10s} {'normalize':>9s} {'stream':>7s} {'counted':>8s} "
+        f"  {'workload':10s} {'stream':>7s} {'counted':>8s} "
         f"{'calls/sec':>10s} {'hit%':>6s} {'norm_hits':>10s} {'vs seed':>8s}",
     ]
     speedups = {}
@@ -170,11 +168,9 @@ def test_whatif_throughput(benchmark, archive):
             continue
         seed_rate = SEED_CALLS_PER_SEC[row["name"]]
         speedup = row["calls_per_sec"] / seed_rate
-        if row["normalize"]:
-            speedups[row["name"]] = speedup
+        speedups[row["name"]] = speedup
         lines.append(
-            f"  {row['name']:10s} {str(row['normalize']):>9s} "
-            f"{row['stream']:7d} {row['counted']:8d} "
+            f"  {row['name']:10s} {row['stream']:7d} {row['counted']:8d} "
             f"{row['calls_per_sec']:10,.0f} {100 * row['hit_rate']:6.1f} "
             f"{row['normalized_hits']:10d} {speedup:7.1f}x"
         )

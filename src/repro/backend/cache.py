@@ -28,13 +28,13 @@ observable differences are the :class:`~repro.optimizer.whatif.WhatIfStats`
 
 Keying and invalidation: the fingerprint hashes everything a pricing
 depends on — backend name (shards are never shared across backends),
-workload content (qids, SQL, weights), catalog statistics, and
-normalization mode; noisy adds its seed, postgres its DSN/schema/server
-identity. Any change lands in a fresh shard file, so stale costs are
-unreachable rather than detected. Files are append-only and
-duplicate-tolerant: concurrent seed workers append whole lines to the
-same shard, and the loader keeps the last occurrence and skips malformed
-tails.
+workload content (qids, SQL, weights) and catalog statistics; noisy adds
+its seed, postgres its DSN/schema/server identity. Keys are always
+normalized (DESIGN §1), so no setting of the engine enters it. Any change
+lands in a fresh shard file, so stale costs are unreachable rather than
+detected. Files are append-only and duplicate-tolerant: concurrent seed
+workers append whole lines to the same shard, and the loader keeps the
+last occurrence and skips malformed tails.
 """
 
 from __future__ import annotations
@@ -133,7 +133,7 @@ def identity_fingerprint(identity: dict) -> str:
 
 
 class PersistentWhatIfCache:
-    """One fingerprint's shard file: lazy load, ``get``/``put``, append flush.
+    """One fingerprint's shard file: lazy load, lookups, append flush.
 
     Args:
         directory: Cache directory (or a ``--whatif-cache`` selector such
@@ -271,16 +271,9 @@ class PersistentWhatIfCache:
         entry = (qid, canonical_key(key))
         return self._load().get(entry), entry
 
-    def get(self, qid: str, key: frozenset[Index]) -> float | None:
-        """The persisted cost of a (qid, normalized configuration) pair, if any."""
-        return self.lookup(qid, key)[0]
-
-    def put(self, qid: str, key: frozenset[Index], cost: float) -> None:
-        """Remember a fresh pricing (queued for the next :meth:`flush`)."""
-        self.put_entry((qid, canonical_key(key)), cost)
-
     def put_entry(self, entry: tuple[str, TraceKey], cost: float) -> None:
-        """:meth:`put` for an entry :meth:`lookup` already returned."""
+        """Remember a fresh pricing under the entry :meth:`lookup` returned
+        (queued for the next :meth:`flush`)."""
         costs = self._load()
         if entry in costs:
             return

@@ -152,7 +152,6 @@ class ConnectionPool:
         self._setup = tuple(setup)
         self._idle: list = []
         self._lock = threading.Lock()
-        self._opened = 0
 
     @property
     def dsn(self) -> str:
@@ -161,11 +160,6 @@ class ConnectionPool:
     @property
     def schema(self) -> str | None:
         return self._schema
-
-    @property
-    def connections_opened(self) -> int:
-        """Fresh connections opened over the pool's lifetime."""
-        return self._opened
 
     def _open(self):
         if self._connect is not None:
@@ -180,8 +174,6 @@ class ConnectionPool:
             with conn.cursor() as cur:
                 for statement in statements:
                     cur.execute(statement)
-        with self._lock:  # concurrent shards open connections in parallel
-            self._opened += 1
         return conn
 
     @contextmanager

@@ -83,7 +83,6 @@ def build_backend(
     config: ReproConfig | None = None,
     events: "EventLog | None" = None,
     cost_model: "CostModel | None" = None,
-    normalize_cache: bool | None = None,
     **backend_kwargs,
 ) -> "CostBackend":
     """Build the cost backend selected by ``spec`` for ``workload``.
@@ -99,7 +98,6 @@ def build_backend(
     kwargs: dict = dict(
         budget=budget,
         cost_model=cost_model,
-        normalize_cache=normalize_cache,
         whatif_cache=resolved.whatif_cache,
         config=config,
         policy=policy,

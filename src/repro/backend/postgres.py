@@ -153,7 +153,7 @@ class PostgresBackend(AnalyticBackend):
         transient: Exception types treated as transient; defaults to the
             driver's connection-level errors.
         **kwargs: Engine knobs forwarded to the analytic base (budget or
-            policy, normalize_cache, events, ...).
+            policy, whatif_cache, events, ...).
 
     Raises:
         TuningError: When no DSN is configured.

@@ -29,17 +29,15 @@ class ReplayBackend(AnalyticBackend):
     ``CostModel.cost`` raise). Replay ignores ``whatif_cache`` and never
     writes the shard.
 
-    The shard header is authoritative for cache normalization (keys were
-    recorded post-normalization). A shard whose workload fingerprint —
-    queries and catalog statistics — is not the session's, or that holds
-    noisy costs (the noisy backend's clean ground truth bypasses the
-    store), is rejected with a :class:`~repro.exceptions.TraceError`.
+    A shard whose workload fingerprint — queries and catalog statistics —
+    is not the session's, that holds noisy costs (the noisy backend's clean
+    ground truth bypasses the store), or whose keys are not normalized
+    (DESIGN §1) is rejected with a :class:`~repro.exceptions.TraceError`.
 
     Args:
         workload: The workload being tuned; must match the shard header.
         trace_path: The shard file to serve costs from.
-        **kwargs: Forwarded to the analytic engine. ``normalize_cache`` may
-            only be passed if it agrees with the shard header.
+        **kwargs: Forwarded to the analytic engine.
     """
 
     name = "replay"
@@ -68,22 +66,13 @@ class ReplayBackend(AnalyticBackend):
                 f"shard {trace_path} holds noisy costs; a noisy session's "
                 "clean ground truth is not in it, so it cannot be replayed"
             )
-        recorded = identity.get("normalize_cache")
-        requested = kwargs.pop("normalize_cache", None)
-        if requested is not None and requested != recorded:
+        if identity.get("normalize_cache") is not True:
             raise TraceError(
-                f"shard {trace_path} was recorded with "
-                f"normalize_cache={recorded}; cannot replay with "
-                f"normalize_cache={requested}"
+                f"shard {trace_path} holds whole-key costs; sessions count "
+                "and cache normalized keys, so it cannot be replayed"
             )
         kwargs.pop("whatif_cache", None)
-        super().__init__(
-            workload,
-            *args,
-            normalize_cache=recorded,
-            whatif_cache=shard.path,
-            **kwargs,
-        )
+        super().__init__(workload, *args, whatif_cache=shard.path, **kwargs)
         self._pcache = shard
 
     def _evaluate(self, prepared: PreparedQuery, key: frozenset[Index]) -> float:

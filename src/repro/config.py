@@ -152,22 +152,15 @@ class BackendSpec:
 class ReproConfig:
     """Engine/runtime knobs plus the session's budget-policy selection.
 
-    The engine knobs (``normalize_cache``, ``whatif_cache``) switch
-    *how fast* the simulated what-if optimizer runs, never *what* it
-    computes: every combination produces bit-identical costs, budget
-    accounting, and call-log layouts. (How many jobs price a batch wave
-    is no knob at all but a property of the backend's pricer,
+    Which what-if calls count is no knob: DESIGN §1 states the one rule.
+    The engine knob ``whatif_cache`` changes how fast sessions run, never
+    what they compute. (How many jobs price a batch wave is no knob at all
+    but a property of the backend's pricer,
     :attr:`~repro.optimizer.whatif.WhatIfOptimizer.pricing_jobs`.) The
-    budget-policy knobs are the one exception — they select the
-    *semantic* budget discipline of the session (FCFS is the paper's
-    default and the bit-identical baseline).
+    budget-policy knobs select the *semantic* budget discipline of the
+    session (FCFS is the paper's default and the bit-identical baseline).
 
     Attributes:
-        normalize_cache: Normalise every what-if cache key to the query's
-            *relevant* index subset, so configurations differing only in
-            indexes the query cannot use share one cache entry (and one
-            counted call). Costs are provably unchanged — irrelevant
-            indexes contribute no plan options.
         whatif_cache: Persistent cross-session what-if cache directory
             (:mod:`repro.backend.cache`); ``None`` disables it, ``"1"`` /
             ``"default"`` select ``~/.cache/repro``. A cache hit replaces
@@ -199,7 +192,6 @@ class ReproConfig:
             ``whatif_cache``.
     """
 
-    normalize_cache: bool = True
     whatif_cache: str | None = None
     budget_policy: str = "fcfs"
     wii_release_rate: float = 0.5
@@ -231,16 +223,11 @@ class ReproConfig:
     def from_env(cls) -> "ReproConfig":
         """Build a config from the ``REPRO_*`` environment knobs.
 
-        Recognised: ``REPRO_NORMALIZE_CACHE``, ``REPRO_BUDGET_POLICY``,
-        ``REPRO_WII_RELEASE_RATE``, ``REPRO_ESC_PATIENCE``,
-        ``REPRO_ESC_MIN_DELTA``, ``REPRO_SANITIZE``, plus the backend
-        settings' variables through :meth:`BackendSpec.from_env`.
+        Recognised: ``REPRO_BUDGET_POLICY``, ``REPRO_WII_RELEASE_RATE``,
+        ``REPRO_ESC_PATIENCE``, ``REPRO_ESC_MIN_DELTA``, ``REPRO_SANITIZE``,
+        plus the backend settings' variables through
+        :meth:`BackendSpec.from_env`.
         """
-        normalize = os.environ.get("REPRO_NORMALIZE_CACHE", "1") not in (
-            "0",
-            "false",
-            "no",
-        )
         sanitize = os.environ.get("REPRO_SANITIZE", "0") not in (
             "",
             "0",
@@ -249,7 +236,6 @@ class ReproConfig:
         )
         backend = BackendSpec.from_env()
         return cls(
-            normalize_cache=normalize,
             whatif_cache=backend.whatif_cache,
             budget_policy=os.environ.get("REPRO_BUDGET_POLICY", "fcfs"),
             wii_release_rate=float_env("REPRO_WII_RELEASE_RATE", 0.5),

@@ -61,8 +61,8 @@ class RunRecord:
         seconds: Mean wall-clock seconds per run (library time, not the
             simulated what-if latency).
         cache_hit_rate: Mean what-if cache hit rate across seeds.
-        normalized_hits: Mean free lookups owed to relevant-index cache
-            normalization (calls a whole-key cache would have counted).
+        normalized_hits: Mean free lookups whose key lost an index to
+            relevant-index normalization (see ``WhatIfStats``).
         cost_seconds: Mean wall-clock spent inside the cost model.
         persistent_hits: Mean pricings recalled from the persistent
             cross-session what-if cache (0 when no cache is configured).

@@ -88,8 +88,9 @@ class TraceError(ReproError):
 
     Covers an unreadable file, a missing or stale shard header, and
     header mismatches: the shard was recorded against a different
-    workload (queries or catalog statistics) or cache-normalization
-    setting than the replay session, or holds noisy costs.
+    workload (queries or catalog statistics) than the replay session,
+    holds noisy costs, or holds whole-key costs (keys are always
+    normalized, DESIGN §1).
     """
 
 

@@ -4,8 +4,9 @@
 mirrors the AutoAdmin "what-if" API [Chaudhuri & Narasayya, SIGMOD'98]:
 
 * :meth:`whatif_cost` — one *counted* optimizer invocation for a
-  (query, configuration) pair, unless the pair was already evaluated (the
-  cache makes repeats free, as in real tuners);
+  (query, configuration) pair, unless the pair was already evaluated: a
+  call is counted iff ``(qid, C ∩ relevant(q))`` is uncached (the
+  counting rule, DESIGN §1);
 * :meth:`derived_cost` — the free upper-bound approximation of Section 3.1,
   delegated to :class:`~repro.optimizer.derivation.CostDerivation`;
 * a :class:`~repro.budget.policy.BudgetPolicy` (FCFS over a
@@ -16,8 +17,8 @@ mirrors the AutoAdmin "what-if" API [Chaudhuri & Narasayya, SIGMOD'98]:
   the policy ``admits``/``charge`` questions and reports committed calls to
   the session event stream when one is attached.
 
-Three layers make the simulated optimizer fast without touching paper
-semantics:
+Three layers make the simulated optimizer fast; the second also sets
+the key a call is counted under (DESIGN §1):
 
 * **Position-keyed configurations** — the engine interns every index to a
   position the first time it sees one and works on ``int`` bitmasks over
@@ -34,13 +35,11 @@ semantics:
   ``C ∩ relevant(q)`` (see
   :func:`~repro.optimizer.prepared.index_is_relevant`), one AND with the
   query's relevance mask, so configurations differing only in indexes the
-  query cannot use share one cache entry, one counted call, and one
-  derivation record. The relevance mask grows lazily: positions interned
-  after the query was prepared are tested (on their own table only) the
-  first time a mask reaches them. A call is counted iff the *normalized*
-  key is uncached; costs are bit-identical because irrelevant indexes
-  contribute no plan options. Disable with ``normalize_cache=False`` to
-  reproduce whole-key caching (keys are then the raw masks).
+  query cannot use share one cache entry and one derivation record. The
+  relevance mask grows lazily: positions interned after the query was
+  prepared are tested (on their own table only) the first time a mask
+  reaches them. Costs are bit-identical because irrelevant indexes
+  contribute no plan options.
 * **Batched costing** — :meth:`whatif_prefetch` (and
   :meth:`whatif_workload_costs` on top of it) is one pipeline: uncached
   (query, key) pairs are gathered into waves, each wave is priced through
@@ -53,7 +52,7 @@ semantics:
   concurrently over its connection pool. Grants, denials, stats, and the
   event stream are bit-identical for every job count.
 
-A further layer removes pricing work, again without touching semantics:
+A further layer removes pricing work without changing any outcome:
 
 * **Persistent cross-session cache** (``whatif_cache``) — a shard file per
   backend fingerprint (:mod:`repro.backend.cache`) remembers priced pairs
@@ -103,9 +102,8 @@ class WhatIfStats:
     Attributes:
         cache_hits: Free lookups answered from the what-if cache.
         cache_misses: Counted calls (each priced the cost model once).
-        normalized_hits: Free lookups that were free *because* relevant-set
-            normalization collapsed the key — calls the whole-key cache
-            would have counted.
+        normalized_hits: Free lookups whose key lost an index to
+            relevant-set normalization (``C ∩ relevant(q) ≠ C``).
         cost_evaluations: Cost-model pricings, counted and uncounted
             (ground-truth evaluation included).
         cost_seconds: Cumulative wall-clock spent inside
@@ -175,14 +173,12 @@ class WhatIfOptimizer:
         cost_model: Optional pre-built cost model (defaults to a fresh
             :class:`~repro.optimizer.cost_model.CostModel` over the
             workload's schema).
-        normalize_cache: Collapse cache keys to the query's relevant index
-            subset (default on; ``None`` defers to ``config``).
         whatif_cache: Persistent cross-session cache directory (``None``
             defers to ``config``; unset disables). Never affects results.
         config: Engine knobs; defaults to
             :meth:`~repro.config.ReproConfig.from_env` so the
-            ``REPRO_NORMALIZE_CACHE`` / ``REPRO_WHATIF_CACHE`` environment
-            knobs apply to any run that does not pass an explicit config.
+            ``REPRO_WHATIF_CACHE`` environment knob applies to any run
+            that does not pass an explicit config.
         policy: Budget policy authorising counted calls. Defaults to
             :class:`~repro.budget.policy.FCFSPolicy` over ``budget`` (the
             pre-session discipline, bit-identical to a bare meter).
@@ -204,7 +200,6 @@ class WhatIfOptimizer:
         budget: int | None = None,
         cost_model: CostModel | None = None,
         *,
-        normalize_cache: bool | None = None,
         whatif_cache: str | Path | None = None,
         config: ReproConfig | None = None,
         policy: BudgetPolicy | None = None,
@@ -222,9 +217,6 @@ class WhatIfOptimizer:
         self._events = events
         if events is not None and policy is None:
             self._policy.attach(events)
-        self._normalize = (
-            base.normalize_cache if normalize_cache is None else normalize_cache
-        )
         self._whatif_cache = (
             base.whatif_cache if whatif_cache is None else whatif_cache
         )
@@ -303,11 +295,6 @@ class WhatIfOptimizer:
     def stats(self) -> WhatIfStats:
         """Live hot-path counters (cache hits/misses, wall time, …)."""
         return self._stats
-
-    @property
-    def normalize_cache(self) -> bool:
-        """Whether relevant-index cache normalization is active."""
-        return self._normalize
 
     @property
     def cost_model(self) -> CostModel:
@@ -409,15 +396,13 @@ class WhatIfOptimizer:
         return frozenset([self._indexes[position] for position in mask_positions(mask)])
 
     def _norm(self, qid: str, mask: int) -> int:
-        """``mask ∩ relevant(q)`` under normalization, else ``mask`` unchanged.
+        """``mask ∩ relevant(q)``: the key a call is cached and counted under.
 
         The query must have been :meth:`prepared`. A result equal to
         ``mask`` means nothing was dropped. Positions interned since the
         query's relevance was last extended are tested the first time a
         mask reaches them.
         """
-        if not self._normalize:
-            return mask
         relevance = self._relevance[qid]
         if mask.bit_length() > relevance.known:
             self._extend_relevance(qid, relevance)
@@ -465,7 +450,10 @@ class WhatIfOptimizer:
         return {
             "backend": getattr(type(self), "name", "analytic"),
             "workload": workload_fingerprint(self._workload),
-            "normalize_cache": self._normalize,
+            # Keys are always normalized (DESIGN §1). The constant keeps
+            # every shard fingerprint as it was; replay rejects a shard
+            # whose header records whole keys.
+            "normalize_cache": True,
         }
 
     def _persistent_cache(self):
@@ -573,9 +561,9 @@ class WhatIfOptimizer:
     def whatif_cost(self, query: Query, configuration) -> float:
         """``c(q, C)`` via a counted what-if call (cached pairs are free).
 
-        The call is counted iff the *normalized* key is uncached; the policy
-        is charged only after a successful costing, so a cost-model failure
-        never leaks a budget unit.
+        The call is counted iff the *normalized* key is uncached (DESIGN
+        §1); the policy is charged only after a successful costing, so a
+        cost-model failure never leaks a budget unit.
 
         Raises:
             BudgetExhaustedError: If the pair is uncached and the budget

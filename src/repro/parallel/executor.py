@@ -38,7 +38,6 @@ def _run_in_process(spec: CellSpec) -> SeedOutcome:
 def execute_specs(
     specs: list[CellSpec],
     jobs: int,
-    max_tasks_per_child: int | None = None,
 ) -> list[SeedOutcome]:
     """Run every spec and return outcomes in input (grid) order.
 
@@ -46,8 +45,6 @@ def execute_specs(
         specs: The cells to run. Order defines the merge order.
         jobs: Worker process count. ``1`` runs in-process (no pool, no
             pickling) — the reference serial path.
-        max_tasks_per_child: Optional worker recycling (forwarded to the
-            pool; ``None`` = workers live for the whole run).
 
     Raises:
         ParallelExecutionError: A cell raised in its worker, a cell failed
@@ -60,10 +57,7 @@ def execute_specs(
         return [_run_in_process(spec) for spec in specs]
 
     workers = min(jobs, len(specs))
-    pool_kwargs = {}
-    if max_tasks_per_child is not None:
-        pool_kwargs["max_tasks_per_child"] = max_tasks_per_child
-    pool = ProcessPoolExecutor(max_workers=workers, **pool_kwargs)
+    pool = ProcessPoolExecutor(max_workers=workers)
     outcomes: list[SeedOutcome] = []
     try:
         futures = [pool.submit(run_seed, spec) for spec in specs]

@@ -379,12 +379,13 @@ class Tuner(abc.ABC):
                 when omitted. Duplicates are dropped (first occurrence
                 wins), so repeated candidates never change the outcome or
                 the spent budget.
-            optimizer_config: Engine knobs for the what-if optimizer (cache
-                normalization, batch pool size) and the default budget
-                policy selection; engine knobs never affect outcomes. When
-                omitted, the environment is read once here and the same
-                config is passed to the session, the backend factory and
-                the engine.
+            optimizer_config: Engine knobs for the what-if optimizer (the
+                persistent cache) and the default budget policy and
+                backend selection (see :class:`~repro.config.ReproConfig`;
+                which calls count is no knob, DESIGN §1). When omitted,
+                the environment is read once here and the same config is
+                passed to the session, the backend factory and the
+                engine.
             budget_policy: Budget discipline: a policy *name* (see
                 :data:`repro.budget.policy.POLICY_NAMES`) built over
                 ``budget``, or a pre-built policy instance (``budget`` must

@@ -206,9 +206,3 @@ def real_m_workload(num_tables: int = 474) -> Workload:
         hot_table_count=40,
     )
     return WorkloadSynthesizer(schema, profile, seed=_REAL_M_SEED + 1).generate("real_m")
-
-
-def _approx_db_gigabytes(schema: Schema) -> float:
-    """Diagnostic: the generated schema's heap size in GB."""
-    return schema.total_size_bytes / 10**9
-

@@ -313,10 +313,14 @@ class TestPersistentCache:
         assert cost is None and entry == ("q1", canonical_key(key))
         cache.put_entry(entry, 2.5)
         assert cache.lookup("q1", key) == (2.5, entry)
-        cache.put("q2", key, 3.0)
+        _, other = cache.lookup("q2", key)
+        cache.put_entry(other, 3.0)
         assert cache.flush() == 2
         reopened = PersistentWhatIfCache(tmp_path, {"backend": "a"})
-        assert (reopened.get("q1", key), reopened.get("q2", key)) == (2.5, 3.0)
+        assert (reopened.lookup("q1", key), reopened.lookup("q2", key)) == (
+            (2.5, entry),
+            (3.0, other),
+        )
 
     def test_warm_run_reprices_zero_pairs_bit_identically(
         self, toy_workload, toy_candidates, tmp_path, monkeypatch

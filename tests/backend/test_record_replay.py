@@ -236,3 +236,16 @@ def test_replay_refuses_a_noisy_shard(tmp_path, toy_workload):
     recorder.close()
     with pytest.raises(TraceError, match="noisy"):
         _replayer(toy_workload, recorder.whatif_shard)
+
+
+def test_replay_refuses_a_whole_key_shard(tmp_path, toy_workload, toy_candidates):
+    """Keys are always normalized, so a shard whose header records whole
+    keys cannot be replayed."""
+    identity = {**WhatIfOptimizer(toy_workload).cache_identity(), "normalize_cache": False}
+    shard = PersistentWhatIfCache(tmp_path, identity)
+    _, entry = shard.lookup(toy_workload.queries[0].qid, frozenset(toy_candidates[:1]))
+    shard.put_entry(entry, 1.0)
+    assert shard.flush() == 1
+    assert PersistentWhatIfCache.open_shard(shard.path).identity == identity
+    with pytest.raises(TraceError, match="whole-key"):
+        _replayer(toy_workload, shard.path)

@@ -13,6 +13,7 @@ import pytest
 
 from repro.catalog import SchemaBuilder
 from repro.config import TuningConstraints
+from repro.optimizer.prepared import index_is_relevant
 from repro.optimizer.whatif import WhatIfOptimizer
 from repro.workload import CandidateGenerator
 from repro.workload.query import Query, Workload
@@ -60,7 +61,6 @@ _CLEARED_SETTINGS = (
     "REPRO_NOISE",
     "REPRO_NOISE_SEED",
     "REPRO_WHATIF_CACHE",
-    "REPRO_NORMALIZE_CACHE",
     "REPRO_BUDGET_POLICY",
     "REPRO_WII_RELEASE_RATE",
     "REPRO_ESC_PATIENCE",
@@ -105,6 +105,23 @@ def toy_workload(star_schema):
 @pytest.fixture(scope="session")
 def toy_candidates(star_schema, toy_workload):
     return CandidateGenerator(star_schema).for_workload(toy_workload)
+
+
+@pytest.fixture(scope="session")
+def toy_relevant(toy_workload, toy_candidates):
+    """Per toy query id, the candidates relevant to it, in candidate order.
+
+    A key of relevant indexes normalizes to itself, so a pair built from
+    them is a counted call (DESIGN §1)."""
+    optimizer = WhatIfOptimizer(toy_workload)
+    return {
+        query.qid: [
+            index
+            for index in toy_candidates
+            if index_is_relevant(optimizer.prepared(query), index)
+        ]
+        for query in toy_workload
+    }
 
 
 @pytest.fixture(scope="session")

@@ -24,6 +24,16 @@ def _at_jobs(jobs):
     return type(f"WhatIfOptimizerJobs{jobs}", (WhatIfOptimizer,), {"pricing_jobs": jobs})
 
 
+def _singletons(relevant, rank=0):
+    """Per query id: its ``rank``-th relevant candidate, alone."""
+    return {qid: frozenset([indexes[rank % len(indexes)]]) for qid, indexes in relevant.items()}
+
+
+def _relevant_to_all(relevant, rank=0):
+    """One configuration holding every query's ``rank``-th relevant candidate."""
+    return frozenset().union(*_singletons(relevant, rank).values())
+
+
 def _layout(optimizer):
     return [
         (entry.ordinal, entry.qid, entry.configuration, entry.cost)
@@ -53,10 +63,10 @@ class TestPrefetch:
         assert issued <= 1
         assert optimizer.calls_used == issued
 
-    def test_truncates_to_budget(self, toy_workload, toy_candidates):
-        optimizer = WhatIfOptimizer(toy_workload, budget=3, normalize_cache=False)
-        config = frozenset(toy_candidates[:1])
-        issued = optimizer.whatif_prefetch((q, config) for q in toy_workload)
+    def test_truncates_to_budget(self, toy_workload, toy_relevant):
+        optimizer = WhatIfOptimizer(toy_workload, budget=3)
+        configs = _singletons(toy_relevant)
+        issued = optimizer.whatif_prefetch((q, configs[q.qid]) for q in toy_workload)
         assert issued == 3
         assert optimizer.meter.exhausted
         # The first three workload queries got the calls — FCFS.
@@ -64,24 +74,24 @@ class TestPrefetch:
             q.qid for q in list(toy_workload)[:3]
         ]
 
-    def test_limit_caps_below_budget(self, toy_workload, toy_candidates):
-        optimizer = WhatIfOptimizer(toy_workload, budget=10, normalize_cache=False)
-        config = frozenset(toy_candidates[:1])
+    def test_limit_caps_below_budget(self, toy_workload, toy_relevant):
+        optimizer = WhatIfOptimizer(toy_workload, budget=10)
+        configs = _singletons(toy_relevant)
         issued = optimizer.whatif_prefetch(
-            ((q, config) for q in toy_workload), limit=2
+            ((q, configs[q.qid]) for q in toy_workload), limit=2
         )
         assert issued == 2
         assert optimizer.meter.remaining == 8
 
-    def test_ordinals_contiguous_across_batches(self, toy_workload, toy_candidates):
-        optimizer = WhatIfOptimizer(toy_workload, normalize_cache=False)
-        a = frozenset(toy_candidates[:1])
-        b = frozenset(toy_candidates[:2])
-        optimizer.whatif_cost(toy_workload[0], a)
-        optimizer.whatif_prefetch((q, b) for q in toy_workload)
-        optimizer.whatif_cost(toy_workload[1], a)
+    def test_ordinals_contiguous_across_batches(self, toy_workload, toy_relevant):
+        optimizer = WhatIfOptimizer(toy_workload)
+        a = _singletons(toy_relevant)
+        b = _singletons(toy_relevant, rank=1)
+        optimizer.whatif_cost(toy_workload[0], a[toy_workload[0].qid])
+        optimizer.whatif_prefetch((q, b[q.qid]) for q in toy_workload)
+        optimizer.whatif_cost(toy_workload[1], a[toy_workload[1].qid])
         ordinals = [entry.ordinal for entry in optimizer.call_log]
-        assert ordinals == list(range(1, len(ordinals) + 1))
+        assert ordinals == list(range(1, len(toy_workload) + 3))
 
 
 class TestPoolDeterminism:
@@ -121,7 +131,7 @@ class TestPoolDeterminism:
         assert results[1] == results[8]
 
     def test_readmitted_query_is_priced_before_its_charge(
-        self, toy_workload, toy_candidates
+        self, toy_workload, toy_relevant
     ):
         """A query the policy refuses when its wave is priced but admits at
         its turn is priced then, so every job count commits the same calls."""
@@ -131,14 +141,13 @@ class TestPoolDeterminism:
             def admits(self, qid):
                 return qid != late or self.spent > 0
 
+        configs = _singletons(toy_relevant)
+
         def layout(jobs):
             optimizer = _at_jobs(jobs)(
-                toy_workload,
-                policy=LateAdmission(BudgetMeter(None)),
-                normalize_cache=False,
+                toy_workload, policy=LateAdmission(BudgetMeter(None))
             )
-            config = frozenset(toy_candidates[:2])
-            optimizer.whatif_prefetch((query, config) for query in toy_workload)
+            optimizer.whatif_prefetch((query, configs[query.qid]) for query in toy_workload)
             optimizer.close()
             return _layout(optimizer)
 
@@ -160,12 +169,12 @@ class TestPoolDeterminism:
 
 
 class TestWorkloadCostsExhaustion:
-    def test_raise_mode_matches_sequential(self, toy_workload, toy_candidates):
-        config = frozenset(toy_candidates[:1])
-        batched = WhatIfOptimizer(toy_workload, budget=3, normalize_cache=False)
+    def test_raise_mode_matches_sequential(self, toy_workload, toy_relevant):
+        config = _relevant_to_all(toy_relevant)
+        batched = WhatIfOptimizer(toy_workload, budget=3)
         with pytest.raises(BudgetExhaustedError):
             batched.whatif_workload_costs([config])
-        sequential = WhatIfOptimizer(toy_workload, budget=3, normalize_cache=False)
+        sequential = WhatIfOptimizer(toy_workload, budget=3)
         with pytest.raises(BudgetExhaustedError):
             for q in toy_workload:
                 sequential.whatif_cost(q, config)
@@ -173,9 +182,9 @@ class TestWorkloadCostsExhaustion:
         assert batched.calls_used == sequential.calls_used == 3
         assert _layout(batched) == _layout(sequential)
 
-    def test_derived_mode_returns_fcfs_totals(self, toy_workload, toy_candidates):
-        config = frozenset(toy_candidates[:1])
-        optimizer = WhatIfOptimizer(toy_workload, budget=3, normalize_cache=False)
+    def test_derived_mode_returns_fcfs_totals(self, toy_workload, toy_relevant):
+        config = _relevant_to_all(toy_relevant)
+        optimizer = WhatIfOptimizer(toy_workload, budget=3)
         (total,) = optimizer.whatif_workload_costs([config], on_exhausted="derived")
         assert total > 0
         assert optimizer.calls_used == 3
@@ -213,26 +222,25 @@ class TestBudgetMeterEdgeCases:
         assert meter.remaining is None
         assert not meter.exhausted
 
-    def test_zero_budget_optimizer_prices_nothing(self, toy_workload, toy_candidates):
-        optimizer = WhatIfOptimizer(toy_workload, budget=0, normalize_cache=False)
-        issued = optimizer.whatif_prefetch(
-            (q, frozenset(toy_candidates[:1])) for q in toy_workload
-        )
+    def test_zero_budget_optimizer_prices_nothing(self, toy_workload, toy_relevant):
+        optimizer = WhatIfOptimizer(toy_workload, budget=0)
+        configs = _singletons(toy_relevant)
+        issued = optimizer.whatif_prefetch((q, configs[q.qid]) for q in toy_workload)
         assert issued == 0
         with pytest.raises(BudgetExhaustedError):
-            optimizer.whatif_cost(toy_workload[0], frozenset(toy_candidates[:1]))
+            optimizer.whatif_cost(toy_workload[0], configs[toy_workload[0].qid])
 
 
 class TestChargeRollback:
     def test_failed_costing_does_not_leak_budget(
-        self, toy_workload, toy_candidates, monkeypatch
+        self, toy_workload, toy_relevant, monkeypatch
     ):
         """Regression: the seed charged the meter before pricing, so a
         cost-model exception consumed a budget unit without producing a
         cached observation."""
-        optimizer = WhatIfOptimizer(toy_workload, budget=5, normalize_cache=False)
-        config = frozenset(toy_candidates[:2])
+        optimizer = WhatIfOptimizer(toy_workload, budget=5)
         query = toy_workload[0]
+        config = _singletons(toy_relevant)[query.qid]
         optimizer.empty_cost(query)  # warm, so only the counted path raises
 
         def boom(prepared, configuration):
@@ -253,20 +261,16 @@ class TestChargeRollback:
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("entry", ["prefetch", "workload_costs"])
     def test_failed_batch_commits_every_charge(
-        self, toy_workload, toy_candidates, monkeypatch, entry, jobs
+        self, toy_workload, toy_relevant, monkeypatch, entry, jobs
     ):
         """Regression: a batch charged its pairs before pricing them, so a
         cost-model exception left charged units with no committed call."""
-        configs = [frozenset(toy_candidates[i : i + 2]) for i in range(6)]
+        # The 72 pairs normalize to 69 distinct keys, more than the budget.
+        configs = [_relevant_to_all(toy_relevant, rank) for rank in range(6)]
 
         def build():
             events = EventLog()
-            optimizer = _at_jobs(jobs)(
-                toy_workload,
-                budget=50,
-                normalize_cache=False,
-                events=events,
-            )
+            optimizer = _at_jobs(jobs)(toy_workload, budget=50, events=events)
             return optimizer, events
 
         def run(optimizer):

@@ -9,8 +9,7 @@ all-accesses :func:`ref_index_is_relevant` scan) and the frozenset-keyed
 derivation store — kept as executable specifications. Hypothesis drives
 both through the same operation sequence: counted calls, batch prefetches,
 cache probes and derived costs over toy, TPC-H and synthesized workloads,
-in both ``normalize_cache`` modes, on the analytic and a σ = 0.4 noisy
-backend, with merged and widened non-candidate indexes that the engine
+on the analytic and a σ = 0.4 noisy backend, with merged and widened non-candidate indexes that the engine
 first sees after their queries were prepared. Normalized sets, cache
 answers, hit/miss/normalized-hit counts, costs and every derivation probe
 must agree exactly.
@@ -159,14 +158,13 @@ class RefEngine:
 
     def __init__(self, engine: WhatIfOptimizer) -> None:
         self.engine = engine
-        self.normalize = engine.normalize_cache
         self.memo: dict[str, dict] = {}
         self.cache: dict = {}
         self.derivation = RefDerivation()
         self.hits = self.misses = self.normalized_hits = 0
 
     def norm(self, query, key: frozenset) -> frozenset:
-        if not (self.normalize and key):
+        if not key:
             return key
         prepared = self.engine.prepared(query)
         return ref_relevant_subset(prepared, self.memo.setdefault(query.qid, {}), key)
@@ -278,12 +276,8 @@ def _fixture(name: str):
 
 
 _ENGINES = {
-    "analytic": lambda workload, normalize: WhatIfOptimizer(
-        workload, normalize_cache=normalize
-    ),
-    "noisy": lambda workload, normalize: NoisyBackend(
-        workload, noise=0.4, noise_seed=3, normalize_cache=normalize
-    ),
+    "analytic": WhatIfOptimizer,
+    "noisy": lambda workload: NoisyBackend(workload, noise=0.4, noise_seed=3),
 }
 
 _picks = st.lists(st.integers(0, 10**6), max_size=7)
@@ -366,25 +360,23 @@ def _run(engine, ref, workload, pool, ops):
 @given(
     name=st.sampled_from(sorted(_BUILDERS)),
     backend=st.sampled_from(sorted(_ENGINES)),
-    normalize=st.booleans(),
     early=st.lists(_op, max_size=12),
     late=st.lists(_op, min_size=1, max_size=20),
 )
-def test_engine_matches_frozenset_reference(name, backend, normalize, early, late):
+def test_engine_matches_frozenset_reference(name, backend, early, late):
     """Candidate-only operations first (preparing queries and interning
     some candidates), then operations over candidates and non-candidate
     indexes the engine has not seen yet."""
     workload, candidates, late_indexes = _fixture(name)
-    engine = _ENGINES[backend](workload, normalize)
+    engine = _ENGINES[backend](workload)
     ref = RefEngine(engine)
     _run(engine, ref, workload, candidates, early)
     _run(engine, ref, workload, candidates + late_indexes, late)
     for query in workload:
         prepared = engine.prepared(query)
         for index in late_indexes:
-            assert (engine._norm(query.qid, 1 << engine.position(index)) != 0) == (
-                not normalize or ref_index_is_relevant(prepared, index)
-            )
+            kept = engine._norm(query.qid, 1 << engine.position(index)) != 0
+            assert kept == ref_index_is_relevant(prepared, index)
 
 
 def test_late_index_gains_its_relevance_bit():

@@ -1,9 +1,10 @@
-"""Relevant-index cache normalization: semantics-preserving, calls-saving.
+"""Relevant-index cache normalization: the key a call is counted under.
 
-The fast path collapses every what-if cache key to ``C ∩ relevant(q)``.
-These tests pin the two halves of the contract: costs (and plans) are
-bit-identical to whole-key caching, and configurations differing only in
-irrelevant indexes collapse onto one counted call.
+Every what-if cache key is collapsed to ``C ∩ relevant(q)`` (the counting
+rule, DESIGN §1). These tests pin the two halves of the contract: costs
+(and plans) are bit-identical to the cost model's answer on the full key,
+and configurations differing only in irrelevant indexes collapse onto one
+counted call.
 """
 
 import random
@@ -23,56 +24,55 @@ def _random_configs(candidates, rng, count, max_size):
     return configs
 
 
+def _full_key_cost(optimizer, query, config):
+    """The cost model's price of the un-normalized key."""
+    return optimizer.cost_model.cost(optimizer.prepared(query), config)
+
+
 class TestBitIdenticalCosts:
     def test_toy_costs_identical(self, toy_workload, toy_candidates):
         rng = random.Random(0)
         configs = _random_configs(toy_candidates, rng, 40, 5)
-        normalized = WhatIfOptimizer(toy_workload, normalize_cache=True)
-        whole_key = WhatIfOptimizer(toy_workload, normalize_cache=False)
+        optimizer = WhatIfOptimizer(toy_workload)
         for config in configs:
             for query in toy_workload:
-                assert normalized.whatif_cost(query, config) == whole_key.whatif_cost(
-                    query, config
+                assert optimizer.whatif_cost(query, config) == _full_key_cost(
+                    optimizer, query, config
                 )
 
     def test_tpch_costs_identical(self, tpch):
         rng = random.Random(1)
         candidates = CandidateGenerator(tpch.schema).for_workload(tpch)[:40]
         configs = _random_configs(candidates, rng, 15, 4)
-        normalized = WhatIfOptimizer(tpch, normalize_cache=True)
-        whole_key = WhatIfOptimizer(tpch, normalize_cache=False)
+        optimizer = WhatIfOptimizer(tpch)
         for config in configs:
             for query in tpch:
-                assert normalized.whatif_cost(query, config) == whole_key.whatif_cost(
-                    query, config
+                assert optimizer.whatif_cost(query, config) == _full_key_cost(
+                    optimizer, query, config
                 )
 
     def test_true_costs_identical(self, toy_workload, toy_candidates):
         rng = random.Random(2)
         configs = _random_configs(toy_candidates, rng, 20, 4)
-        normalized = WhatIfOptimizer(toy_workload, budget=30, normalize_cache=True)
-        whole_key = WhatIfOptimizer(toy_workload, budget=30, normalize_cache=False)
-        # Warm both with the same singleton observations, then compare the
-        # free interfaces everywhere (including past the budget).
+        optimizer = WhatIfOptimizer(toy_workload, budget=30)
+        # Warm the cache with singleton observations, then compare the
+        # free interface everywhere (including past the budget).
         for index in toy_candidates[:6]:
-            for opt in (normalized, whole_key):
-                if not opt.meter.exhausted:
-                    opt.whatif_cost(toy_workload[0], frozenset({index}))
+            optimizer.whatif_cost(toy_workload[0], frozenset({index}))
         for config in configs:
             for query in toy_workload:
-                assert normalized.true_cost(query, config) == whole_key.true_cost(
-                    query, config
+                assert optimizer.true_cost(query, config) == _full_key_cost(
+                    optimizer, query, config
                 )
 
     def test_explain_costs_identical(self, toy_workload, toy_candidates):
-        # Plans may tie-break equal-cost options differently (set iteration
-        # order), so compare the costed structure, not the rendering.
-        normalized = WhatIfOptimizer(toy_workload, normalize_cache=True)
-        whole_key = WhatIfOptimizer(toy_workload, normalize_cache=False)
+        # Plans may tie-break equal-cost options differently, so compare
+        # the costed structure, not the rendering.
+        optimizer = WhatIfOptimizer(toy_workload)
         config = frozenset(toy_candidates[:4])
         for query in toy_workload:
-            a = normalized.explain(query, config)
-            b = whole_key.explain(query, config)
+            a = optimizer.explain(query, config)
+            b = optimizer.cost_model.explain(optimizer.prepared(query), config)
             assert a.total_cost == b.total_cost
             assert a.sort_cost == b.sort_cost
             assert [j.cost for j in a.joins] == [j.cost for j in b.joins]
@@ -110,14 +110,15 @@ class TestCallCollapsing:
     def test_normalization_saves_counted_calls(self, toy_workload, toy_candidates):
         rng = random.Random(3)
         configs = _random_configs(toy_candidates, rng, 40, 5)
-        normalized = WhatIfOptimizer(toy_workload, normalize_cache=True)
-        whole_key = WhatIfOptimizer(toy_workload, normalize_cache=False)
+        optimizer = WhatIfOptimizer(toy_workload)
         for config in configs:
             for query in toy_workload:
-                normalized.whatif_cost(query, config)
-                whole_key.whatif_cost(query, config)
-        assert normalized.calls_used < whole_key.calls_used
-        assert normalized.stats.normalized_hits > 0
+                optimizer.whatif_cost(query, config)
+        whole_keys = {
+            (query.qid, config) for config in configs if config for query in toy_workload
+        }
+        assert optimizer.calls_used < len(whole_keys)
+        assert optimizer.stats.normalized_hits > 0
 
     def test_relevant_subset_returns_same_object_when_all_relevant(
         self, toy_workload, toy_candidates

@@ -10,9 +10,8 @@ as executable specifications. Hypothesis drives both engines through the
 same sessions over toy and small synthesized workloads: prefetches (with
 limits, masks and index sets), trial probes, counted calls, scoped slice
 allowances and checkpoints (Wii's pool release can re-admit a query), under
-every budget policy and both ``normalize_cache`` modes. Return values,
-raised denials, ``WhatIfStats``, call logs and event streams must agree
-exactly.
+every budget policy. Return values, raised denials, ``WhatIfStats``, call
+logs and event streams must agree exactly.
 """
 
 from __future__ import annotations
@@ -139,10 +138,8 @@ def _fixture(name: str):
     return workload, candidates
 
 
-def _session(engine_cls, workload, candidates, policy: str, budget: int, normalize: bool):
-    engine = engine_cls(
-        workload, policy=build_policy(policy, budget), normalize_cache=normalize
-    )
+def _session(engine_cls, workload, candidates, policy: str, budget: int):
+    engine = engine_cls(workload, policy=build_policy(policy, budget))
     # Intern the pool in one order for both engines, as greedy does.
     for index in candidates:
         engine.position(index)
@@ -241,14 +238,13 @@ def _drive(session, ops, candidates) -> list:
 @given(
     name=st.sampled_from(sorted(_BUILDERS)),
     policy=st.sampled_from(POLICY_NAMES),
-    normalize=st.booleans(),
     budget=st.integers(0, 40),
     ops=st.lists(_op, min_size=1, max_size=30),
 )
-def test_probes_match_policy_first_reference(name, policy, normalize, budget, ops):
+def test_probes_match_policy_first_reference(name, policy, budget, ops):
     workload, candidates = _fixture(name)
-    fast = _session(WhatIfOptimizer, workload, candidates, policy, budget, normalize)
-    ref = _session(RefProbeOptimizer, workload, candidates, policy, budget, normalize)
+    fast = _session(WhatIfOptimizer, workload, candidates, policy, budget)
+    ref = _session(RefProbeOptimizer, workload, candidates, policy, budget)
     assert _drive(fast, ops, candidates) == _drive(ref, ops, candidates)
 
 

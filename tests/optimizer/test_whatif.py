@@ -63,14 +63,15 @@ class TestWhatIfCost:
         optimizer.whatif_cost(toy_workload[0], [b, a])
         assert optimizer.calls_used == 1
 
-    def test_budget_enforced(self, toy_workload, toy_candidates):
-        # normalize_cache off: whole-key caching counts every new pair, so
-        # the meter behaviour is independent of per-query index relevance.
-        optimizer = WhatIfOptimizer(toy_workload, budget=2, normalize_cache=False)
+    def test_budget_enforced(self, toy_workload, toy_relevant):
+        optimizer = WhatIfOptimizer(toy_workload, budget=2)
         for i in range(2):
-            optimizer.whatif_cost(toy_workload[i], frozenset(toy_candidates[:1]))
+            query = toy_workload[i]
+            optimizer.whatif_cost(query, toy_relevant[query.qid][:1])
+        assert optimizer.calls_used == 2
+        query = toy_workload[3]
         with pytest.raises(BudgetExhaustedError):
-            optimizer.whatif_cost(toy_workload[3], frozenset(toy_candidates[:1]))
+            optimizer.whatif_cost(query, toy_relevant[query.qid][:1])
 
     def test_is_cached(self, optimizer, toy_workload, toy_candidates):
         config = frozenset(toy_candidates[:1])
@@ -111,17 +112,16 @@ class TestDerivedCost:
 
 
 class TestCallLog:
-    def test_log_records_layout(self, toy_workload, toy_candidates):
-        # normalize_cache off so both pairs are counted (and logged) even
-        # when the index is irrelevant to one of the queries.
-        optimizer = WhatIfOptimizer(toy_workload, budget=10, normalize_cache=False)
-        config = frozenset(toy_candidates[:1])
-        optimizer.whatif_cost(toy_workload[0], config)
-        optimizer.whatif_cost(toy_workload[1], config)
+    def test_log_records_layout(self, toy_workload, toy_relevant):
+        optimizer = WhatIfOptimizer(toy_workload, budget=10)
+        queries = toy_workload.queries[:2]
+        configs = [frozenset(toy_relevant[query.qid][:1]) for query in queries]
+        for query, config in zip(queries, configs, strict=True):
+            optimizer.whatif_cost(query, config)
         log = optimizer.call_log
         assert [entry.ordinal for entry in log] == [1, 2]
-        assert log[0].qid == toy_workload[0].qid
-        assert log[0].configuration == config
+        assert [entry.qid for entry in log] == [query.qid for query in queries]
+        assert [entry.configuration for entry in log] == configs
 
     def test_cached_calls_not_logged(self, optimizer, toy_workload, toy_candidates):
         config = frozenset(toy_candidates[:1])
