@@ -50,8 +50,10 @@ def main(argv: list[str]) -> int:
         else:
             n_records = len(payload.get("records") or [])
             n_series = len(payload.get("series") or {})
+            sha = str(payload.get("git_sha"))
+            dirty = "-dirty" if sha.endswith("-dirty") else ""
             print(f"ok   {path.name}: {n_records} records, {n_series} series "
-                  f"(sha {str(payload.get('git_sha'))[:12]})")
+                  f"(sha {sha[:12]}{dirty})")
     if failures:
         print(f"{failures}/{len(paths)} archives failed validation",
               file=sys.stderr)

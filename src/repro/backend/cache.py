@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from pathlib import Path
 
@@ -61,6 +62,49 @@ TraceKey = tuple[str, ...]
 def canonical_key(key: frozenset[Index] | frozenset) -> TraceKey:
     """Serialise a configuration into its canonical shard key."""
     return tuple(sorted(ix.display() for ix in key))
+
+
+#: ``json.dumps``'s string encoder (its default ``ensure_ascii=True``).
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _json_number(value: float) -> str:
+    """A cost as ``json.dumps`` writes it: ``float.__repr__`` for a finite
+    float (a NumPy float included), ``NaN``/``Infinity``/``-Infinity`` for
+    the rest, and ``json.dumps`` itself for a non-float."""
+    if not isinstance(value, float):
+        return json.dumps(value)
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _parse_lines(text: str) -> list:
+    """The JSON value of every non-empty line of a shard, in file order.
+
+    One ``json.loads`` over the joined lines parses a whole shard; a file
+    with a line that does not parse on its own (a torn concurrent append)
+    takes the per-line loop, which drops that line.
+    """
+    stripped = (line.strip() for line in text.splitlines())
+    lines = [line for line in stripped if line]
+    try:
+        values = json.loads("[" + ",".join(lines) + "]")
+    except ValueError:
+        values = None
+    if values is not None and len(values) == len(lines):
+        return values
+    values = []
+    for line in lines:
+        try:
+            values.append(json.loads(line))
+        except ValueError:
+            continue  # torn concurrent append; drop the partial line
+    return values
 
 
 def default_cache_dir() -> Path:
@@ -225,14 +269,7 @@ class PersistentWhatIfCache:
         except OSError:
             return costs
         header_ok = False
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except ValueError:
-                continue  # torn concurrent append; drop the partial line
+        for entry in _parse_lines(text):
             if not isinstance(entry, dict):
                 continue
             kind = entry.get("type")
@@ -293,9 +330,12 @@ class PersistentWhatIfCache:
 
     @staticmethod
     def _cost_line(qid: str, key: TraceKey, cost: float) -> str:
-        return json.dumps(
-            {"type": "cost", "qid": qid, "key": list(key), "cost": cost},
-            sort_keys=True,
+        """``json.dumps({"type": "cost", "qid": qid, "key": list(key),
+        "cost": cost}, sort_keys=True)``, written out by hand."""
+        names = ", ".join(map(_quote, key))
+        return (
+            f'{{"cost": {_json_number(cost)}, "key": [{names}], '
+            f'"qid": {_quote(qid)}, "type": "cost"}}'
         )
 
     def flush(self) -> int:

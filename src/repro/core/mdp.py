@@ -44,6 +44,9 @@ class IndexTuningMDP:
         self._sizes = np.array(
             [index.estimated_size_bytes for index in self._candidates], dtype=np.int64
         )
+        # Every position, in the narrowest dtype that holds them all.
+        count = len(self._candidates)
+        self._all_positions = np.arange(count, dtype=np.min_scalar_type(count))
 
     @property
     def candidates(self) -> tuple[Index, ...]:
@@ -67,11 +70,14 @@ class IndexTuningMDP:
 
         One boolean mask over the candidates: those in ``state`` are out,
         and under a storage cap so is every candidate whose size would push
-        the state's total past it.
+        the state's total past it. The positions come in the narrowest
+        unsigned dtype that holds ``len(candidates)`` (``uint16`` for
+        TPC-DS's 761): convert one with ``int()`` before Python-int
+        arithmetic, where a narrow ``1 << p`` would wrap.
         """
         constraints = self._constraints
         if len(state) >= constraints.max_indexes:
-            return np.empty(0, dtype=np.intp)
+            return self._all_positions[:0]
         addable = np.ones(len(self._candidates), dtype=bool)
         positions = self._positions
         addable[[positions[index] for index in state if index in positions]] = False
@@ -79,7 +85,7 @@ class IndexTuningMDP:
         if cap is not None:
             used = sum(index.estimated_size_bytes for index in state)
             addable &= self._sizes + used <= cap
-        return np.flatnonzero(addable)
+        return self._all_positions[addable]
 
     def transition(self, state: frozenset[Index], action: Index) -> frozenset[Index]:
         """``f(s, a) = s ∪ {a}`` — the (only) successor with probability 1."""

@@ -1,5 +1,6 @@
 """Algorithm 3 (MCTS search) tests."""
 
+import numpy as np
 import pytest
 
 from repro.config import MCTSConfig, TuningConstraints
@@ -246,3 +247,42 @@ class TestWideCandidateSet:
             "web_sales(ws_ship_mode_sk) INCLUDE (ws_customer_sk, ws_ext_wholesale_cost, ws_item_sk, ws_sold_date_sk, ws_web_page_sk, ws_web_site_sk)",
         ]
         assert result.true_improvement() == 39.17846489885921
+
+
+class TestWideTreeMemory:
+    """The pinned TPC-DS session's tree: statistics only where a node was
+    selected, positions in the narrowest dtype."""
+
+    @pytest.fixture(scope="class")
+    def root(self):
+        from repro.tuners import MCTSTuner
+        from repro.workload.suites.tpcds import tpcds_workload
+
+        tuner = MCTSTuner(seed=0)
+        tuner.tune(tpcds_workload(), 500, TuningConstraints(max_indexes=20))
+        return tuner.last_search.root
+
+    @staticmethod
+    def nodes(root):
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            stack.extend(node.children.values())
+            yield node
+
+    def test_unselected_nodes_hold_no_statistics(self, root):
+        nodes = list(self.nodes(root))
+        assert len(nodes) == 2108
+        unselected = [node for node in nodes if node.visits == 0]
+        assert len(unselected) == 1525
+        assert not any(node.has_statistics for node in unselected)
+
+    def test_tree_arrays_are_narrow(self, root):
+        total = 0
+        for node in self.nodes(root):
+            assert node.actions.dtype == np.uint16
+            total += node.actions.nbytes
+            if node.has_statistics:
+                total += node.q.nbytes + node.action_visits.nbytes + node.action_returns.nbytes
+        # 51.2 MB if every node allocated its statistics at creation.
+        assert total < 16_000_000

@@ -247,6 +247,38 @@ def test_boltzmann_matches_reference(pair, seed, temperature):
     )
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32))
+def test_first_selection_matches_reference(data, seed):
+    """A node's statistics arrive with its first selection: selecting from
+    a node that never allocated them picks what the reference picks."""
+    width = data.draw(st.integers(min_value=1, max_value=300))
+    chosen = data.draw(st.lists(st.integers(0, width - 1), min_size=1, unique=True))
+    actions = np.array(sorted(chosen), dtype=np.min_scalar_type(width))
+    priors = np.array(data.draw(st.lists(_unit, min_size=width, max_size=width)))
+    if data.draw(st.booleans()):
+        priors = -priors
+    policies = [
+        (EpsilonGreedyPriorPolicy(), ref_epsilon_greedy),
+        (UCTPolicy(), lambda node, rng: ref_uct(node, rng, 2.0**0.5)),
+        (BoltzmannPolicy(temperature=0.1), lambda node, rng: ref_boltzmann(node, rng, 0.1)),
+    ]
+    for policy, ref_select in policies:
+        node = TreeNode.create(frozenset(), actions, priors)
+        ref = RefNode(
+            actions=list(range(len(actions))),
+            stats={
+                slot: RefStats(prior=max(0.0, float(priors[position])))
+                for slot, position in enumerate(actions.tolist())
+            },
+        )
+        assert not node.has_statistics
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        assert policy.select(node, rng) == ref_select(ref, ref_rng)
+        assert rng.getstate() == ref_rng.getstate()
+        assert node.has_statistics
+
+
 # --------------------------------------------------------------------------- #
 # actions
 # --------------------------------------------------------------------------- #

@@ -209,3 +209,64 @@ class TestValidateBenchPayload:
 
         payload = self._valid(records=None, series={"conv": []})
         assert any("is empty" in p for p in validate_bench_payload(payload))
+
+
+class TestGitSha:
+    """Provenance: a payload generated from a changed checkout says so."""
+
+    SHA = "0123456789abcdef0123456789abcdef01234567"
+
+    def _stub_git(self, monkeypatch, status: str) -> list[list[str]]:
+        import subprocess
+
+        monkeypatch.delenv("GITHUB_SHA", raising=False)
+        monkeypatch.delenv("CI_COMMIT_SHA", raising=False)
+        calls: list[list[str]] = []
+
+        def run(args, **kwargs):
+            calls.append(list(args))
+            out = self.SHA + "\n" if args[1] == "rev-parse" else status
+            return subprocess.CompletedProcess(args, 0, stdout=out, stderr="")
+
+        monkeypatch.setattr(subprocess, "run", run)
+        return calls
+
+    def test_changed_tracked_file_marks_the_sha_dirty(self, monkeypatch):
+        from repro.eval.report import _git_sha
+
+        calls = self._stub_git(monkeypatch, " M src/repro/core/node.py\n")
+        assert _git_sha() == f"{self.SHA}-dirty"
+        assert ["git", "status", "--porcelain", "--untracked-files=no"] in calls
+
+    def test_clean_checkout_gives_the_bare_sha(self, monkeypatch):
+        from repro.eval.report import _git_sha
+
+        self._stub_git(monkeypatch, "")
+        assert _git_sha() == self.SHA
+
+    def test_ci_variable_wins_without_git(self, monkeypatch):
+        from repro.eval.report import _git_sha
+
+        calls = self._stub_git(monkeypatch, " M x.py\n")
+        monkeypatch.setenv("GITHUB_SHA", self.SHA)
+        assert _git_sha() == self.SHA
+        assert calls == []
+
+    def test_dirty_sha_is_accepted_provenance(self, tmp_path, capsys):
+        import importlib.util
+        import json
+        from pathlib import Path
+
+        from repro.eval.report import bench_payload, validate_bench_payload
+
+        payload = bench_payload("fig17", records=[record(seeds=[1])])
+        payload["git_sha"] = f"{self.SHA}-dirty"
+        assert validate_bench_payload(payload) == []
+        path = tmp_path / "BENCH_fig17.json"
+        path.write_text(json.dumps(payload))
+        script = Path(__file__).resolve().parents[2] / "benchmarks" / "check_bench.py"
+        spec = importlib.util.spec_from_file_location("check_bench", script)
+        check_bench = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(check_bench)
+        assert check_bench.main([str(path)]) == 0
+        assert "-dirty" in capsys.readouterr().out
