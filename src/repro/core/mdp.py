@@ -87,6 +87,27 @@ class IndexTuningMDP:
             addable &= self._sizes + used <= cap
         return self._all_positions[addable]
 
+    def child_actions(
+        self, actions: np.ndarray, slot: int, child_state: frozenset[Index]
+    ) -> np.ndarray:
+        """``A(s ∪ {a})`` from ``actions = A(s)``, where ``a = actions[slot]``.
+
+        The same array :meth:`actions` builds for ``child_state``, without
+        a pass over every candidate: adding ``a`` removes it, and under a
+        storage cap can only remove more (sizes are non-negative), so the
+        child's actions are the parent's minus the slot, filtered by the cap.
+        """
+        constraints = self._constraints
+        if len(child_state) >= constraints.max_indexes:
+            return self._all_positions[:0]
+        cap = constraints.max_storage_bytes
+        if cap is None:
+            return np.concatenate((actions[:slot], actions[slot + 1 :]))
+        used = sum(index.estimated_size_bytes for index in child_state)
+        keep = self._sizes[actions] + used <= cap
+        keep[slot] = False
+        return actions[keep]
+
     def transition(self, state: frozenset[Index], action: Index) -> frozenset[Index]:
         """``f(s, a) = s ∪ {a}`` — the (only) successor with probability 1."""
         if action in state:

@@ -76,7 +76,10 @@ class TreeNode:
             q = self.priors[self.actions]
             np.maximum(q, 0.0, out=q)
         self._q = q
-        self._action_visits = np.zeros(count, dtype=np.int64)
+        # A count never exceeds the search's episode cap, max(1000, 20·B),
+        # so uint32 holds it; ``returns / visits`` and UCT's ``log / visits``
+        # still divide in float64.
+        self._action_visits = np.zeros(count, dtype=np.uint32)
         self._action_returns = np.zeros(count)
 
     @property

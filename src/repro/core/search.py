@@ -12,7 +12,10 @@ configuration is extracted (Section 6.3).
 
 from __future__ import annotations
 
+import math
 import random
+from bisect import bisect_right
+from itertools import accumulate
 
 import numpy as np
 
@@ -257,7 +260,9 @@ class MCTSSearch:
             if child is None:
                 child_state = self._mdp.transition(node.state, candidates[position])
                 child = TreeNode.create(
-                    child_state, self._mdp.actions(child_state), self._prior_vector
+                    child_state,
+                    self._mdp.child_actions(node.actions, slot, child_state),
+                    self._prior_vector,
                 )
                 node.children[position] = child
             node = child
@@ -277,28 +282,35 @@ class MCTSSearch:
             position = self._episode_cursor % count
             self._episode_cursor += 1
             return position
-        # max(1e-12, value), spelled without a builtin call per query.
-        weights = [value if value > 1e-12 else 1e-12 for value in derived]
-        (position,) = self._rng.choices(range(count), weights=weights, k=1)
-        return position
+        # random.choices(range(count), weights=[max(1e-12, value) ...], k=1),
+        # inline: the same cumulative floats, total and single random() draw.
+        cumulative = list(
+            accumulate([value if value > 1e-12 else 1e-12 for value in derived])
+        )
+        total = cumulative[-1]
+        if not math.isfinite(total):
+            raise ValueError("Total of weights must be finite")
+        return bisect_right(cumulative, self._rng.random() * total, 0, count - 1)
 
     def _evaluate_with_budget(self, configuration: frozenset[Index]) -> float:
         """EvaluateCostWithBudget: one counted call, derived for the rest."""
         optimizer = self._optimizer
-        derived = optimizer.derived_query_costs(configuration)
+        # The engine mask, built once for the derivation, the cache test
+        # and the counted call (positions interned in iteration order).
+        mask = 0
+        for index in configuration:
+            mask |= 1 << optimizer.position(index)
+        derived = optimizer.derived_query_costs(mask)
         total = sum(derived)
-        if not configuration:
+        if not mask:
             return total
         position = self._pick_episode_query(derived)
         target = optimizer.workload[position]
-        if not (
-            optimizer.policy.admits(target.qid)
-            or optimizer.is_cached(target, configuration)
-        ):
+        if not (optimizer.policy.admits(target.qid) or optimizer.is_cached(target, mask)):
             # Denied: return the all-derived total unchanged. Substituting
             # derived[i] back in would perturb the float sum (IEEE addition
             # is not associative) and break bit-identity with the FCFS
             # baseline, so the short-circuit is load-bearing.
             return total
-        exact = optimizer.whatif_cost(target, configuration)
+        exact = optimizer.whatif_cost(target, mask)
         return total - derived[position] + target.weight * exact

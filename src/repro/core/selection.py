@@ -15,8 +15,8 @@ into ``node.actions``:
 
 The sampling policies draw one ``rng.random()`` per step and return the
 first slot whose left-to-right cumulative weight reaches ``random() ×
-total`` (``np.cumsum`` plus a left ``searchsorted``), the total being the
-last cumulative weight.
+total`` (a sequential ``np.add.accumulate`` plus a left ``searchsorted``),
+the total being the last cumulative weight.
 """
 
 from __future__ import annotations
@@ -90,11 +90,13 @@ class EpsilonGreedyPriorPolicy(SelectionPolicy):
     """
 
     def select(self, node: TreeNode, rng: random.Random) -> int:
-        cumulative = np.cumsum(np.maximum(self._q(node), 0.0))
+        # One fresh array per step: clamped, then accumulated in place.
+        cumulative = np.maximum(self._q(node), 0.0)
+        np.add.accumulate(cumulative, out=cumulative)
         total = cumulative[-1]
         if total <= 0.0:
             return rng.randrange(len(cumulative))
-        return int(np.searchsorted(cumulative, rng.random() * total, "left"))
+        return int(cumulative.searchsorted(rng.random() * total))
 
 
 class BoltzmannPolicy(SelectionPolicy):

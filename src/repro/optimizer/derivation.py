@@ -19,19 +19,24 @@ singleton observations in a per-query dict keyed by position (O(|C|)
 probes) and larger observations in a per-query list scanned with that
 subset test; in budget-constrained runs the latter stays short (at most
 one entry per counted call on the query), keeping derivation cheap enough
-to be treated as "free" the way the paper does. A member-keyed index
-(position → query → observations containing it) answers the
-whole-workload and incremental probes — :meth:`CostDerivation.lowest_within`,
-:meth:`CostDerivation.derived_cost_with_extra`,
-:meth:`CostDerivation.has_observation` — by touching only the observations
-that share an index with the probed configuration.
+to be treated as "free" the way the paper does. Member-keyed indexes
+answer the whole-workload and incremental probes by touching only the
+observations that share an index with the probed configuration: one flat
+list per position for :meth:`CostDerivation.lowest_within`, and one list
+per position and query for :meth:`CostDerivation.derived_cost_with_extra`
+and :meth:`CostDerivation.has_observation`. An observation is one
+``(mask, cost, qid)`` tuple, shared by every list that holds it.
 """
 
 from __future__ import annotations
 
 import math
 
-_NO_ENTRIES: dict[str, list[tuple[int, float]]] = {}
+#: A recorded non-empty observation: ``(mask, cost, qid)``.
+Observation = tuple[int, float, str]
+
+_NO_ENTRIES: dict[str, list[Observation]] = {}
+_NO_COSTS: dict[int, float] = {}
 
 
 def mask_positions(mask: int) -> list[int]:
@@ -48,38 +53,46 @@ class CostDerivation:
     """Incrementally maintained store of known what-if costs per query."""
 
     def __init__(self) -> None:
-        self._exact: dict[tuple[str, int], float] = {}
+        # Per query, the lowest recorded cost of each exact mask (one dict
+        # per query, so an observation carries no (qid, mask) key tuple).
+        self._exact: dict[str, dict[int, float]] = {}
         self._singletons: dict[str, dict[int, float]] = {}
-        self._compound: dict[str, list[tuple[int, float]]] = {}
-        # Every non-empty observation under each of its members, per query:
-        # a probe of C touches only the observations sharing an index with C.
-        self._by_member: dict[int, dict[str, list[tuple[int, float]]]] = {}
+        self._compound: dict[str, list[Observation]] = {}
+        # Every non-empty observation under each of its members, once in a
+        # flat list and once per query: a probe of C touches only the
+        # observations sharing an index with C.
+        self._by_member: dict[int, list[Observation]] = {}
+        self._by_member_query: dict[int, dict[str, list[Observation]]] = {}
         self._empty: dict[str, float] = {}
 
     # ------------------------------------------------------------------ #
 
     def record(self, qid: str, configuration: int, cost: float) -> None:
         """Record an observed what-if cost ``c(q, C)`` (``C`` as a mask)."""
-        key = (qid, configuration)
-        previous = self._exact.get(key)
+        exact = self._exact.get(qid)
+        if exact is None:
+            exact = self._exact[qid] = {}
+        previous = exact.get(configuration)
         if previous is not None and previous <= cost:
             return
-        self._exact[key] = cost
+        exact[configuration] = cost
         if not configuration:
             self._empty[qid] = cost
             return
-        entry = (configuration, cost)
+        entry = (configuration, cost, qid)
         members = mask_positions(configuration)
         if len(members) == 1:
             self._singletons.setdefault(qid, {})[members[0]] = cost
         else:
             self._compound.setdefault(qid, []).append(entry)
+        by_member, by_member_query = self._by_member, self._by_member_query
         for member in members:
-            self._by_member.setdefault(member, {}).setdefault(qid, []).append(entry)
+            by_member.setdefault(member, []).append(entry)
+            by_member_query.setdefault(member, {}).setdefault(qid, []).append(entry)
 
     def known_cost(self, qid: str, configuration: int) -> float | None:
         """The recorded what-if cost for the exact pair, if any."""
-        return self._exact.get((qid, configuration))
+        return self._exact.get(qid, _NO_COSTS).get(configuration)
 
     def observations(self, qid: str) -> int:
         """Number of distinct recorded configurations for ``qid``."""
@@ -100,7 +113,7 @@ class CostDerivation:
             empty_cost: ``c(q, ∅)`` — always a known subset cost.
         """
         best = self._empty.get(qid, empty_cost)
-        exact = self._exact.get((qid, configuration))
+        exact = self._exact.get(qid, _NO_COSTS).get(configuration)
         if exact is not None and exact < best:
             best = exact
         singletons = self._singletons.get(qid)
@@ -110,7 +123,7 @@ class CostDerivation:
                 if cost is not None and cost < best:
                     best = cost
         outside = ~configuration
-        for entry, cost in self._compound.get(qid, ()):
+        for entry, cost, _ in self._compound.get(qid, ()):
             if cost < best and not entry & outside:
                 best = cost
         return best
@@ -128,14 +141,11 @@ class CostDerivation:
         lowest: dict[str, float] = {}
         by_member = self._by_member
         outside = ~configuration
+        inf = math.inf
         for member in mask_positions(configuration):
-            for qid, entries in by_member.get(member, _NO_ENTRIES).items():
-                best = lowest.get(qid, math.inf)
-                for entry, cost in entries:
-                    if cost < best and not entry & outside:
-                        best = cost
-                if best < math.inf:
-                    lowest[qid] = best
+            for entry, cost, qid in by_member.get(member, ()):
+                if not entry & outside and cost < lowest.get(qid, inf):
+                    lowest[qid] = cost
         return lowest
 
     def derived_cost_with_extra(
@@ -153,7 +163,7 @@ class CostDerivation:
         """
         best = base_derived
         outside = ~configuration_with_extra
-        for entry, cost in self._by_member.get(extra, _NO_ENTRIES).get(qid, ()):
+        for entry, cost, _ in self._by_member_query.get(extra, _NO_ENTRIES).get(qid, ()):
             if cost < best and not entry & outside:
                 best = cost
         return best
@@ -178,7 +188,7 @@ class CostDerivation:
         observation can tighten the bound — so derived-only search can skip
         the pair entirely.
         """
-        return qid in self._by_member.get(index, _NO_ENTRIES)
+        return qid in self._by_member_query.get(index, _NO_ENTRIES)
 
     def singleton_costs(self, qid: str) -> dict[int, float]:
         """All recorded singleton costs for ``qid``, by position (copy)."""

@@ -231,6 +231,7 @@ class WhatIfOptimizer:
         self._log: list[tuple[str, int, float]] = []
         self._empty_costs: dict[str, float] = {}
         self._weighted_empties: list[float] | None = None
+        self._weights = [query.weight for query in workload]
         self._positions = {query.qid: position for position, query in enumerate(workload)}
         self._stats = WhatIfStats()
         self._cost_observers: list = []
@@ -874,10 +875,11 @@ class WhatIfOptimizer:
         if mask:
             empties = self._empty_costs
             positions = self._positions
+            weights = self._weights
             for qid, cost in self._derivation.lowest_within(mask).items():
                 position = positions.get(qid)
                 if position is not None and cost < empties[qid]:
-                    costs[position] = self._workload[position].weight * cost
+                    costs[position] = weights[position] * cost
         return costs
 
     def derived_workload_cost(self, configuration) -> float:

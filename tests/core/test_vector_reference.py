@@ -8,6 +8,12 @@ specifications. Hypothesis drives both with the same inputs; they must pick
 the same slot, leave the RNG in the same state, return the same action
 positions, and derive exactly equal costs.
 
+The episode loop's own shortcuts are checked the same way: the search's
+inline episode-query draw against ``random.choices``, a child's action set
+taken from its parent's against :meth:`IndexTuningMDP.actions`, and the
+flat member-keyed ``lowest_within`` against a minimum over every recorded
+observation.
+
 One deliberate difference: the sampling references total their weights
 with a left-to-right accumulation (``itertools.accumulate``), not builtin
 ``sum``, which is compensated from CPython 3.12 on. The array code's total
@@ -29,7 +35,9 @@ from repro.backend.noisy import NoisyBackend
 from repro.config import TuningConstraints
 from repro.core.mdp import IndexTuningMDP
 from repro.core.node import TreeNode
+from repro.core.search import MCTSSearch
 from repro.core.selection import BoltzmannPolicy, EpsilonGreedyPriorPolicy, UCTPolicy
+from repro.optimizer.derivation import CostDerivation
 from repro.optimizer.whatif import WhatIfOptimizer
 
 # --------------------------------------------------------------------------- #
@@ -375,3 +383,131 @@ def test_derived_costs_match_reference(data, engine, toy_workload, toy_candidate
             )
             == expected
         )
+
+
+# --------------------------------------------------------------------------- #
+# episode loop
+# --------------------------------------------------------------------------- #
+
+_derived_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-12, 5e-13, -1.0, 1e300, 1e308, -math.inf, math.nan]),
+    st.floats(min_value=-1e6, max_value=1e6),
+    st.floats(min_value=0.0, max_value=1e308),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@pytest.fixture(scope="module")
+def episode_search(toy_workload, toy_candidates):
+    """A search at the paper's defaults: cost-proportional episode queries."""
+    return MCTSSearch(WhatIfOptimizer(toy_workload, budget=None), candidates=toy_candidates)
+
+
+def _same_draw_as_choices(search: MCTSSearch, derived: list[float], seed: int) -> None:
+    ref_rng = random.Random(seed)
+    search._rng.seed(seed)
+    weights = [max(1e-12, value) for value in derived]
+    try:
+        (expected,) = ref_rng.choices(range(len(derived)), weights=weights, k=1)
+    except ValueError as error:
+        with pytest.raises(ValueError, match=str(error)):
+            search._pick_episode_query(derived)
+    else:
+        assert search._pick_episode_query(derived) == expected
+    assert search._rng.getstate() == ref_rng.getstate()
+
+
+# Values at the 1e-12 floor, where flooring decides the draw.
+_tiny_values = st.sampled_from([0.0, -0.0, -1.0, 1e-13, 5e-13, 1e-12, 2e-12, 1e-11])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    derived=st.one_of(
+        st.lists(_derived_values, min_size=1, max_size=40),
+        st.lists(_tiny_values, min_size=1, max_size=8),
+    ),
+    seed=st.integers(0, 2**32),
+)
+def test_episode_query_draw_matches_choices(episode_search, derived, seed):
+    """Same position and RNG state as ``random.choices`` over the floored
+    derived costs, or the same ``ValueError`` when the total is not finite."""
+    _same_draw_as_choices(episode_search, derived, seed)
+
+
+@pytest.mark.parametrize(
+    "derived",
+    [[1.0, math.inf], [math.inf], [1e308, 1e308], [1e308, 0.0, 1e308, -1.0]],
+    ids=["inf", "only-inf", "overflow", "overflow-late"],
+)
+def test_episode_query_draw_rejects_a_non_finite_total(episode_search, derived):
+    with pytest.raises(ValueError, match="finite"):
+        episode_search._pick_episode_query(derived)
+    _same_draw_as_choices(episode_search, derived, seed=7)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_child_actions_match_actions(data, toy_candidates):
+    """Walking down from the root, each child's actions taken from its
+    parent's equal ``actions(child_state)``, dtype included."""
+    mdp_candidates = data.draw(
+        st.lists(st.sampled_from(toy_candidates), min_size=1, max_size=25, unique=True)
+    )
+    sizes = [index.estimated_size_bytes for index in mdp_candidates]
+    cap = data.draw(
+        st.one_of(
+            st.none(),
+            st.integers(min_value=1, max_value=2 * sum(sizes)),
+            # Exactly full after adding one or two candidates.
+            st.sampled_from(sizes + [a + b for a in sizes for b in sizes]),
+        )
+    )
+    constraints = TuningConstraints(
+        max_indexes=data.draw(st.integers(min_value=1, max_value=8)),
+        max_storage_bytes=cap,
+    )
+    mdp = IndexTuningMDP(mdp_candidates, constraints)
+    state = mdp.initial_state
+    actions = mdp.actions(state)
+    while len(actions):
+        slot = data.draw(st.integers(0, len(actions) - 1))
+        state = mdp.transition(state, mdp.candidates[int(actions[slot])])
+        child = mdp.child_actions(actions, slot, state)
+        expected = mdp.actions(state)
+        assert child.dtype == expected.dtype
+        assert child.tolist() == expected.tolist()
+        actions = child
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_lowest_within_matches_brute_force(data):
+    """The flat member-keyed walk against a minimum over every observation
+    ever recorded, lower costs recorded again for the same key included."""
+    derivation = CostDerivation()
+    qids = ["q1", "q2", "q3", "q4"]
+    masks = st.integers(min_value=0, max_value=2**12 - 1)
+    costs = st.one_of(st.floats(min_value=0.0, max_value=1e6), st.just(math.inf))
+    recorded: list[tuple[str, int, float]] = []
+    for qid, mask, cost in data.draw(
+        st.lists(st.tuples(st.sampled_from(qids), masks, costs), max_size=60)
+    ):
+        derivation.record(qid, mask, cost)
+        recorded.append((qid, mask, cost))
+        if data.draw(st.booleans()):
+            # The same key again, cheaper.
+            cheaper = cost / 2 if cost < math.inf else 1.0
+            derivation.record(qid, mask, cheaper)
+            recorded.append((qid, mask, cheaper))
+    for probe in data.draw(st.lists(masks, min_size=1, max_size=10)):
+        expected: dict[str, float] = {}
+        for qid, mask, cost in recorded:
+            if mask and not mask & ~probe and cost < expected.get(qid, math.inf):
+                expected[qid] = cost
+        assert derivation.lowest_within(probe) == expected
+    for qid in qids:
+        for position in range(12):
+            assert derivation.has_observation(qid, position) == any(
+                other == qid and mask >> position & 1 for other, mask, _ in recorded
+            )
