@@ -91,7 +91,11 @@ class CostDerivation:
             by_member_query.setdefault(member, {}).setdefault(qid, []).append(entry)
 
     def known_cost(self, qid: str, configuration: int) -> float | None:
-        """The recorded what-if cost for the exact pair, if any."""
+        """The recorded what-if cost for the exact pair, if any.
+
+        The engine keeps exact costs nowhere else: a normalized non-empty
+        pair is cached (its next call is free) iff this is not ``None``.
+        """
         return self._exact.get(qid, _NO_COSTS).get(configuration)
 
     def observations(self, qid: str) -> int:

@@ -22,15 +22,17 @@ the key a call is counted under (DESIGN §1):
 
 * **Position-keyed configurations** — the engine interns every index to a
   position the first time it sees one and works on ``int`` bitmasks over
-  those positions: the in-memory cache, the batch dedupe set and the
+  those positions: the batch dedupe set and the
   :class:`~repro.optimizer.derivation.CostDerivation` store are keyed on
-  ``(qid, mask)``. Every public method takes a configuration either as an
-  iterable of indexes or as a mask (:meth:`WhatIfOptimizer.position` gives
-  an index's bit), so greedy search carries one mask per step and probes
-  ``step | bit`` without hashing an index. ``frozenset[Index]`` is built
-  only where one is consumed: pricing (the cost model, the persistent
-  shard key, the noise factor, the Postgres sync), cost observers, the
-  call log, and :meth:`WhatIfOptimizer.explain`.
+  ``(qid, mask)``. The store is the one home of exact costs: a pair is
+  cached iff it holds the pair's cost. Every public method takes a
+  configuration either as an iterable of indexes or as a mask
+  (:meth:`WhatIfOptimizer.position` gives an index's bit), so greedy
+  search carries one mask per step and probes ``step | bit`` without
+  hashing an index. ``frozenset[Index]`` is built only where one is
+  consumed: pricing (the cost model, the persistent shard key, the noise
+  factor, the Postgres sync), cost observers, the call log, and
+  :meth:`WhatIfOptimizer.explain`.
 * **Relevant-index cache normalization** — every cache key is collapsed to
   ``C ∩ relevant(q)`` (see
   :func:`~repro.optimizer.prepared.index_is_relevant`), one AND with the
@@ -44,7 +46,7 @@ the key a call is counted under (DESIGN §1):
   :meth:`whatif_workload_costs` on top of it) is one pipeline: uncached
   (query, key) pairs are gathered into waves, each wave is priced through
   the :class:`~repro.backend.concurrent.PricingExecutor`, then a serial
-  loop issues the policy ``try_charge`` sequence and commits cache / log /
+  loop issues the policy ``try_charge`` sequence and commits store / log /
   events strictly in issue order. The pricer sets the job count
   (:attr:`WhatIfOptimizer.pricing_jobs`): on a serial pricer (analytic,
   noisy, replay) a wave is one pair, priced inline right before its
@@ -226,7 +228,8 @@ class WhatIfOptimizer:
         self._relevance: dict[str, _Relevance] = {}
         self._indexes: list[Index] = []
         self._index_positions: dict[Index, int] = {}
-        self._cache: dict[tuple[str, int], float] = {}
+        # The one store of exact costs: every counted call, and each
+        # query's empty cost under mask 0.
         self._derivation = CostDerivation()
         self._log: list[tuple[str, int, float]] = []
         self._empty_costs: dict[str, float] = {}
@@ -507,12 +510,13 @@ class WhatIfOptimizer:
     def _commit_call(
         self, qid: str, norm: int, key: frozenset[Index], cost: float
     ) -> None:
-        """Record one counted call: cache, derivation store, and layout log.
+        """Record one counted call: derivation store and layout log.
 
         ``norm`` is the normalized mask and ``key`` the same configuration
         as indexes (the one that was priced, handed to cost observers).
+        The store's exact cost for ``(qid, norm)`` is what makes the pair
+        cached from now on.
         """
-        self._cache[(qid, norm)] = cost
         self._derivation.record(qid, norm, cost)
         self._log.append((qid, norm, cost))
         if self._cost_observers:
@@ -557,7 +561,7 @@ class WhatIfOptimizer:
             return True
         self.prepared(query)
         norm = self._norm(query.qid, mask)
-        return not norm or (query.qid, norm) in self._cache
+        return not norm or self._derivation.known_cost(query.qid, norm) is not None
 
     def whatif_cost(self, query: Query, configuration) -> float:
         """``c(q, C)`` via a counted what-if call (cached pairs are free).
@@ -581,7 +585,7 @@ class WhatIfOptimizer:
             self._stats.cache_hits += 1
             self._stats.normalized_hits += 1
             return self.empty_cost(query)
-        cached = self._cache.get((qid, norm))
+        cached = self._derivation.known_cost(qid, norm)
         if cached is not None:
             self._stats.cache_hits += 1
             if norm != mask:
@@ -611,7 +615,7 @@ class WhatIfOptimizer:
             self.prepared(query)
         norm = self._norm(qid, trial)
         if norm:
-            cached = self._cache.get((qid, norm))
+            cached = self._derivation.known_cost(qid, norm)
             if cached is not None:
                 self._stats.cache_hits += 1
                 if norm != trial:
@@ -646,7 +650,7 @@ class WhatIfOptimizer:
         pairs, then each pair reserves its counted call through the budget
         policy's :meth:`~repro.budget.policy.BudgetPolicy.try_charge` in issue order
         (denied pairs are skipped and left uncached). Granted pairs are
-        committed to the cache, derivation store, and call log in issue
+        committed to the derivation store and call log in issue
         order when the batch ends — also when a pricing raises, so no
         charge is left without its commit. Under FCFS the granted set is
         exactly the budget-sized prefix, so the result is bit-identical to
@@ -667,7 +671,7 @@ class WhatIfOptimizer:
         executor = self._ensure_pricing_executor()
         wave_size = executor.wave_size
         relevance = self._relevance
-        cache = self._cache
+        known_cost = self._derivation.known_cost
         pairs_iter = iter(pairs)
         seen: set[tuple[str, int]] = set()
         granted: list[tuple[str, int, frozenset[Index], float]] = []
@@ -691,7 +695,7 @@ class WhatIfOptimizer:
                     if not norm:
                         continue
                     cache_key = (qid, norm)
-                    if cache_key in cache or cache_key in seen:
+                    if known_cost(qid, norm) is not None or cache_key in seen:
                         continue
                     seen.add(cache_key)
                     wave.append((qid, self._prepared[qid], self._configuration(norm)))
@@ -822,7 +826,7 @@ class WhatIfOptimizer:
                     self._stats.normalized_hits += 1
                     total += query.weight * self.empty_cost(query)
                     continue
-                cached = self._cache.get((query.qid, norm))
+                cached = self._derivation.known_cost(query.qid, norm)
                 if cached is not None:
                     self._stats.cache_hits += 1
                     if norm != mask:
@@ -903,7 +907,7 @@ class WhatIfOptimizer:
         norm = self._norm(query.qid, mask)
         if not norm:
             return self.empty_cost(query)
-        cached = self._cache.get((query.qid, norm))
+        cached = self._derivation.known_cost(query.qid, norm)
         if cached is not None:
             return cached
         key = self._configuration(norm)

@@ -20,6 +20,20 @@ from repro.sqlparser.lexer import tokenize
 from repro.sqlparser.tokens import Token, TokenType
 
 _AGG_FUNCS = ("COUNT", "SUM", "AVG", "MIN", "MAX")
+_MIRRORED = {"<": ">", ">": "<", "<=": ">=", ">=": "<="}
+
+# Module-level aliases: an enum member lookup costs a class attribute access.
+_KEYWORD = TokenType.KEYWORD
+_IDENTIFIER = TokenType.IDENTIFIER
+_NUMBER = TokenType.NUMBER
+_STRING = TokenType.STRING
+_OPERATOR = TokenType.OPERATOR
+_COMMA = TokenType.COMMA
+_DOT = TokenType.DOT
+_STAR = TokenType.STAR
+_MINUS = TokenType.MINUS
+_EOF = TokenType.EOF
+_LITERAL_STARTS = (_NUMBER, _STRING, _MINUS)
 
 
 class Parser:
@@ -27,38 +41,39 @@ class Parser:
 
     def __init__(self, sql: str):
         self._sql = sql
-        self._tokens = tokenize(sql)
-        self._index = 0
+        self._next_token = iter(tokenize(sql)).__next__
+        self._current = self._next_token()
 
     # ------------------------------------------------------------------ #
     # token-stream helpers
     # ------------------------------------------------------------------ #
 
-    @property
-    def _current(self) -> Token:
-        return self._tokens[self._index]
-
     def _advance(self) -> Token:
         token = self._current
-        if token.ttype is not TokenType.EOF:
-            self._index += 1
+        if token.ttype is not _EOF:
+            self._current = self._next_token()
         return token
 
-    def _error(self, message: str) -> SQLSyntaxError:
-        token = self._current
+    def _error(self, message: str, token: Token | None = None) -> SQLSyntaxError:
+        """An error at ``token`` (by default the current token)."""
+        if token is None:
+            token = self._current
         return SQLSyntaxError(
             f"{message} (found {token.value!r} at position {token.position})",
             sql=self._sql,
             position=token.position,
         )
 
+    # Keywords lex uppercased, and callers pass them uppercased.
     def _expect_keyword(self, word: str) -> Token:
-        if not self._current.is_keyword(word):
+        token = self._current
+        if token.value != word or token.ttype is not _KEYWORD:
             raise self._error(f"expected keyword {word}")
         return self._advance()
 
     def _accept_keyword(self, word: str) -> bool:
-        if self._current.is_keyword(word):
+        token = self._current
+        if token.value == word and token.ttype is _KEYWORD:
             self._advance()
             return True
         return False
@@ -92,7 +107,7 @@ class Parser:
         order_by = self._order_by()
         limit = self._limit()
         self._accept(TokenType.SEMICOLON)
-        if self._current.ttype is not TokenType.EOF:
+        if self._current.ttype is not _EOF:
             raise self._error("unexpected trailing input")
         return ast.SelectStatement(
             select_items=tuple(items),
@@ -106,29 +121,33 @@ class Parser:
 
     def _select_items(self) -> list[ast.SelectItem]:
         items = [self._select_item()]
-        while self._accept(TokenType.COMMA):
+        while self._accept(_COMMA):
             items.append(self._select_item())
         return items
 
     def _select_item(self) -> ast.SelectItem:
-        if self._current.ttype is TokenType.STAR:
+        token = self._current
+        if token.ttype is _STAR:
             self._advance()
             return ast.SelectItem(expression="*")
-        if self._current.ttype is TokenType.KEYWORD and self._current.value in _AGG_FUNCS:
+        if token.ttype is _KEYWORD and token.value in _AGG_FUNCS:
             expr: ast.ColumnRef | ast.Aggregate = self._aggregate()
         else:
             expr = self._column_ref()
-        alias = None
+        return ast.SelectItem(expression=expr, alias=self._alias())
+
+    def _alias(self) -> str | None:
+        """An optional ``[AS] identifier`` after a select item or table."""
         if self._accept_keyword("AS"):
-            alias = self._expect(TokenType.IDENTIFIER).value
-        elif self._current.ttype is TokenType.IDENTIFIER:
-            alias = self._advance().value
-        return ast.SelectItem(expression=expr, alias=alias)
+            return self._expect(_IDENTIFIER).value
+        if self._current.ttype is _IDENTIFIER:
+            return self._advance().value
+        return None
 
     def _aggregate(self) -> ast.Aggregate:
         func = self._advance().value
         self._expect(TokenType.LPAREN)
-        if self._current.ttype is TokenType.STAR:
+        if self._current.ttype is _STAR:
             self._advance()
             argument = None
         else:
@@ -138,120 +157,123 @@ class Parser:
         return ast.Aggregate(func=func, argument=argument)
 
     def _column_ref(self) -> ast.ColumnRef:
-        first = self._expect(TokenType.IDENTIFIER).value
-        if self._accept(TokenType.DOT):
-            second = self._expect(TokenType.IDENTIFIER).value
-            return ast.ColumnRef(column=second, table=first)
+        first = self._expect(_IDENTIFIER).value
+        if self._current.ttype is _DOT:
+            self._advance()
+            return ast.ColumnRef(column=self._expect(_IDENTIFIER).value, table=first)
         return ast.ColumnRef(column=first)
 
     def _table_list(self) -> tuple[list[ast.TableRef], list[ast.Comparison]]:
         tables = [self._table_ref()]
         join_predicates: list[ast.Comparison] = []
         while True:
-            if self._accept(TokenType.COMMA):
+            token = self._current
+            if token.ttype is _COMMA:
+                self._advance()
                 tables.append(self._table_ref())
-            elif self._current.is_keyword("JOIN") or self._current.is_keyword("INNER"):
+            elif token.ttype is _KEYWORD and token.value in ("JOIN", "INNER"):
                 self._accept_keyword("INNER")
                 self._expect_keyword("JOIN")
                 tables.append(self._table_ref())
                 self._expect_keyword("ON")
-                predicate = self._comparison()
-                if not (isinstance(predicate, ast.Comparison) and predicate.is_join):
+                predicate = self._comparison_with_left(self._operand())
+                if not predicate.is_join:
                     raise self._error("JOIN .. ON requires a column = column predicate")
                 join_predicates.append(predicate)
             else:
                 return tables, join_predicates
 
     def _table_ref(self) -> ast.TableRef:
-        name = self._expect(TokenType.IDENTIFIER).value
-        alias = None
-        if self._accept_keyword("AS"):
-            alias = self._expect(TokenType.IDENTIFIER).value
-        elif self._current.ttype is TokenType.IDENTIFIER:
-            alias = self._advance().value
-        return ast.TableRef(table=name, alias=alias)
+        name = self._expect(_IDENTIFIER).value
+        return ast.TableRef(table=name, alias=self._alias())
 
     def _conjunction(self) -> list[ast.Predicate]:
         predicates = [self._predicate()]
         while self._accept_keyword("AND"):
             predicates.append(self._predicate())
-        if self._current.is_keyword("OR"):
+        if self._current.value == "OR" and self._current.ttype is _KEYWORD:
             raise self._error("OR predicates are not supported")
         return predicates
 
     def _predicate(self) -> ast.Predicate:
-        if self._current.ttype in (TokenType.NUMBER, TokenType.STRING, TokenType.MINUS):
+        if self._current.ttype in _LITERAL_STARTS:
             # Literal-first comparison, e.g. ``5 < a``.
             return self._comparison_with_left(self._literal())
         column = self._column_ref()
-        if self._accept_keyword("BETWEEN"):
+        token = self._current
+        word = token.value if token.ttype is _KEYWORD else None
+        if word == "BETWEEN":
+            self._advance()
             low = self._literal()
             self._expect_keyword("AND")
             high = self._literal()
             return ast.Between(column=column, low=low, high=high)
-        if self._accept_keyword("IN"):
+        if word == "IN":
+            self._advance()
             self._expect(TokenType.LPAREN)
             values = [self._literal()]
-            while self._accept(TokenType.COMMA):
+            while self._accept(_COMMA):
                 values.append(self._literal())
             self._expect(TokenType.RPAREN)
             return ast.InList(column=column, values=tuple(values))
-        negated = self._accept_keyword("NOT")
-        if self._accept_keyword("LIKE"):
-            pattern = self._expect(TokenType.STRING).value
+        if word == "NOT" or word == "LIKE":
+            self._advance()
+            negated = word == "NOT"
+            if negated and not self._accept_keyword("LIKE"):
+                raise self._error("expected LIKE after NOT")
+            pattern = self._expect(_STRING).value
             return ast.Like(column=column, pattern=pattern, negated=negated)
-        if negated:
-            raise self._error("expected LIKE after NOT")
-        if self._accept_keyword("IS"):
+        if word == "IS":
+            self._advance()
             negated = self._accept_keyword("NOT")
             self._expect_keyword("NULL")
             return ast.IsNull(column=column, negated=negated)
-        return self._comparison_tail(column)
-
-    def _comparison(self) -> ast.Comparison:
-        left = self._operand()
-        return self._comparison_with_left(left)
-
-    def _comparison_tail(self, left: ast.ColumnRef) -> ast.Comparison:
-        return self._comparison_with_left(left)
+        return self._comparison_with_left(column)
 
     def _comparison_with_left(
         self, left: ast.ColumnRef | ast.Literal
     ) -> ast.Comparison:
-        if self._current.ttype is not TokenType.OPERATOR:
+        if self._current.ttype is not _OPERATOR:
             raise self._error("expected comparison operator")
         op = self._advance().value
         right = self._operand()
         if isinstance(left, ast.Literal) and isinstance(right, ast.ColumnRef):
             # Canonicalise literal-first comparisons: ``5 < a`` → ``a > 5``.
             left, right = right, left
-            op = {"<": ">", ">": "<", "<=": ">=", ">=": "<="}.get(op, op)
+            op = _MIRRORED.get(op, op)
         return ast.Comparison(left=left, op=op, right=right)
 
     def _operand(self) -> ast.ColumnRef | ast.Literal:
-        if self._current.ttype in (TokenType.NUMBER, TokenType.STRING, TokenType.MINUS):
+        if self._current.ttype in _LITERAL_STARTS:
             return self._literal()
         return self._column_ref()
 
     def _literal(self) -> ast.Literal:
-        if self._accept(TokenType.MINUS):
-            token = self._expect(TokenType.NUMBER)
-            return ast.Literal(value=-float(token.value))
         token = self._current
-        if token.ttype is TokenType.NUMBER:
+        if token.ttype is _MINUS:
             self._advance()
-            return ast.Literal(value=float(token.value))
-        if token.ttype is TokenType.STRING:
+            return ast.Literal(value=-self._number(self._expect(_NUMBER)))
+        if token.ttype is _NUMBER:
+            self._advance()
+            return ast.Literal(value=self._number(token))
+        if token.ttype is _STRING:
             self._advance()
             return ast.Literal(value=token.value)
         raise self._error("expected literal")
+
+    def _number(self, token: Token) -> float:
+        """A NUMBER token's value; ``float`` rejects digits like ``²``."""
+        try:
+            return float(token.value)
+        except ValueError:
+            raise self._error("malformed number", token) from None
 
     def _group_by(self) -> list[ast.ColumnRef]:
         if not self._accept_keyword("GROUP"):
             return []
         self._expect_keyword("BY")
         columns = [self._column_ref()]
-        while self._accept(TokenType.COMMA):
+        while self._accept(_COMMA):
             columns.append(self._column_ref())
         return columns
 
@@ -260,7 +282,7 @@ class Parser:
             return []
         self._expect_keyword("BY")
         items = [self._order_item()]
-        while self._accept(TokenType.COMMA):
+        while self._accept(_COMMA):
             items.append(self._order_item())
         return items
 
@@ -276,9 +298,9 @@ class Parser:
     def _limit(self) -> int | None:
         if not self._accept_keyword("LIMIT"):
             return None
-        token = self._expect(TokenType.NUMBER)
-        value = float(token.value)
-        if value != int(value) or value < 0:
+        value = self._number(self._expect(_NUMBER))
+        # is_integer() is false for inf too (a LIMIT past the float range).
+        if not value.is_integer() or value < 0:
             raise self._error("LIMIT must be a non-negative integer")
         return int(value)
 

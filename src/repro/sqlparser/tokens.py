@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class TokenType(enum.Enum):
@@ -59,9 +59,8 @@ KEYWORDS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class Token:
-    """One lexical token.
+class Token(NamedTuple):
+    """One lexical token, a ``(ttype, value, position)`` tuple.
 
     Attributes:
         ttype: Token category.

@@ -48,7 +48,7 @@ class RefProbeOptimizer(WhatIfOptimizer):
         norm = self._norm(query.qid, trial)
         if not norm:
             return self.empty_cost(query)
-        cached = self._cache.get((query.qid, norm))
+        cached = self._derivation.known_cost(query.qid, norm)
         if cached is not None:
             self._stats.cache_hits += 1
             if norm != trial:
@@ -79,7 +79,7 @@ class RefProbeOptimizer(WhatIfOptimizer):
                     if not norm:
                         continue
                     cache_key = (qid, norm)
-                    if cache_key in self._cache or cache_key in seen:
+                    if self._derivation.known_cost(qid, norm) is not None or cache_key in seen:
                         continue
                     seen.add(cache_key)
                     wave.append((qid, prepared, self._configuration(norm)))

@@ -220,6 +220,25 @@ class TestErrors:
             parse_select("SELECT a FROM r WHERE")
         assert excinfo.value.sql is not None
 
+    @pytest.mark.parametrize(
+        "sql, position",
+        [
+            ("SELECT a FROM t LIMIT ²", 22),
+            ("SELECT a FROM t WHERE a = 1²", 26),
+            ("SELECT a FROM t WHERE a = -፩", 27),
+            ("SELECT a FROM t WHERE a IN (1, .²)", 31),
+        ],
+    )
+    def test_number_float_rejects_is_a_syntax_error(self, sql, position):
+        # ² and ፩ lex as digits (str.isdigit), but float() rejects them.
+        with pytest.raises(SQLSyntaxError, match="malformed number") as excinfo:
+            parse_select(sql)
+        assert excinfo.value.position == position
+
+    def test_limit_past_the_float_range_is_a_syntax_error(self):
+        with pytest.raises(SQLSyntaxError, match="LIMIT must be a non-negative integer"):
+            parse_select("SELECT a FROM t LIMIT " + "9" * 400)
+
 
 class TestRendering:
     def test_literal_render_string_escapes(self):
