@@ -6,7 +6,8 @@ eval grid, the parallel workers, and the CLI talk to when they need a
 surface the stack consumes:
 
 * budget-metered costing (:meth:`~CostBackend.whatif_cost`, the greedy hot
-  path :meth:`~CostBackend.trial_cost`, and the batched
+  path — one probe with :meth:`~CostBackend.trial_cost`, a whole step with
+  :meth:`~CostBackend.greedy_step_costs` — and the batched
   :meth:`~CostBackend.whatif_prefetch` /
   :meth:`~CostBackend.whatif_workload_costs`);
 * free derived costing (:meth:`~CostBackend.derived_cost` and friends,
@@ -55,7 +56,8 @@ class CostBackend(Protocol):
     * a configuration is an iterable of indexes or an ``int`` bitmask over
       the backend's index positions (:meth:`position` interns an index;
       bit ``1 << position`` stands for it), interchangeably, in every
-      method that takes one; :meth:`trial_cost` takes masks only;
+      method that takes one; :meth:`trial_cost` and
+      :meth:`greedy_step_costs` take masks only;
     * a call is *counted* iff the normalized (query, configuration) pair is
       uncached and the budget :attr:`policy` grants it; cached pairs are
       free and bit-stable;
@@ -64,6 +66,9 @@ class CostBackend(Protocol):
     * :meth:`whatif_prefetch` / :meth:`whatif_workload_costs` commit cache,
       budget, and log updates strictly in issue order, so batched costing
       is bit-identical to the sequential loop for every pool size;
+    * :meth:`greedy_step_costs` returns every trial's workload cost with
+      the floats, counted calls, stats, log and events of prefetching the
+      step's pairs and then probing each with :meth:`trial_cost`;
     * cost evaluations are deterministic per backend instance configuration
       (a seeded noisy backend included): rebuilding the same backend and
       replaying the same call sequence yields identical floats;
@@ -133,6 +138,10 @@ class CostBackend(Protocol):
     def trial_cost(
         self, query: "Query", base_cost: float, trial: int, extra: int
     ) -> float: ...
+
+    def greedy_step_costs(
+        self, trials, current: dict[str, float], best_cost: float
+    ) -> list[float]: ...
 
     def whatif_prefetch(self, pairs, *, limit: int | None = None) -> int: ...
 

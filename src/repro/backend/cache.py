@@ -297,20 +297,18 @@ class PersistentWhatIfCache:
             self._rewrite = True
         return costs
 
-    def lookup(
-        self, qid: str, key: frozenset[Index]
-    ) -> tuple[float | None, tuple[str, TraceKey]]:
-        """A pair's persisted cost (``None`` on a miss) and its shard entry.
+    def recall(self, entry: tuple[str, TraceKey]) -> float | None:
+        """The persisted cost of a ``(qid, canonical key)`` entry, if any.
 
-        The entry is the pair under its canonical key, built once here; a
-        miss's fresh pricing is stored under it with :meth:`put_entry`.
+        The caller builds the entry once (the what-if engine from display
+        strings it keeps per index position, equal to :func:`canonical_key`)
+        and stores a miss's fresh pricing under it with :meth:`put_entry`.
         """
-        entry = (qid, canonical_key(key))
-        return self._load().get(entry), entry
+        return self._load().get(entry)
 
     def put_entry(self, entry: tuple[str, TraceKey], cost: float) -> None:
-        """Remember a fresh pricing under the entry :meth:`lookup` returned
-        (queued for the next :meth:`flush`)."""
+        """Remember a fresh pricing under its ``(qid, canonical key)``
+        entry (queued for the next :meth:`flush`)."""
         costs = self._load()
         if entry in costs:
             return

@@ -34,6 +34,7 @@ METERED_NAMES = frozenset(
     {
         "whatif_cost",
         "trial_cost",
+        "greedy_step_costs",
         "whatif_prefetch",
         "whatif_workload_costs",
         "whatif_workload_cost",

@@ -98,6 +98,18 @@ class CostDerivation:
         """
         return self._exact.get(qid, _NO_COSTS).get(configuration)
 
+    def exact_costs(self, qid: str) -> dict[int, float]:
+        """``qid``'s exact costs by mask: the live map :meth:`known_cost` reads.
+
+        For a caller that looks up many masks of one query; it must not
+        write to it. A query with no cost yet gets its (empty) map here, so
+        the map stays live as costs are recorded.
+        """
+        exact = self._exact.get(qid)
+        if exact is None:
+            exact = self._exact[qid] = {}
+        return exact
+
     def observations(self, qid: str) -> int:
         """Number of distinct recorded configurations for ``qid``."""
         return (

@@ -28,11 +28,13 @@ the key a call is counted under (DESIGN §1):
   cached iff it holds the pair's cost. Every public method takes a
   configuration either as an iterable of indexes or as a mask
   (:meth:`WhatIfOptimizer.position` gives an index's bit), so greedy
-  search carries one mask per step and probes ``step | bit`` without
-  hashing an index. ``frozenset[Index]`` is built only where one is
-  consumed: pricing (the cost model, the persistent shard key, the noise
-  factor, the Postgres sync), cost observers, the call log, and
-  :meth:`WhatIfOptimizer.explain`.
+  search carries one mask per step and prices a whole step's trials
+  ``step | bit`` in one :meth:`WhatIfOptimizer.greedy_step_costs` call
+  without hashing an index. ``frozenset[Index]`` is built only where one
+  is consumed: a fresh evaluation (the cost model, the noise factor, the
+  Postgres sync), cost observers, the call log, and
+  :meth:`WhatIfOptimizer.explain`; a persistent shard key is built from
+  display strings kept per position.
 * **Relevant-index cache normalization** — every cache key is collapsed to
   ``C ∩ relevant(q)`` (see
   :func:`~repro.optimizer.prepared.index_is_relevant`), one AND with the
@@ -44,9 +46,10 @@ the key a call is counted under (DESIGN §1):
   contribute no plan options.
 * **Batched costing** — :meth:`whatif_prefetch` (and
   :meth:`whatif_workload_costs` on top of it) is one pipeline: uncached
-  (query, key) pairs are gathered into waves, each wave is priced through
-  the :class:`~repro.backend.concurrent.PricingExecutor`, then a serial
-  loop issues the policy ``try_charge`` sequence and commits store / log /
+  (query, key) pairs are gathered into waves of normalized masks, each
+  wave is priced through the
+  :class:`~repro.backend.concurrent.PricingExecutor`, then a serial loop
+  issues the policy ``try_charge`` sequence and commits store / log /
   events strictly in issue order. The pricer sets the job count
   (:attr:`WhatIfOptimizer.pricing_jobs`): on a serial pricer (analytic,
   noisy, replay) a wave is one pair, priced inline right before its
@@ -228,6 +231,9 @@ class WhatIfOptimizer:
         self._relevance: dict[str, _Relevance] = {}
         self._indexes: list[Index] = []
         self._index_positions: dict[Index, int] = {}
+        # Each position's display string, filled up to the highest position
+        # a shard key has needed (only a session with a store builds keys).
+        self._displays: list[str] = []
         # The one store of exact costs: every counted call, and each
         # query's empty cost under mask 0.
         self._derivation = CostDerivation()
@@ -415,10 +421,14 @@ class WhatIfOptimizer:
     def _extend_relevance(self, qid: str, relevance: _Relevance) -> None:
         """Test every position interned since ``relevance`` was last extended."""
         prepared = self._prepared[qid]
+        tables = prepared.by_table
         indexes = self._indexes
         mask = relevance.mask
         for position in range(relevance.known, len(indexes)):
-            if index_is_relevant(prepared, indexes[position]):
+            index = indexes[position]
+            # Only an index on a table the query reads can be relevant, and
+            # most positions are on other tables: test that first.
+            if index.table in tables and index_is_relevant(prepared, index):
                 mask |= 1 << position
         relevance.mask = mask
         relevance.known = len(indexes)
@@ -472,7 +482,22 @@ class WhatIfOptimizer:
             )
         return self._pcache
 
-    def _recall(self, qid: str, key: frozenset[Index]) -> tuple[float | None, tuple]:
+    def _shard_key(self, norm: int) -> tuple[str, ...]:
+        """The canonical shard key of a normalized mask.
+
+        Equal to :func:`~repro.backend.cache.canonical_key` of the mask's
+        configuration: the sorted display strings of its indexes, read
+        from :attr:`_displays`, which is filled the first time a key
+        reaches a position. This is the engine's one shard-key builder.
+        """
+        displays = self._displays
+        if norm.bit_length() > len(displays):
+            displays.extend(
+                index.display() for index in self._indexes[len(displays) : norm.bit_length()]
+            )
+        return tuple(sorted([displays[position] for position in mask_positions(norm)]))
+
+    def _recall(self, qid: str, norm: int) -> tuple[float | None, tuple]:
         """The persistent cache's cost for a pair (``None`` on a miss) and its entry.
 
         Only called with the persistent cache enabled. Serving a cost here
@@ -482,7 +507,8 @@ class WhatIfOptimizer:
         the returned entry (:meth:`_store`), so a pair's shard key is built
         once.
         """
-        cost, entry = self._persistent_cache().lookup(qid, key)
+        entry = (qid, self._shard_key(norm))
+        cost = self._persistent_cache().recall(entry)
         if cost is not None:
             self._stats.persistent_hits += 1
         return cost, entry
@@ -491,14 +517,16 @@ class WhatIfOptimizer:
         """Queue a fresh pricing under the entry :meth:`_recall` returned."""
         self._persistent_cache().put_entry(entry, cost)
 
-    def _price(self, prepared: PreparedQuery, key: frozenset[Index]) -> float:
-        """One instrumented cost evaluation (persistent-cache aware)."""
+    def _price(self, prepared: PreparedQuery, norm: int) -> float:
+        """One instrumented cost evaluation of a normalized mask
+        (persistent-cache aware; indexes are built only to evaluate)."""
         entry = None
         if self._whatif_cache is not None:
-            cost, entry = self._recall(prepared.qid, key)
+            cost, entry = self._recall(prepared.qid, norm)
             if cost is not None:
                 self._stats.cost_evaluations += 1
                 return cost
+        key = self._configuration(norm)
         start = perf_counter()
         cost = self._evaluate(prepared, key)
         self._stats.cost_seconds += perf_counter() - start
@@ -507,26 +535,23 @@ class WhatIfOptimizer:
             self._store(entry, cost)
         return cost
 
-    def _commit_call(
-        self, qid: str, norm: int, key: frozenset[Index], cost: float
-    ) -> None:
+    def _commit_call(self, qid: str, norm: int, cost: float) -> None:
         """Record one counted call: derivation store and layout log.
 
-        ``norm`` is the normalized mask and ``key`` the same configuration
-        as indexes (the one that was priced, handed to cost observers).
+        ``norm`` is the normalized mask; cost observers get it as indexes.
         The store's exact cost for ``(qid, norm)`` is what makes the pair
         cached from now on.
         """
         self._derivation.record(qid, norm, cost)
         self._log.append((qid, norm, cost))
         if self._cost_observers:
-            self._notify_cost(qid, key, cost)
+            self._notify_cost(qid, self._configuration(norm), cost)
         if self._events is not None:
             self._events.emit(
                 "whatif_call",
                 calls_used=self._policy.spent,
                 qid=qid,
-                size=len(key),
+                size=norm.bit_count(),
                 cost=cost,
             )
 
@@ -543,7 +568,7 @@ class WhatIfOptimizer:
         """
         cost = self._empty_costs.get(query.qid)
         if cost is None:
-            cost = self._price(self.prepared(query), frozenset())
+            cost = self._price(self.prepared(query), 0)
             self._empty_costs[query.qid] = cost
             self._derivation.record(query.qid, 0, cost)
             if self._cost_observers:
@@ -592,11 +617,10 @@ class WhatIfOptimizer:
                 self._stats.normalized_hits += 1
             return cached
         self._policy.check(qid)
-        key = self._configuration(norm)
-        cost = self._price(prepared, key)
+        cost = self._price(prepared, norm)
         self._policy.charge(qid)
         self._stats.cache_misses += 1
-        self._commit_call(qid, norm, key, cost)
+        self._commit_call(qid, norm, cost)
         return cost
 
     def trial_cost(self, query: Query, base_cost: float, trial: int, extra: int) -> float:
@@ -621,9 +645,16 @@ class WhatIfOptimizer:
                 if norm != trial:
                     self._stats.normalized_hits += 1
                 return cached
+        return self._trial_miss(query, base_cost, trial, extra, norm)
+
+    def _trial_miss(
+        self, query: Query, base_cost: float, trial: int, extra: int, norm: int
+    ) -> float:
+        """:meth:`trial_cost` for a pair the store cannot answer; ``norm``
+        is the trial normalized for ``query``, zero included."""
         # A zero key goes through the policy: only the admitted regime
         # counts it as a (normalized) hit.
-        if self._policy.admits(qid):
+        if self._policy.admits(query.qid):
             # Invariant: admits() is pure and guarantees the immediately
             # following charge succeeds, so whatif_cost cannot raise here.
             # The denied regime is handled explicitly below, so no
@@ -631,7 +662,105 @@ class WhatIfOptimizer:
             return self.whatif_cost(query, trial)
         if not norm:
             return self.empty_cost(query)
-        return self._derivation.derived_cost_with_extra(qid, base_cost, trial, extra)
+        return self._derivation.derived_cost_with_extra(query.qid, base_cost, trial, extra)
+
+    def greedy_step_costs(
+        self, trials, current: dict[str, float], best_cost: float
+    ) -> list[float]:
+        """The workload cost of every trial of one greedy step.
+
+        ``trials`` is a sequence of ``(mask, position, queries)``: a
+        trial's configuration, the position of the index it adds, and the
+        queries whose cost it may change. ``current`` maps each of those
+        queries' qids to its cost under the step's configuration, whose
+        workload cost is ``best_cost``. A trial's total is ``best_cost +
+        Σ_q w_q·(trial_cost(q, current[q], mask, position) − current[q])``
+        summed in query order: the floats, counted calls, stats, call log
+        and events of prefetching the step's pairs and then probing each
+        one with :meth:`trial_cost`, in (trial, query) order.
+
+        One scan normalizes each probe against its query's relevance mask,
+        extended once per step, and looks it up once in the exact-cost
+        store. Only the probes the store cannot answer go on, in issue
+        order. While the policy is not exhausted they take the public path
+        the loop took: one :meth:`whatif_prefetch` of the nonzero keys,
+        then :meth:`trial_cost` for each, and a trial with such a probe is
+        summed once they are answered. In an exhausted step nothing can be
+        charged, so a miss takes :meth:`trial_cost`'s miss branch where the
+        scan meets it.
+        """
+        exhausted = self._policy.exhausted
+        top = max([mask.bit_length() for mask, _, _ in trials], default=0)
+        # Per query: its relevance mask, exact costs, base cost and weight,
+        # read once this step.
+        lookups: dict[str, tuple[int, dict[int, float], float, float]] = {}
+        totals: list[float] = []
+        hits = normalized = 0
+        # A trial with an unanswered probe, as (trial number, partial total,
+        # tail): its probes from that one on are summed later, from the
+        # tail's costs (the store's, or None where it had none).
+        pending: list[tuple[int, float, list[float | None]]] = []
+        # The unanswered probes with a nonzero key, for the prefetch, with
+        # their trial masks (kept rather than keys: a step can leave ~10^5
+        # pairs unanswered, and a mask is shared by its trial's probes).
+        missed: list[Query] = []
+        missed_masks: list[int] = []
+        for mask, extra, queries in trials:
+            total = best_cost
+            tail = None
+            for query in queries:
+                lookup = lookups.get(query.qid)
+                if lookup is None:
+                    lookup = lookups[query.qid] = self._step_lookup(query, current, top)
+                relevant, known, base, weight = lookup
+                norm = mask & relevant
+                cost = known.get(norm) if norm else None
+                if cost is not None:
+                    hits += 1
+                    if norm != mask:
+                        normalized += 1
+                elif exhausted:
+                    cost = self._trial_miss(query, base, mask, extra, norm)
+                else:
+                    if tail is None:
+                        tail = []
+                        pending.append((len(totals), total, tail))
+                    if norm:
+                        missed.append(query)
+                        missed_masks.append(mask)
+                if tail is None:
+                    total += weight * (cost - base)
+                else:
+                    tail.append(cost)
+            totals.append(total)
+        if missed:
+            self.whatif_prefetch(zip(missed, missed_masks))
+        self._stats.cache_hits += hits
+        self._stats.normalized_hits += normalized
+        for number, total, tail in pending:
+            mask, extra, queries = trials[number]
+            for query, cost in zip(queries[-len(tail) :], tail):
+                base = current[query.qid]
+                if cost is None:
+                    cost = self.trial_cost(query, base, mask, extra)
+                total += query.weight * (cost - base)
+            totals[number] = total
+        return totals
+
+    def _step_lookup(
+        self, query: Query, current: dict[str, float], top: int
+    ) -> tuple[int, dict[int, float], float, float]:
+        """What :meth:`greedy_step_costs` reads of ``query`` per probe: its
+        relevance mask, decided below bit ``top`` (the step's highest), its
+        exact costs, its base cost and its weight."""
+        qid = query.qid
+        relevance = self._relevance.get(qid)
+        if relevance is None:
+            self.prepared(query)
+            relevance = self._relevance[qid]
+        if top > relevance.known:
+            self._extend_relevance(qid, relevance)
+        return relevance.mask, self._derivation.exact_costs(qid), current[qid], query.weight
 
     # ------------------------------------------------------------------ #
     # batched costing
@@ -644,11 +773,15 @@ class WhatIfOptimizer:
         into waves of :attr:`~repro.backend.concurrent.PricingExecutor.wave_size`
         pairs (one when :attr:`pricing_jobs` is 1), never more than what is
         left of ``limit``. The scan is lean because most pairs are cached:
-        an ``int`` configuration is its own mask, a query is prepared only
-        the first time one is seen, and its prepared form is read only for a
-        pair that enters a wave. :meth:`_price_wave` prices a wave's admitted
-        pairs, then each pair reserves its counted call through the budget
-        policy's :meth:`~repro.budget.policy.BudgetPolicy.try_charge` in issue order
+        an ``int`` configuration is its own mask, and a query is prepared
+        only the first time one is seen. A wave carries each pair as its
+        normalized mask, with whether the policy admits its query (nothing
+        is charged while a wave is gathered, so that is the answer at
+        pricing time too); a pair that would be a wave's first decision and
+        is refused is denied on the spot, without building the wave.
+        :meth:`_price_wave` prices a wave's admitted pairs, then each pair
+        reserves its counted call through the budget policy's
+        :meth:`~repro.budget.policy.BudgetPolicy.try_charge` in issue order
         (denied pairs are skipped and left uncached). Granted pairs are
         committed to the derivation store and call log in issue
         order when the batch ends — also when a pricing raises, so no
@@ -672,14 +805,17 @@ class WhatIfOptimizer:
         wave_size = executor.wave_size
         relevance = self._relevance
         known_cost = self._derivation.known_cost
+        policy = self._policy
         pairs_iter = iter(pairs)
         seen: set[tuple[str, int]] = set()
-        granted: list[tuple[str, int, frozenset[Index], float]] = []
+        granted: list[tuple[str, int, float]] = []
         try:
             while limit is None or len(granted) < limit:
                 room = wave_size if limit is None else min(wave_size, limit - len(granted))
-                wave: list[tuple[str, PreparedQuery, frozenset[Index]]] = []
-                norms: list[int] = []
+                # The wave's pairs as (qid, norm, admitted), in issue order;
+                # ``taken`` also counts the refused pairs denied on the spot.
+                wave: list[tuple[str, int, bool]] = []
+                taken = 0
                 for query, configuration in pairs_iter:
                     mask = (
                         configuration
@@ -698,65 +834,75 @@ class WhatIfOptimizer:
                     if known_cost(qid, norm) is not None or cache_key in seen:
                         continue
                     seen.add(cache_key)
-                    wave.append((qid, self._prepared[qid], self._configuration(norm)))
-                    norms.append(norm)
-                    if len(wave) >= room:
+                    taken += 1
+                    admitted = policy.admits(qid)
+                    if admitted or wave:
+                        wave.append((qid, norm, admitted))
+                    else:
+                        # Only refusals precede it in its wave, so nothing
+                        # is charged before its decision: deny it now.
+                        policy.try_charge(qid)
+                    if taken >= room:
                         break
-                if not wave:
+                if not taken:
                     break
+                if not wave:
+                    continue
                 costs = self._price_wave(wave, executor)
-                for pair, norm, cost in zip(wave, norms, costs, strict=True):
-                    qid, _, key = pair
-                    if cost is None and self._policy.admits(qid):
+                for pair, cost in zip(wave, costs, strict=True):
+                    qid, norm, _ = pair
+                    if cost is None and policy.admits(qid):
                         # Refused when the wave was priced, admitted now (no
                         # shipped policy does this): price before charging.
-                        (cost,) = self._price_wave([pair], executor)
-                    if not self._policy.try_charge(qid):
+                        (cost,) = self._price_wave([(qid, norm, True)], executor)
+                    if not policy.try_charge(qid):
                         if cost is not None:
                             self._stats.speculation_wasted += 1
                         continue
                     self._stats.cost_evaluations += 1
-                    granted.append((qid, norm, key, cost))
+                    granted.append((qid, norm, cost))
         finally:
-            for qid, norm, key, cost in granted:
+            for qid, norm, cost in granted:
                 self._stats.cache_misses += 1
-                self._commit_call(qid, norm, key, cost)
+                self._commit_call(qid, norm, cost)
             if granted:
                 self._stats.batch_calls += 1
                 self._stats.batched_pairs += len(granted)
         return len(granted)
 
     def _price_wave(self, wave, executor) -> list[float | None]:
-        """Resolve one wave's costs; ``None`` where the policy refuses the query.
+        """Resolve one wave's costs; ``None`` where the policy refused the query.
 
-        A pair is priced only if the policy admits its query right now, so
-        a one-pair wave is never priced ahead of its own budget decision.
-        Persistent-cache recalls happen here, on the main thread; only
-        fresh evaluations go through the executor to :meth:`_price_shard`
-        (inline at one job).
+        ``wave`` holds ``(qid, norm, admitted)``; only admitted pairs are
+        priced, so a one-pair wave is never priced ahead of its own budget
+        decision. Persistent-cache recalls happen here, on the main thread,
+        keyed by mask; only fresh evaluations build their indexes and go
+        through the executor to :meth:`_price_shard` (inline at one job).
         """
         costs: list[float | None] = [None] * len(wave)
         entries: dict[int, tuple] = {}
         misses: list[int] = []
         speculative = executor.jobs > 1
         recall = self._whatif_cache is not None
-        for position, (qid, _, key) in enumerate(wave):
-            if not self._policy.admits(qid):
+        for position, (qid, norm, admitted) in enumerate(wave):
+            if not admitted:
                 continue
             if speculative:
                 self._stats.speculative_priced += 1
             recalled = None
             if recall:
-                recalled, entries[position] = self._recall(qid, key)
+                recalled, entries[position] = self._recall(qid, norm)
             if recalled is None:
                 misses.append(position)
             else:
                 costs[position] = recalled
         if misses:
+            shard = []
+            for position in misses:
+                qid, norm, _ = wave[position]
+                shard.append((qid, self._prepared[qid], self._configuration(norm)))
             start = perf_counter()
-            fresh = executor.map_shards(
-                self._price_shard, [wave[position] for position in misses]
-            )
+            fresh = executor.map_shards(self._price_shard, shard)
             self._stats.cost_seconds += perf_counter() - start
             for position, cost in zip(misses, fresh, strict=True):
                 costs[position] = cost
@@ -910,10 +1056,9 @@ class WhatIfOptimizer:
         cached = self._derivation.known_cost(query.qid, norm)
         if cached is not None:
             return cached
-        key = self._configuration(norm)
-        cost = self._price(prepared, key)
+        cost = self._price(prepared, norm)
         if self._cost_observers:
-            self._notify_cost(query.qid, key, cost)
+            self._notify_cost(query.qid, self._configuration(norm), cost)
         return cost
 
     def explain(self, query: Query, configuration):

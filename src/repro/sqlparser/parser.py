@@ -298,10 +298,11 @@ class Parser:
     def _limit(self) -> int | None:
         if not self._accept_keyword("LIMIT"):
             return None
-        value = self._number(self._expect(_NUMBER))
+        token = self._expect(_NUMBER)
+        value = self._number(token)
         # is_integer() is false for inf too (a LIMIT past the float range).
         if not value.is_integer() or value < 0:
-            raise self._error("LIMIT must be a non-negative integer")
+            raise self._error("LIMIT must be a non-negative integer", token)
         return int(value)
 
 

@@ -72,6 +72,10 @@ def greedy_enumerate(
         (index, optimizer.position(index), queries_on.get(index.table, []))
         for index in sorted(candidates, key=index_sort_key)
     ]
+    # Equal indexes share a position; a step's winner is the first of them.
+    index_at: dict[int, Index] = {}
+    for index, position, _ in pool:
+        index_at.setdefault(position, index)
 
     best_config: frozenset[Index] = frozenset()
     best_mask = 0
@@ -95,36 +99,24 @@ def greedy_enumerate(
                 (index, extra, [q for q in affected if has_observation(q.qid, extra)])
                 for index, extra, affected in pool
             ]
-        # This step's trials, each index tested against the storage cap once
-        # and carried with its position and trial mask: the prefetch below
-        # and the trial loop both walk this list.
+        # This step's trials as (mask, position, affected queries), each
+        # index tested against the storage cap once. The engine prices
+        # them in one pass: counted calls go out first-come-first-serve in
+        # (index, query) order, batched and committed in issue order, so
+        # the FCFS layout is byte-identical to probing each pair in turn.
         trials = [
-            (index, extra, best_mask | 1 << extra, affected)
+            (best_mask | 1 << extra, extra, affected)
             for index, extra, affected in pool
             if affected and (room is None or index.estimated_size_bytes <= room)
         ]
-        # Batch-price this step's counted calls up front, in the exact
-        # (index, query) order the trial loop below would issue them.
-        # Prefetch dedupes, reserves through the budget policy, and commits
-        # in issue order, so the FCFS layout is byte-identical to the
-        # sequential loop — the loop then reads everything from the cache.
-        if not session.exhausted:
-            optimizer.whatif_prefetch(
-                (query, trial) for _, _, trial, affected in trials for query in affected
-            )
-        added = None
+        totals = optimizer.greedy_step_costs(trials, current, best_cost)
         step_cost = best_cost
-        for index, extra, trial, affected in trials:
-            trial_cost = best_cost
-            for query in affected:
-                base = current[query.qid]
-                trial_cost += query.weight * (
-                    optimizer.trial_cost(query, base, trial, extra) - base
-                )
+        for (_, extra, _), trial_cost in zip(trials, totals):
             if trial_cost < step_cost:
-                added, added_extra, step_cost = index, extra, trial_cost
+                added_extra, step_cost = extra, trial_cost
         if step_cost >= best_cost:
             break
+        added = index_at[added_extra]
         best_config = best_config | {added}
         best_mask |= 1 << added_extra
         if room is not None:

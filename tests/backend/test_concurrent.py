@@ -304,23 +304,48 @@ def test_pricing_jobs_option_reaches_the_analytic_backend(request, toy_workload)
 
 
 class TestPersistentCache:
-    def test_lookup_entry_is_the_get_and_put_key(self, toy_candidates, tmp_path):
+    def test_recall_entry_is_the_put_key(self, toy_candidates, tmp_path):
         from repro.backend.cache import canonical_key
 
-        key = frozenset(toy_candidates[:2])
+        key = canonical_key(frozenset(toy_candidates[:2]))
+        entry, other = ("q1", key), ("q2", key)
         cache = PersistentWhatIfCache(tmp_path, {"backend": "a"})
-        cost, entry = cache.lookup("q1", key)
-        assert cost is None and entry == ("q1", canonical_key(key))
+        assert cache.recall(entry) is None
         cache.put_entry(entry, 2.5)
-        assert cache.lookup("q1", key) == (2.5, entry)
-        _, other = cache.lookup("q2", key)
+        assert cache.recall(entry) == 2.5
         cache.put_entry(other, 3.0)
         assert cache.flush() == 2
         reopened = PersistentWhatIfCache(tmp_path, {"backend": "a"})
-        assert (reopened.lookup("q1", key), reopened.lookup("q2", key)) == (
-            (2.5, entry),
-            (3.0, other),
+        assert (reopened.recall(entry), reopened.recall(other)) == (2.5, 3.0)
+
+    def test_engine_key_of_twins_that_print_alike(self, toy_workload, toy_candidates, tmp_path):
+        """Two unequal indexes with one ``display()`` (same table, keys and
+        include, different sizes) keep both strings in the engine's key."""
+        from repro.backend.cache import canonical_key
+        from repro.catalog import Index
+        from repro.config import ReproConfig
+
+        engine = WhatIfOptimizer(
+            toy_workload, config=ReproConfig(whatif_cache=str(tmp_path))
         )
+        query = toy_workload[0]
+        engine.prepared(query)
+        index = next(c for c in toy_candidates if engine._norm(query.qid, engine._mask([c])))
+        twin = Index(
+            index.table, index.key_columns, index.include_columns,
+            index.estimated_size_bytes + 1,
+        )
+        assert twin != index and twin.display() == index.display()
+        pair = frozenset({index, twin})
+        mask = engine._mask(pair)
+        assert engine._norm(query.qid, mask) == mask
+        assert engine._shard_key(mask) == canonical_key(pair) == (index.display(),) * 2
+        engine.whatif_cost(query, pair)
+        engine.close()
+        lines = [json.loads(line) for line in engine.whatif_shard.read_text().splitlines()]
+        assert [line["key"] for line in lines if line.get("qid") == query.qid] == [
+            list(canonical_key(pair))
+        ]
 
     def test_warm_run_reprices_zero_pairs_bit_identically(
         self, toy_workload, toy_candidates, tmp_path, monkeypatch

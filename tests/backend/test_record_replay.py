@@ -12,7 +12,7 @@ import json
 import pytest
 
 from repro.backend import BackendSpec, ReplayBackend, build_backend
-from repro.backend.cache import PersistentWhatIfCache, workload_fingerprint
+from repro.backend.cache import PersistentWhatIfCache, canonical_key, workload_fingerprint
 from repro.exceptions import TraceError, TraceMissError, TuningError
 from repro.optimizer.cost_model import CostModel
 from repro.optimizer.whatif import WhatIfOptimizer
@@ -243,7 +243,7 @@ def test_replay_refuses_a_whole_key_shard(tmp_path, toy_workload, toy_candidates
     keys cannot be replayed."""
     identity = {**WhatIfOptimizer(toy_workload).cache_identity(), "normalize_cache": False}
     shard = PersistentWhatIfCache(tmp_path, identity)
-    _, entry = shard.lookup(toy_workload.queries[0].qid, frozenset(toy_candidates[:1]))
+    entry = (toy_workload.queries[0].qid, canonical_key(frozenset(toy_candidates[:1])))
     shard.put_entry(entry, 1.0)
     assert shard.flush() == 1
     assert PersistentWhatIfCache.open_shard(shard.path).identity == identity

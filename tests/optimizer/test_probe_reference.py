@@ -1,29 +1,44 @@
 """Differential tests: greedy probes at cache speed against policy-first references.
 
 ``WhatIfOptimizer.trial_cost`` answers a cached ``(qid, normalized key)``
-before it consults the budget policy, and ``whatif_prefetch``'s pair scan
+before it consults the budget policy; ``whatif_prefetch``'s pair scan
 takes an ``int`` configuration as its mask, prepares a query only the first
-time it sees one and reads the prepared form only for a pair that enters a
-wave. :class:`RefProbeOptimizer` keeps the loops these replaced — the
-policy-first ``trial_cost`` and the ``_mask``/``prepared``/``_norm`` scan —
-as executable specifications. Hypothesis drives both engines through the
-same sessions over toy and small synthesized workloads: prefetches (with
-limits, masks and index sets), trial probes, counted calls, scoped slice
-allowances and checkpoints (Wii's pool release can re-admit a query), under
-every budget policy. Return values, raised denials, ``WhatIfStats``, call
-logs and event streams must agree exactly.
+time it sees one, carries each pair of a wave as its normalized mask, and
+denies a refused pair that would open a wave without building it; and
+``greedy_step_costs`` answers a whole greedy step from one scan, sending
+only the pairs the store cannot answer on to the prefetch and the probe.
+:class:`RefProbeOptimizer` keeps the loops these replaced — the
+policy-first ``trial_cost``, the ``_mask``/``prepared``/``_norm`` scan
+with its frozenset waves (and its own copy of the wave pricer), and a
+step as a prefetch of every pair followed by one ``trial_cost`` per pair
+— as executable specifications. Hypothesis drives both engines through the
+same sessions over toy and small synthesized workloads, each with a cold
+or a partly warm persistent store: prefetches (with limits, masks and
+index sets), trial probes, greedy steps, counted calls, scoped slice
+allowances and checkpoints (Wii's pool release can re-admit a query),
+under every budget policy. Return values (step totals bit for bit),
+raised denials, ``WhatIfStats``, call logs, event streams and the
+store's shard bytes must agree exactly.
 """
 
 from __future__ import annotations
 
+import shutil
+import tempfile
 from contextlib import ExitStack
 from functools import cache
+from pathlib import Path
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.backend.cache import canonical_key
+from repro.budget.events import EventLog
+from repro.budget.meter import BudgetMeter
 from repro.budget.policy import POLICY_NAMES, FCFSPolicy, build_policy
 from repro.catalog import Index, index_sort_key
+from repro.config import ReproConfig
 from repro.exceptions import BudgetExhaustedError
 from repro.optimizer.prepared import PreparedQuery
 from repro.optimizer.whatif import WhatIfOptimizer
@@ -102,11 +117,67 @@ class RefProbeOptimizer(WhatIfOptimizer):
         finally:
             for qid, norm, key, cost in granted:
                 self._stats.cache_misses += 1
-                self._commit_call(qid, norm, key, cost)
+                self._commit_call(qid, norm, cost)
             if granted:
                 self._stats.batch_calls += 1
                 self._stats.batched_pairs += len(granted)
         return len(granted)
+
+    def _price_wave(self, wave, executor) -> list[float | None]:
+        """The frozenset wave pricer: the policy asked per pair at pricing
+        time, shard keys from ``canonical_key``."""
+        costs: list[float | None] = [None] * len(wave)
+        entries: dict[int, tuple] = {}
+        misses: list[int] = []
+        speculative = executor.jobs > 1
+        recall = self._whatif_cache is not None
+        for position, (qid, _, key) in enumerate(wave):
+            if not self._policy.admits(qid):
+                continue
+            if speculative:
+                self._stats.speculative_priced += 1
+            recalled = None
+            if recall:
+                entries[position] = (qid, canonical_key(key))
+                recalled = self._persistent_cache().recall(entries[position])
+                if recalled is not None:
+                    self._stats.persistent_hits += 1
+            if recalled is None:
+                misses.append(position)
+            else:
+                costs[position] = recalled
+        if misses:
+            start = perf_counter()
+            fresh = executor.map_shards(
+                self._price_shard, [wave[position] for position in misses]
+            )
+            self._stats.cost_seconds += perf_counter() - start
+            for position, cost in zip(misses, fresh, strict=True):
+                costs[position] = cost
+                if recall:
+                    self._persistent_cache().put_entry(entries[position], cost)
+        return costs
+
+
+def ref_step_costs(engine, session, trials, current, best_cost) -> list[float]:
+    """A greedy step as the loop it was: prefetch every pair, then probe
+    each with ``trial_cost`` in (trial, query) order."""
+    if not session.exhausted:
+        engine.whatif_prefetch(
+            (query, mask) for mask, _, queries in trials for query in queries
+        )
+    totals = []
+    for mask, extra, queries in trials:
+        total = best_cost
+        for query in queries:
+            base = current[query.qid]
+            total += query.weight * (engine.trial_cost(query, base, mask, extra) - base)
+        totals.append(total)
+    return totals
+
+
+def fast_step_costs(engine, session, trials, current, best_cost) -> list[float]:
+    return engine.greedy_step_costs(trials, current, best_cost)
 
 
 # --------------------------------------------------------------------------- #
@@ -138,8 +209,12 @@ def _fixture(name: str):
     return workload, candidates
 
 
-def _session(engine_cls, workload, candidates, policy: str, budget: int):
-    engine = engine_cls(workload, policy=build_policy(policy, budget))
+def _session(engine_cls, workload, candidates, policy: str, budget: int, store=None):
+    engine = engine_cls(
+        workload,
+        policy=build_policy(policy, budget),
+        config=ReproConfig(whatif_cache=None if store is None else str(store)),
+    )
     # Intern the pool in one order for both engines, as greedy does.
     for index in candidates:
         engine.position(index)
@@ -156,7 +231,10 @@ def _observed(session) -> tuple:
 
 _op = st.tuples(
     st.sampled_from(
-        ["prefetch", "prefetch", "trial", "trial", "trial", "cost", "slice", "checkpoint"]
+        [
+            "prefetch", "prefetch", "trial", "trial", "trial", "step", "step",
+            "cost", "slice", "checkpoint",
+        ]
     ),
     st.integers(0, 10**6),
     st.lists(st.integers(0, 10**6), max_size=5),
@@ -164,8 +242,9 @@ _op = st.tuples(
 )
 
 
-def _drive(session, ops, candidates) -> list:
-    """Run ``ops`` on ``session``; every answer, in order."""
+def _drive(session, ops, candidates, step=fast_step_costs) -> list:
+    """Run ``ops`` on ``session``; every answer, in order. ``step`` runs a
+    greedy step op."""
     engine = session.optimizer
     queries = session.workload.queries
     positions = [engine.position(index) for index in candidates]
@@ -209,6 +288,33 @@ def _drive(session, ops, candidates) -> list:
                 answers.append(
                     ("trial", engine.trial_cost(query, base_cost, mask | 1 << extra, extra))
                 )
+            elif kind == "step":
+                # Trials over one base configuration, as greedy's, or over
+                # pairs already asked (cached, or denied earlier).
+                base = mask
+                trials = []
+                for offset, pick in enumerate(picks or [arg]):
+                    extra = positions[(pick + arg) % len(positions)]
+                    trial = base | 1 << extra
+                    if asked and pick % 3 == 0:
+                        _, asked_mask = asked[pick % len(asked)]
+                        members = [p for p in positions if asked_mask >> p & 1]
+                        if members:
+                            extra = members[pick % len(members)]
+                            trial = asked_mask
+                    count = 1 + (pick + offset) % len(queries)
+                    affected = [
+                        queries[(qpick + offset + k) % len(queries)] for k in range(count)
+                    ]
+                    trials.append((trial, extra, affected))
+                    asked.extend((query, trial) for query in affected)
+                current = {
+                    query.qid: engine.derived_cost(query, base) if arg % 2 else 1e12
+                    for query in queries
+                }
+                best_cost = sum(query.weight * current[query.qid] for query in queries)
+                totals = step(engine, session, trials, current, best_cost)
+                answers.append(("step", [total.hex() for total in totals]))
             elif kind == "cost":
                 asked.append((query, mask))
                 try:
@@ -234,18 +340,42 @@ def _drive(session, ops, candidates) -> list:
 # --------------------------------------------------------------------------- #
 
 
+def _shard_bytes(session) -> bytes | None:
+    session.optimizer.close()
+    shard = session.optimizer.whatif_shard
+    return None if shard is None else shard.read_bytes()
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     name=st.sampled_from(sorted(_BUILDERS)),
     policy=st.sampled_from(POLICY_NAMES),
     budget=st.integers(0, 40),
     ops=st.lists(_op, min_size=1, max_size=30),
+    warm=st.none() | st.integers(0, 30),
 )
-def test_probes_match_policy_first_reference(name, policy, budget, ops):
+def test_probes_match_policy_first_reference(name, policy, budget, ops, warm):
+    """Both engines price through a persistent store: a cold one, or one a
+    plain session filled with the first ``warm`` ops."""
     workload, candidates = _fixture(name)
-    fast = _session(WhatIfOptimizer, workload, candidates, policy, budget)
-    ref = _session(RefProbeOptimizer, workload, candidates, policy, budget)
-    assert _drive(fast, ops, candidates) == _drive(ref, ops, candidates)
+    with tempfile.TemporaryDirectory() as scratch:
+        root = Path(scratch)
+        if warm is not None:
+            filler = _session(
+                WhatIfOptimizer, workload, candidates, policy, budget, root / "warm"
+            )
+            _drive(filler, ops[:warm], candidates)
+            filler.optimizer.close()
+        stores = (root / "fast", root / "ref")
+        if (root / "warm").exists():
+            for store in stores:
+                shutil.copytree(root / "warm", store)
+        fast = _session(WhatIfOptimizer, workload, candidates, policy, budget, stores[0])
+        ref = _session(RefProbeOptimizer, workload, candidates, policy, budget, stores[1])
+        assert _drive(fast, ops, candidates) == _drive(
+            ref, ops, candidates, step=ref_step_costs
+        )
+        assert _shard_bytes(fast) == _shard_bytes(ref)
 
 
 # --------------------------------------------------------------------------- #
@@ -294,3 +424,54 @@ def test_zero_key_counts_a_hit_only_when_admitted(admitted):
     assert engine.trial_cost(query, empty, 1 << extra, extra) == empty
     stats = engine.stats
     assert (stats.cache_hits, stats.normalized_hits) == ((1, 1) if admitted else (0, 0))
+
+
+class _RefusesOne(FCFSPolicy):
+    """FCFS that never admits one query, so a refused pair can open a wave."""
+
+    def __init__(self, meter, refused: str):
+        super().__init__(meter)
+        self._refused = refused
+
+    def admits(self, qid: str) -> bool:
+        return qid != self._refused and super().admits(qid)
+
+
+class _FastAtTwoJobs(WhatIfOptimizer):
+    pricing_jobs = 2
+
+
+class _RefAtTwoJobs(RefProbeOptimizer):
+    pricing_jobs = 2
+
+
+def test_refused_opener_keeps_its_wave_slot(tmp_path):
+    """At two jobs a wave holds 16 pairs. A refused pair that opens one is
+    denied before the wave is built, yet it fills its slot: the pairs
+    priced ahead of their decisions, and so the speculative counters and
+    the shard, are the reference's."""
+    workload, candidates = _fixture("toy")
+    refused, admitted = workload[0], workload[3]
+    observed = []
+    for engine_cls, store in ((_FastAtTwoJobs, "fast"), (_RefAtTwoJobs, "ref")):
+        engine = engine_cls(
+            workload,
+            policy=_RefusesOne(BudgetMeter(10), refused.qid),
+            config=ReproConfig(whatif_cache=str(tmp_path / store)),
+        )
+        events = EventLog()
+        engine.attach_events(events)
+        positions = [engine.position(index) for index in candidates]
+        for query in (refused, admitted):
+            engine.prepared(query)
+        opener = next(p for p in positions if engine._norm(refused.qid, 1 << p))
+        relevant = [p for p in positions if engine._norm(admitted.qid, 1 << p)]
+        pairs = [(refused, 1 << opener)] + [(admitted, 1 << p) for p in relevant[:20]]
+        assert engine.whatif_prefetch(pairs) == 10
+        engine.close()
+        stats = engine.stats.as_dict()
+        del stats["cost_seconds"]
+        calls = [(c.ordinal, c.qid, c.configuration, c.cost) for c in engine.call_log]
+        observed.append((stats, calls, list(events), engine.whatif_shard.read_bytes()))
+    assert observed[0][0]["speculative_priced"] == 15
+    assert observed[0] == observed[1]

@@ -12,10 +12,12 @@ draws strings over ASCII SQL and the characters where a regex class and a
 ``\\x1c`` and ``\\u2028`` are whitespace): every string must give the same
 ``(ttype, value, position)`` stream, or the same ``SQLSyntaxError`` message
 and position. The parser must build the same AST or raise the same error;
-the one allowed difference is a NUMBER that ``float`` rejects, where the
-reference leaks ``ValueError`` (or ``OverflowError`` for a LIMIT past the
-float range) and the parser now raises ``SQLSyntaxError`` at that token.
-Every registered suite query must lex and parse identically too.
+two differences are allowed. A NUMBER that ``float`` rejects makes the
+reference leak ``ValueError`` (or ``OverflowError`` for a LIMIT past the
+float range), where the parser now raises ``SQLSyntaxError`` at that token.
+A fractional LIMIT gets the reference's message at the number, where the
+reference reported the token after it. Every registered suite query must
+lex and parse identically too.
 """
 
 from __future__ import annotations
@@ -448,8 +450,11 @@ def _parse_outcome(parse, sql: str):
         return ("error", str(exc), exc.position)
 
 
+_LIMIT_ERROR = "LIMIT must be a non-negative integer"
+
+
 def assert_same_front_end(sql: str) -> None:
-    """Tokens, AST and errors agree, bar the reference's leaked float errors."""
+    """Tokens, AST and errors agree, bar the two allowed differences."""
     assert _lex_outcome(tokenize, sql) == _lex_outcome(
         lambda text: RefLexer(text).tokens(), sql
     )
@@ -468,6 +473,19 @@ def assert_same_front_end(sql: str) -> None:
         # A LIMIT past the float range: now rejected like a fractional one.
         with pytest.raises(SQLSyntaxError, match="^LIMIT must be a non-negative integer"):
             parse_select(sql)
+        return
+    if isinstance(expected, tuple) and expected[1].startswith(_LIMIT_ERROR):
+        # A fractional LIMIT: the same error, at the number instead of the
+        # token after it.
+        tokens = tokenize(sql)
+        (after,) = [i for i, t in enumerate(tokens) if t.position == expected[2]]
+        number = tokens[after - 1]
+        assert number.ttype is TokenType.NUMBER
+        assert _parse_outcome(parse_select, sql) == (
+            "error",
+            f"{_LIMIT_ERROR} (found {number.value!r} at position {number.position})",
+            number.position,
+        )
         return
     assert _parse_outcome(parse_select, sql) == expected
 
@@ -559,6 +577,8 @@ def test_near_statements_parse_like_the_reference(sql):
         "SELECT a FROM t WHERE a = 12.5²",
         "SELECT a FROM t WHERE a = 1.é",
         "SELECT a FROM t WHERE a != 1 AND b !",
+        "SELECT a FROM t LIMIT 1.5",
+        "SELECT a FROM t LIMIT 1.5 ;",
     ],
 )
 def test_edge_cases_match_the_reference(sql):

@@ -239,6 +239,17 @@ class TestErrors:
         with pytest.raises(SQLSyntaxError, match="LIMIT must be a non-negative integer"):
             parse_select("SELECT a FROM t LIMIT " + "9" * 400)
 
+    @pytest.mark.parametrize(
+        "sql", ["SELECT a FROM t LIMIT 1.5", "SELECT a FROM t LIMIT 1.5 ;"]
+    )
+    def test_fractional_limit_is_reported_at_the_number(self, sql):
+        with pytest.raises(SQLSyntaxError) as excinfo:
+            parse_select(sql)
+        assert str(excinfo.value) == (
+            "LIMIT must be a non-negative integer (found '1.5' at position 22)"
+        )
+        assert excinfo.value.position == 22
+
 
 class TestRendering:
     def test_literal_render_string_escapes(self):

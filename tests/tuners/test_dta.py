@@ -178,26 +178,31 @@ class TestMergeAcrossSlices:
 
 
 class TestShardKeysBuiltOnce:
-    """A pricing builds its persistent-cache shard key once: one
-    ``canonical_key`` call per lookup (a fresh pricing is stored under the
-    key its missed lookup built), on a cold and on a warm run of the pinned
-    Real-D session, whose shard stays byte-identical."""
+    """A pricing builds its persistent-cache shard key once: one call of
+    the engine's key builder per lookup (a fresh pricing is stored under
+    the key its missed lookup built), on a cold and on a warm run of the
+    pinned Real-D session, whose shard stays byte-identical. The builder
+    reads display strings per index position; every key it builds equals
+    ``canonical_key`` of the pair's configuration."""
 
     def test_one_key_per_lookup(self, tmp_path, monkeypatch):
         import hashlib
 
-        from repro.backend import cache
+        from repro.backend.cache import canonical_key
         from repro.config import ReproConfig
+        from repro.optimizer.whatif import WhatIfOptimizer
         from repro.workload.suites.real import real_d_workload
 
         built = []
-        original = cache.canonical_key
+        original = WhatIfOptimizer._shard_key
 
-        def counting(key):
+        def counting(self, norm):
+            key = original(self, norm)
+            assert key == canonical_key(self._configuration(norm))
             built.append(key)
-            return original(key)
+            return key
 
-        monkeypatch.setattr(cache, "canonical_key", counting)
+        monkeypatch.setattr(WhatIfOptimizer, "_shard_key", counting)
 
         def session():
             workload = real_d_workload(num_tables=791)
