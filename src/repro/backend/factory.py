@@ -90,15 +90,15 @@ def build_backend(
     The keyword surface mirrors the
     :class:`~repro.optimizer.whatif.WhatIfOptimizer` constructor (budget
     *or* policy, engine knobs, event stream); backend-specific parameters
-    (shard path, noise, DSN) come from the spec. Extra keyword arguments are
-    forwarded to the backend constructor verbatim — this is how tests
-    inject a fake ``connector`` into the postgres backend.
+    (shard path, noise, DSN) come from the spec, and the persistent cache
+    from ``config``. Extra keyword arguments are forwarded to the backend
+    constructor verbatim — this is how tests inject a fake ``connector``
+    into the postgres backend.
     """
     resolved = resolve_spec(spec, config)
     kwargs: dict = dict(
         budget=budget,
         cost_model=cost_model,
-        whatif_cache=resolved.whatif_cache,
         config=config,
         policy=policy,
         events=events,

@@ -22,7 +22,6 @@ from repro.budget.esc import EarlyStopPolicy
 from repro.budget.events import EVENT_KINDS, EventLog, SessionEvent
 from repro.budget.meter import BudgetMeter
 from repro.budget.policy import (
-    POLICY_NAMES,
     BudgetPolicy,
     DelegatingPolicy,
     FCFSPolicy,
@@ -30,6 +29,7 @@ from repro.budget.policy import (
     build_policy,
 )
 from repro.budget.wii import WiiReallocationPolicy
+from repro.config import POLICY_NAMES
 
 __all__ = [
     "BudgetMeter",

@@ -29,10 +29,8 @@ import abc
 
 from repro.budget.events import EventLog
 from repro.budget.meter import BudgetMeter
+from repro.config import POLICY_NAMES
 from repro.exceptions import BudgetExhaustedError, TuningError
-
-#: Budget-policy names accepted by :func:`build_policy` (and the CLI).
-POLICY_NAMES = ("fcfs", "wii", "esc", "esc+wii")
 
 
 class BudgetPolicy(abc.ABC):

@@ -34,8 +34,7 @@ from dataclasses import replace
 
 from repro.backend.factory import BACKEND_NAMES, BackendSpec, build_backend
 from repro.backend.replay import ReplayBackend
-from repro.budget.policy import POLICY_NAMES
-from repro.config import MCTSConfig, ReproConfig, TuningConstraints
+from repro.config import POLICY_NAMES, MCTSConfig, ReproConfig, TuningConstraints
 from repro.eval.experiments import EXPERIMENTS, ExperimentSettings, run_experiment
 from repro.eval.report import bench_payload
 from repro.eval.runner import ExperimentRunner
@@ -103,9 +102,9 @@ def _build_parser() -> argparse.ArgumentParser:
                       choices=("epsilon_greedy", "uct", "boltzmann"))
     tune.add_argument("--rollout", default="myopic", choices=("myopic", "random"))
     tune.add_argument("--extraction", default="bg", choices=("bg", "bce"))
-    tune.add_argument("--budget-policy", default="fcfs", choices=POLICY_NAMES,
-                      help="budget discipline (default fcfs; wii/esc change "
-                           "which calls are granted)")
+    tune.add_argument("--budget-policy", default=None, choices=POLICY_NAMES,
+                      help="budget discipline (default: REPRO_BUDGET_POLICY "
+                           "or fcfs; wii/esc change which calls are granted)")
     tune.add_argument("--backend", default=None, choices=BACKEND_NAMES,
                       help="cost backend (default: REPRO_BACKEND or analytic). "
                            "replay serves a session recorded with "
@@ -213,7 +212,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="schema to create the tables in "
                            "(default: REPRO_PG_SCHEMA or search_path)")
     load.set_defaults(backend=None, backend_trace=None, noise=None,
-                      noise_seed=None, whatif_cache=None)
+                      noise_seed=None)
     return parser
 
 
@@ -252,11 +251,19 @@ def _backend_spec(args: argparse.Namespace) -> BackendSpec:
         noise_seed=args.noise_seed,
         pg_dsn=args.pg_dsn,
         pg_schema=args.pg_schema,
-        whatif_cache=args.whatif_cache,
     )
 
 
-def _cmd_tune_multi_seed(args: argparse.Namespace, workload, constraints) -> int:
+def _config(args: argparse.Namespace, **flags) -> ReproConfig:
+    """The run's settings: the command's flags over the ``REPRO_*`` defaults."""
+    return ReproConfig.from_env(
+        backend=_backend_spec(args), whatif_cache=args.whatif_cache, **flags
+    )
+
+
+def _cmd_tune_multi_seed(
+    args: argparse.Namespace, workload, constraints, config: ReproConfig
+) -> int:
     """``tune --seeds N [--jobs M]``: seed-averaged runs, mean ± std."""
     if args.minutes is not None:
         print("error: --seeds > 1 requires --budget (not --minutes)",
@@ -267,7 +274,6 @@ def _cmd_tune_multi_seed(args: argparse.Namespace, workload, constraints) -> int
               "or set REPRO_SANITIZE=1 for sanitized multi-seed runs",
               file=sys.stderr)
         return 2
-    backend = _backend_spec(args)
 
     def factory(seed: int):
         return _ALGORITHMS[args.algo](
@@ -285,8 +291,7 @@ def _cmd_tune_multi_seed(args: argparse.Namespace, workload, constraints) -> int
         args.budget,
         constraints,
         stochastic=True,
-        budget_policy=args.budget_policy,
-        backend=backend,
+        config=config,
     )
     print(
         f"{record.tuner}: {record.improvement_mean:.1f}% ± "
@@ -318,21 +323,19 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         print(f"error: --jobs must be positive, got {args.jobs}", file=sys.stderr)
         return 2
-    if args.seeds > 1:
-        return _cmd_tune_multi_seed(args, workload, constraints)
-    tuner = _ALGORITHMS[args.algo](args)
-    backend = _backend_spec(args)
-    optimizer_config = (
-        replace(ReproConfig.from_env(), sanitize=True) if args.sanitize else None
+    config = _config(
+        args, budget_policy=args.budget_policy, sanitize=args.sanitize or None
     )
+    if args.seeds > 1:
+        return _cmd_tune_multi_seed(args, workload, constraints, config)
+    tuner = _ALGORITHMS[args.algo](args)
     if args.minutes is not None:
         adapter = TimeBudgetedTuner(tuner)
         result = adapter.tune_for_minutes(
             workload,
             args.minutes,
             constraints=constraints,
-            optimizer_config=optimizer_config,
-            backend=backend,
+            optimizer_config=config,
         )
         model = WhatIfTimeModel(workload)
         print(
@@ -345,9 +348,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
             workload,
             budget=args.budget,
             constraints=constraints,
-            optimizer_config=optimizer_config,
-            budget_policy=args.budget_policy,
-            backend=backend,
+            optimizer_config=config,
         )
 
     if args.trace is not None:
@@ -395,7 +396,8 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    settings = ExperimentSettings.from_env(_backend_spec(args))
+    config = _config(args)
+    settings = ExperimentSettings.from_env(config)
     overrides = {}
     if args.scale is not None:
         overrides["scale"] = args.scale
@@ -417,7 +419,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     print(artifact.text)
     if args.json is not None:
         provenance = None
-        backend = settings.backend
+        backend = config.backend
         if backend.name == "postgres" and backend.pg_dsn:
             from repro.backend.postgres import postgres_provenance
 

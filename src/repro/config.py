@@ -20,11 +20,9 @@ from dataclasses import dataclass
 from repro.exceptions import ConstraintError
 
 
-#: Budget-policy names accepted by :attr:`ReproConfig.budget_policy`.
-#: Mirrors :data:`repro.budget.policy.POLICY_NAMES` (kept literal here so
-#: the config layer never imports the budget package — the budget package
-#: imports this module).
-_BUDGET_POLICY_NAMES = ("fcfs", "wii", "esc", "esc+wii")
+#: Budget-policy names accepted by :attr:`ReproConfig.budget_policy`,
+#: :func:`repro.budget.policy.build_policy` and the CLI.
+POLICY_NAMES = ("fcfs", "wii", "esc", "esc+wii")
 
 #: Cost-backend names accepted by :attr:`BackendSpec.name`. Mirrors
 #: :data:`repro.backend.factory.BACKEND_NAMES` (kept literal here so the
@@ -85,7 +83,8 @@ class BackendSpec:
             **Semantic knob** for ``"noisy"`` and ``"postgres"``.
         trace_path: The what-if cache shard file the replay backend serves
             (``DIR/whatif-<fingerprint>.jsonl`` of a session recorded with
-            ``whatif_cache``); required by replay, ignored by the others.
+            :attr:`ReproConfig.whatif_cache`); required by replay, ignored
+            by the others.
         noise: Relative noise level σ of the noisy backend; each non-empty
             (query, configuration) cost is multiplied by ``exp(σ·z)`` with
             ``z`` a seeded standard normal. ``0`` reproduces the analytic
@@ -97,10 +96,6 @@ class BackendSpec:
             resolve the DSN in the worker's environment.
         pg_schema: Optional schema (``search_path``) for the postgres
             backend's tables; ``None`` uses the server default.
-        whatif_cache: Persistent cross-session what-if cache directory
-            (:mod:`repro.backend.cache`); ``"1"``/``"default"`` select
-            ``~/.cache/repro``. ``None`` defers to
-            :attr:`ReproConfig.whatif_cache`. Never affects results.
     """
 
     name: str = "analytic"
@@ -109,7 +104,6 @@ class BackendSpec:
     noise_seed: int = 0
     pg_dsn: str | None = None
     pg_schema: str | None = None
-    whatif_cache: str | None = None
 
     def __post_init__(self) -> None:
         if self.name not in _BACKEND_NAMES:
@@ -124,10 +118,10 @@ class BackendSpec:
         """The spec the ``REPRO_*`` variables select, with ``flags`` applied.
 
         Reads ``REPRO_BACKEND``, ``REPRO_BACKEND_TRACE``, ``REPRO_NOISE``,
-        ``REPRO_NOISE_SEED``, ``REPRO_PG_DSN``, ``REPRO_PG_SCHEMA`` and
-        ``REPRO_WHATIF_CACHE``. Each keyword names a field; a value other
-        than ``None`` wins over its variable (the CLI passes its flags
-        straight through), ``None`` keeps the variable's value.
+        ``REPRO_NOISE_SEED``, ``REPRO_PG_DSN`` and ``REPRO_PG_SCHEMA``.
+        Each keyword names a field; a value other than ``None`` wins over
+        its variable (the CLI passes its flags straight through), ``None``
+        keeps the variable's value.
 
         Raises:
             ConstraintError: When a variable is malformed or the resulting
@@ -140,7 +134,6 @@ class BackendSpec:
             "noise_seed": int_env("REPRO_NOISE_SEED", 0),
             "pg_dsn": os.environ.get("REPRO_PG_DSN") or None,
             "pg_schema": os.environ.get("REPRO_PG_SCHEMA") or None,
-            "whatif_cache": os.environ.get("REPRO_WHATIF_CACHE") or None,
         }
         settings.update(
             (field, value) for field, value in flags.items() if value is not None
@@ -150,7 +143,12 @@ class BackendSpec:
 
 @dataclass(frozen=True)
 class ReproConfig:
-    """Engine/runtime knobs plus the session's budget-policy selection.
+    """The settings of one run: engine knobs, budget policy and backend.
+
+    Each entry point — ``tune``, ``eval`` and
+    :class:`~repro.eval.runner.ExperimentRunner` — resolves one config, in
+    the parent process, and hands it whole to every session it runs, so a
+    worker never reads the environment.
 
     Which what-if calls count is no knob: DESIGN §1 states the one rule.
     The engine knob ``whatif_cache`` changes how fast sessions run, never
@@ -165,14 +163,14 @@ class ReproConfig:
             (:mod:`repro.backend.cache`); ``None`` disables it, ``"1"`` /
             ``"default"`` select ``~/.cache/repro``. A cache hit replaces
             pricing work, never a budget charge, so warm runs stay
-            bit-identical to cold ones. :class:`BackendSpec` declares it
-            too, so a grid cell carries it across the process pool; a
-            spec's own value wins over this one.
-        budget_policy: Default budget discipline for tuning sessions —
+            bit-identical to cold ones. Its shard records the session for
+            the replay backend.
+        budget_policy: Budget discipline of the run's sessions —
             ``"fcfs"`` (Section 4.2.1, default), ``"wii"`` (per-query
             slices with dynamic reallocation), ``"esc"`` (early stop over
-            FCFS), or ``"esc+wii"``. **Semantic knob**: non-FCFS policies
-            change which calls are granted and therefore the outcomes.
+            FCFS), or ``"esc+wii"`` (see :data:`POLICY_NAMES`). **Semantic
+            knob**: non-FCFS policies change which calls are granted and
+            therefore the outcomes.
         wii_release_rate: Fraction of an idle query's unused slice released
             to the shared pool at each checkpoint (Wii policies).
         esc_patience: Checkpoints without sufficient gain before the
@@ -186,10 +184,9 @@ class ReproConfig:
             and outcomes are unchanged; a detected invariant violation
             raises :class:`~repro.exceptions.InvariantViolationError`
             instead of silently continuing.
-        backend: Default cost backend for tuning sessions (a
+        backend: Cost backend of the run's sessions (a
             :class:`BackendSpec`; analytic unless built from the
-            environment). A session is recorded by running it with
-            ``whatif_cache``.
+            environment).
     """
 
     whatif_cache: str | None = None
@@ -201,10 +198,10 @@ class ReproConfig:
     backend: BackendSpec = BackendSpec()
 
     def __post_init__(self) -> None:
-        if self.budget_policy not in _BUDGET_POLICY_NAMES:
+        if self.budget_policy not in POLICY_NAMES:
             raise ConstraintError(
                 f"unknown budget_policy {self.budget_policy!r}; "
-                f"expected one of {_BUDGET_POLICY_NAMES}"
+                f"expected one of {POLICY_NAMES}"
             )
         if not 0.0 < self.wii_release_rate <= 1.0:
             raise ConstraintError(
@@ -220,30 +217,36 @@ class ReproConfig:
             )
 
     @classmethod
-    def from_env(cls) -> "ReproConfig":
-        """Build a config from the ``REPRO_*`` environment knobs.
+    def from_env(cls, **flags) -> "ReproConfig":
+        """The config the ``REPRO_*`` variables select, with ``flags`` applied.
 
-        Recognised: ``REPRO_BUDGET_POLICY``, ``REPRO_WII_RELEASE_RATE``,
-        ``REPRO_ESC_PATIENCE``, ``REPRO_ESC_MIN_DELTA``, ``REPRO_SANITIZE``,
-        plus the backend settings' variables through
-        :meth:`BackendSpec.from_env`.
+        Reads ``REPRO_WHATIF_CACHE``, ``REPRO_BUDGET_POLICY``,
+        ``REPRO_WII_RELEASE_RATE``, ``REPRO_ESC_PATIENCE``,
+        ``REPRO_ESC_MIN_DELTA`` and ``REPRO_SANITIZE``. Like
+        :meth:`BackendSpec.from_env`, each keyword names a field and a value
+        other than ``None`` wins over its variable; ``backend`` may be a
+        spec already built from the backend flags, and without one
+        :meth:`BackendSpec.from_env` reads the backend's variables.
+
+        Raises:
+            ConstraintError: When a variable is malformed or the resulting
+                config is invalid.
         """
-        sanitize = os.environ.get("REPRO_SANITIZE", "0") not in (
-            "",
-            "0",
-            "false",
-            "no",
+        settings = {
+            "whatif_cache": os.environ.get("REPRO_WHATIF_CACHE") or None,
+            "budget_policy": os.environ.get("REPRO_BUDGET_POLICY", "fcfs"),
+            "wii_release_rate": float_env("REPRO_WII_RELEASE_RATE", 0.5),
+            "esc_patience": int_env("REPRO_ESC_PATIENCE", 3),
+            "esc_min_delta": float_env("REPRO_ESC_MIN_DELTA", 0.1),
+            "sanitize": os.environ.get("REPRO_SANITIZE", "0")
+            not in ("", "0", "false", "no"),
+        }
+        settings.update(
+            (field, value) for field, value in flags.items() if value is not None
         )
-        backend = BackendSpec.from_env()
-        return cls(
-            whatif_cache=backend.whatif_cache,
-            budget_policy=os.environ.get("REPRO_BUDGET_POLICY", "fcfs"),
-            wii_release_rate=float_env("REPRO_WII_RELEASE_RATE", 0.5),
-            esc_patience=int_env("REPRO_ESC_PATIENCE", 3),
-            esc_min_delta=float_env("REPRO_ESC_MIN_DELTA", 0.1),
-            sanitize=sanitize,
-            backend=backend,
-        )
+        if "backend" not in settings:
+            settings["backend"] = BackendSpec.from_env()
+        return cls(**settings)
 
 
 @dataclass(frozen=True)

@@ -7,18 +7,20 @@ Two strategies:
   derived workload cost. The search tracks this incrementally.
 * **BG** (Best Greedy) — rerun Algorithm 1 over the candidate set using the
   information accumulated during search. Following the paper's
-  implementation choice, BG literally reuses the greedy procedure; at
-  extraction time the budget is spent, so every ``cost(q, C)`` resolves to
-  the derived cost — no further what-if calls are issued.
+  implementation choice, BG literally reuses the greedy procedure, in the
+  running session; at extraction time the budget is spent, so every
+  ``cost(q, C)`` resolves to the derived cost — no further what-if calls
+  are issued.
 
 The optional hybrid (Appendix C.2) returns the better of the two.
 """
 
 from __future__ import annotations
 
+from repro.backend.base import CostBackend
 from repro.catalog import Index
 from repro.config import TuningConstraints
-from repro.backend.base import CostBackend
+from repro.tuners.base import TuningSession
 from repro.tuners.greedy import greedy_enumerate
 
 
@@ -63,20 +65,14 @@ def extract_bce(tracker: BestExploredTracker) -> frozenset[Index]:
     return tracker.best
 
 
-def extract_bg(
-    optimizer: CostBackend,
-    candidates: list[Index],
-    constraints: TuningConstraints,
-) -> frozenset[Index]:
-    """BG: greedy extraction over the accumulated derived costs."""
-    return greedy_enumerate(optimizer, candidates, constraints)
+def extract_bg(session: TuningSession) -> frozenset[Index]:
+    """BG: greedy extraction over the session's accumulated derived costs."""
+    return greedy_enumerate(session, session.candidates, session.constraints)
 
 
 def extract_best(
     strategy: str,
-    optimizer: CostBackend,
-    candidates: list[Index],
-    constraints: TuningConstraints,
+    session: TuningSession,
     tracker: BestExploredTracker,
     hybrid: bool = False,
 ) -> frozenset[Index]:
@@ -84,15 +80,19 @@ def extract_best(
 
     Args:
         strategy: ``"bg"`` or ``"bce"``.
+        session: The running tuning session (BG's greedy pass draws
+            through it).
+        tracker: The search's best-explored tracker (BCE).
         hybrid: When true, return the better (by derived cost) of BG and BCE
             regardless of ``strategy``.
     """
     if hybrid:
+        optimizer = session.optimizer
         bce = extract_bce(tracker)
-        bg = extract_bg(optimizer, candidates, constraints)
+        bg = extract_bg(session)
         bce_cost = optimizer.derived_workload_cost(bce)
         bg_cost = optimizer.derived_workload_cost(bg)
         return bg if bg_cost <= bce_cost else bce
     if strategy == "bce":
         return extract_bce(tracker)
-    return extract_bg(optimizer, candidates, constraints)
+    return extract_bg(session)

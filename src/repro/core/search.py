@@ -20,7 +20,7 @@ from itertools import accumulate
 import numpy as np
 
 from repro.catalog import Index
-from repro.config import MCTSConfig, TuningConstraints
+from repro.config import MCTSConfig
 from repro.core.extraction import BestExploredTracker, extract_best
 from repro.core.mdp import IndexTuningMDP
 from repro.core.node import TreeNode
@@ -36,8 +36,6 @@ from repro.core.selection import (
     SelectionPolicy,
     UCTPolicy,
 )
-from repro.exceptions import TuningError
-from repro.backend.base import CostBackend
 from repro.tuners.base import TuningSession
 
 
@@ -45,42 +43,25 @@ class MCTSSearch:
     """One MCTS tuning session over a fixed workload and candidate set.
 
     Args:
-        optimizer: Bare what-if interface (wrapped into a session;
-            back-compat — mutually exclusive with ``session``).
-        candidates: Candidate indexes ``I``.
-        constraints: Cardinality/storage constraints ``Γ``.
+        session: The running tuning session: the candidates ``I``, the
+            constraints ``Γ`` and the budget every episode draws through.
         config: Policy knobs (defaults reproduce the paper's best setting).
         seed: RNG seed; MCTS is stochastic and the paper reports the mean of
             five seeds.
-        session: The tuning session to draw budget through (preferred).
     """
 
     def __init__(
         self,
-        optimizer: CostBackend | None = None,
-        candidates: list[Index] | None = None,
-        constraints: TuningConstraints | None = None,
+        session: TuningSession,
         config: MCTSConfig | None = None,
         seed: int | None = None,
-        *,
-        session: TuningSession | None = None,
     ):
-        if session is None:
-            if optimizer is None:
-                raise TuningError("MCTSSearch needs a session or an optimizer")
-            session = TuningSession.wrap(optimizer)
-        elif optimizer is not None:
-            raise TuningError("pass either session or optimizer, not both")
-        if candidates is None:
-            candidates = session.candidates
-        if constraints is None:
-            constraints = session.constraints
         self._session = session
         self._optimizer = session.optimizer
-        self._constraints = constraints
+        self._constraints = session.constraints
         self._config = config or MCTSConfig()
         self._rng = random.Random(0 if seed is None else seed)
-        self._mdp = IndexTuningMDP(candidates, constraints)
+        self._mdp = IndexTuningMDP(session.candidates, session.constraints)
         self._candidates = list(self._mdp.candidates)
         # RAVE's all-moves-as-first statistics per candidate position.
         self._amaf_visits = np.zeros(len(self._candidates), dtype=np.int64)
@@ -209,9 +190,7 @@ class MCTSSearch:
         tracker.refresh()
         best = extract_best(
             self._config.extraction,
-            optimizer,
-            self._candidates,
-            self._constraints,
+            session,
             tracker,
             hybrid=self._config.hybrid_extraction,
         )

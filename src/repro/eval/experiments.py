@@ -28,8 +28,8 @@ from typing import Callable
 
 from repro.config import (
     ABLATION_PRESETS,
-    BackendSpec,
     MCTSConfig,
+    ReproConfig,
     TuningConstraints,
     float_env,
     int_env,
@@ -69,30 +69,30 @@ class ExperimentSettings:
         k_values: Cardinality grid (``REPRO_KS``).
         jobs: Worker processes for grid execution (``REPRO_JOBS``); 1 runs
             serially, N > 1 is bit-identical but concurrent.
-        backend: The cost backend every grid cell runs against (see
-            :class:`~repro.config.BackendSpec`); analytic, the exact
-            engine, by default. Replay serves one recorded session, so a
-            grid cannot run on it.
+        config: The settings every grid cell runs under (see
+            :class:`~repro.config.ReproConfig`); ``None`` lets each runner
+            call read them from the environment. Replay serves one
+            recorded session, so a grid cannot run on it.
     """
 
     scale: float = 0.1
     seeds: int = 3
     k_values: tuple[int, ...] = (5, 10, 20)
     jobs: int = 1
-    backend: BackendSpec = BackendSpec()
+    config: ReproConfig | None = None
 
     def __post_init__(self) -> None:
-        if self.backend.name == "replay":
+        if self.config is not None and self.config.backend.name == "replay":
             raise ConstraintError(
                 "replay serves one recorded session; experiment grids "
                 "cannot run on it"
             )
 
     @classmethod
-    def from_env(cls, backend: BackendSpec | None = None) -> "ExperimentSettings":
+    def from_env(cls, config: ReproConfig | None = None) -> "ExperimentSettings":
         """Settings from ``REPRO_SCALE``, ``REPRO_SEEDS``, ``REPRO_KS`` and
-        ``REPRO_JOBS``; the backend is ``backend``, or else the one
-        :meth:`BackendSpec.from_env` reads.
+        ``REPRO_JOBS``; the cells' config is ``config``, or else the one
+        :meth:`ReproConfig.from_env` reads.
 
         Raises:
             ConstraintError: When a variable is set to a malformed value.
@@ -109,7 +109,7 @@ class ExperimentSettings:
             seeds=int_env("REPRO_SEEDS", 3),
             k_values=ks,
             jobs=max(1, int_env("REPRO_JOBS", 1)),
-            backend=backend or BackendSpec.from_env(),
+            config=config or ReproConfig.from_env(),
         )
 
     def budgets_for(self, workload_name: str) -> list[int]:
@@ -223,7 +223,7 @@ def figure2_whatif_time(settings: ExperimentSettings | None = None) -> tuple[lis
         budgets,
         constraints,
         stochastic=False,
-        backend=settings.backend,
+        config=settings.config,
     )
     rows = []
     lines = [
@@ -261,7 +261,7 @@ def _grid_experiment(
         budgets,
         list(settings.k_values),
         max_storage_bytes,
-        backend=settings.backend,
+        config=settings.config,
     )
     model = WhatIfTimeModel(workload)
     minutes = {b: model.minutes_for_budget(b) for b in budgets}
@@ -357,7 +357,7 @@ def convergence(
             budget,
             constraints,
             stochastic=False,
-            backend=settings.backend,
+            config=settings.config,
         )
         result = record.results[0]
         if label == "mcts":
@@ -445,16 +445,21 @@ def robustness(
 
     records: list[RunRecord] = []
     series: dict[str, list[tuple[float, float]]] = {}
+    base = settings.config or ReproConfig.from_env()
     for label, (factory, stochastic) in roster.items():
         points: list[tuple[float, float]] = []
         for noise in NOISE_GRID:
             backend = (
-                replace(settings.backend, name="analytic")
+                replace(base.backend, name="analytic")
                 if noise <= 0.0
-                else replace(settings.backend, name="noisy", noise=noise)
+                else replace(base.backend, name="noisy", noise=noise)
             )
             record = runner.run_cell(
-                factory, budget, constraints, stochastic=stochastic, backend=backend
+                factory,
+                budget,
+                constraints,
+                stochastic=stochastic,
+                config=replace(base, backend=backend),
             )
             records.append(record)
             points.append((noise, record.improvement_mean))

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.backend.factory import BackendSpec, resolve_spec
+from repro.backend.factory import resolve_spec
 from repro.catalog import Index
 from repro.config import ReproConfig, TuningConstraints
 from repro.eval.metrics import mean_and_std
@@ -117,9 +117,10 @@ class ExperimentRunner:
             serially in-process; ``N > 1`` fans (tuner, K, B, seed) units
             out via :mod:`repro.parallel` with a deterministic merge.
 
-    A run's backend selection — a spec, a name, or ``None`` for the
-    environment's — is resolved once, here in the parent, never in a
-    worker, so every cell runs and its record names the same backend.
+    A run's settings — a :class:`~repro.config.ReproConfig`, or ``None``
+    for the environment's — are resolved once, here in the parent, never in
+    a worker, so every cell runs and its record names the same budget
+    policy and backend.
     """
 
     def __init__(
@@ -170,9 +171,8 @@ class ExperimentRunner:
         budget: int,
         constraints: TuningConstraints,
         stochastic: bool,
-        budget_policy: str | None,
+        config: ReproConfig,
         label: str = "",
-        backend: BackendSpec | None = None,
     ) -> list[CellSpec]:
         """One spec per seed for a (tuner, K, B) cell, in seed order."""
         seeds = self._seeds if stochastic else self._seeds[:1]
@@ -188,8 +188,7 @@ class ExperimentRunner:
                     budget=budget,
                     constraints=constraints,
                     seed=seed,
-                    budget_policy=budget_policy,
-                    backend=backend,
+                    config=config,
                 )
             )
         return specs
@@ -199,18 +198,17 @@ class ExperimentRunner:
         outcomes: list[SeedOutcome],
         constraints: TuningConstraints,
         budget: int,
-        budget_policy: str | None,
         results: list[TuningResult],
-        backend: BackendSpec,
-        sanitize: bool,
+        config: ReproConfig,
     ) -> RunRecord:
         """Fold per-seed outcomes (in seed order) into one record.
 
         This is the single aggregation path for serial and parallel runs:
         the parallel merge feeds it worker-shipped outcomes, the serial
         loop feeds it in-process ones, and the resulting records are
-        bit-identical (timing fields aside). ``sanitize`` replays each
-        seed's event stream through the validator.
+        bit-identical (timing fields aside). The record names ``config``'s
+        policy and backend; ``config.sanitize`` replays each seed's event
+        stream through the validator.
         """
         improvements: list[float] = []
         calls: list[float] = []
@@ -224,7 +222,7 @@ class ExperimentRunner:
         tuner_name = ""
         for outcome in outcomes:
             tuner_name = outcome.tuner_name
-            if sanitize:
+            if config.sanitize:
                 # Post-hoc replay of the recorded stream: catches invariant
                 # breaks even for tuners driven outside a sanitized session
                 # (and for streams shipped back from worker processes).
@@ -259,8 +257,8 @@ class ExperimentRunner:
             normalized_hits=_mean(norm_hits),
             cost_seconds=_mean(cost_secs),
             persistent_hits=_mean(persist_hits),
-            budget_policy=budget_policy or "fcfs",
-            backend=backend.name,
+            budget_policy=config.budget_policy,
+            backend=config.backend.name,
             event_counts=event_counts,
             stop_reasons=stop_reasons,
             seeds=[outcome.seed for outcome in outcomes],
@@ -269,10 +267,15 @@ class ExperimentRunner:
         )
 
     @staticmethod
-    def _run_settings(backend: BackendSpec | str | None) -> tuple[BackendSpec, bool]:
-        """The run's backend spec and sanitize flag, from one environment read."""
-        config = ReproConfig.from_env()
-        return resolve_spec(backend, config), config.sanitize
+    def _run_config(config: ReproConfig | None) -> ReproConfig:
+        """The run's settings: ``config``, or one read of the environment.
+
+        A replay selection without a trace fails here, in the parent,
+        before any cell starts.
+        """
+        config = config or ReproConfig.from_env()
+        resolve_spec(config.backend)
+        return config
 
     def _run_specs_serial(
         self, specs: list[CellSpec]
@@ -295,8 +298,7 @@ class ExperimentRunner:
         budget: int,
         constraints: TuningConstraints,
         stochastic: bool = True,
-        budget_policy: str | None = None,
-        backend: BackendSpec | str | None = None,
+        config: ReproConfig | None = None,
     ) -> RunRecord:
         """Run one (tuner, K, B) cell, averaging seeds when stochastic.
 
@@ -304,25 +306,18 @@ class ExperimentRunner:
         worker processes and merge in seed order.
 
         Args:
-            budget_policy: Optional budget-discipline name forwarded to
-                :meth:`~repro.tuners.base.Tuner.tune` (``None`` keeps the
-                config default, FCFS).
-            backend: Optional cost-backend selection (name or picklable
-                spec) applied to every seed (``None`` selects the
-                environment's backend, analytic by default).
+            config: The settings every seed runs under (budget policy,
+                backend, cache, sanitizers); ``None`` reads the
+                environment once, here.
         """
-        backend, sanitize = self._run_settings(backend)
-        specs = self._cell_specs(
-            factory, budget, constraints, stochastic, budget_policy, backend=backend
-        )
+        config = self._run_config(config)
+        specs = self._cell_specs(factory, budget, constraints, stochastic, config)
         if self._parallel > 1:
             outcomes = execute_specs(specs, self._parallel)
             results: list[TuningResult] = []
         else:
             outcomes, results = self._run_specs_serial(specs)
-        return self._aggregate(
-            outcomes, constraints, budget, budget_policy, results, backend, sanitize
-        )
+        return self._aggregate(outcomes, constraints, budget, results, config)
 
     def run_budget_sweep(
         self,
@@ -330,28 +325,20 @@ class ExperimentRunner:
         budgets: list[int],
         constraints: TuningConstraints,
         stochastic: bool = True,
-        budget_policy: str | None = None,
-        backend: BackendSpec | str | None = None,
+        config: ReproConfig | None = None,
     ) -> list[RunRecord]:
         """Run one tuner across a budget axis (one record per budget).
 
         Like :meth:`run_grid` with a single algorithm and a single ``K``;
         under ``parallel > 1`` all (budget, seed) units run concurrently.
         """
-        backend, sanitize = self._run_settings(backend)
+        config = self._run_config(config)
         cells = [
-            self._cell_specs(
-                factory, budget, constraints, stochastic, budget_policy,
-                backend=backend,
-            )
+            self._cell_specs(factory, budget, constraints, stochastic, config)
             for budget in budgets
         ]
         return self._execute_cells(
-            cells,
-            [(budget, constraints) for budget in budgets],
-            budget_policy,
-            backend,
-            sanitize,
+            cells, [(budget, constraints) for budget in budgets], config
         )
 
     def run_grid(
@@ -360,8 +347,7 @@ class ExperimentRunner:
         budgets: list[int],
         k_values: list[int],
         max_storage_bytes: int | None = None,
-        budget_policy: str | None = None,
-        backend: BackendSpec | str | None = None,
+        config: ReproConfig | None = None,
     ) -> list[RunRecord]:
         """Run the full grid.
 
@@ -376,16 +362,14 @@ class ExperimentRunner:
             k_values: Cardinality constraints (one sub-figure per value).
             max_storage_bytes: Optional storage constraint applied to all
                 cells.
-            budget_policy: Optional budget-discipline name applied to all
-                cells (``None`` keeps the config default, FCFS).
-            backend: Optional cost-backend selection applied to all cells
-                (``None`` selects the environment's backend, analytic by
-                default).
+            config: The settings every cell runs under (budget policy,
+                backend, cache, sanitizers); ``None`` reads the
+                environment once, here.
 
         Returns:
             Records ordered by (K, budget, insertion order of factories).
         """
-        backend, sanitize = self._run_settings(backend)
+        config = self._run_config(config)
         cells: list[list[CellSpec]] = []
         cell_meta: list[tuple[int, TuningConstraints]] = []
         for k in k_values:
@@ -400,21 +384,18 @@ class ExperimentRunner:
                             budget,
                             constraints,
                             stochastic,
-                            budget_policy,
+                            config,
                             label=label,
-                            backend=backend,
                         )
                     )
                     cell_meta.append((budget, constraints))
-        return self._execute_cells(cells, cell_meta, budget_policy, backend, sanitize)
+        return self._execute_cells(cells, cell_meta, config)
 
     def _execute_cells(
         self,
         cells: list[list[CellSpec]],
         cell_meta: list[tuple[int, TuningConstraints]],
-        budget_policy: str | None,
-        backend: BackendSpec,
-        sanitize: bool,
+        config: ReproConfig,
     ) -> list[RunRecord]:
         """Run grouped cell specs (serially or pooled) and aggregate each."""
         records: list[RunRecord] = []
@@ -425,18 +406,11 @@ class ExperimentRunner:
             for cell, (budget, constraints) in zip(cells, cell_meta, strict=True):
                 chunk = outcomes[cursor : cursor + len(cell)]
                 cursor += len(cell)
-                records.append(
-                    self._aggregate(
-                        chunk, constraints, budget, budget_policy, [], backend, sanitize
-                    )
-                )
+                records.append(self._aggregate(chunk, constraints, budget, [], config))
         else:
             for cell, (budget, constraints) in zip(cells, cell_meta, strict=True):
                 outcomes, results = self._run_specs_serial(cell)
                 records.append(
-                    self._aggregate(
-                        outcomes, constraints, budget, budget_policy, results, backend,
-                        sanitize,
-                    )
+                    self._aggregate(outcomes, constraints, budget, results, config)
                 )
         return records

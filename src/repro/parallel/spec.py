@@ -4,7 +4,7 @@ The paper's grids are embarrassingly parallel: every (tuner, K, B, seed)
 cell is an independent tuning run. :class:`CellSpec` is the unit of work a
 worker process receives — everything it needs to rebuild prepared optimizer
 state locally (the workload, the candidate set, a fresh un-run tuner
-instance, the constraints and the budget discipline) in one picklable
+instance, the constraints and the run's settings) in one picklable
 bundle. :class:`SeedOutcome` is the scalar payload shipped back: the
 ground-truth improvement, the counted calls, the full
 :class:`~repro.budget.events.SessionEvent` stream and the
@@ -19,10 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.backend.factory import BackendSpec
 from repro.budget.events import SessionEvent
 from repro.catalog import Index
-from repro.config import TuningConstraints
+from repro.config import ReproConfig, TuningConstraints
 from repro.optimizer.whatif import WhatIfStats
 from repro.tuners.base import Tuner
 from repro.workload.query import Workload
@@ -46,13 +45,11 @@ class CellSpec:
         constraints: Outcome constraints ``Γ``.
         seed: The RNG seed this cell runs under (already baked into
             ``tuner``; recorded for merge order and error messages).
-        budget_policy: Optional budget-discipline name forwarded to
-            :meth:`~repro.tuners.base.Tuner.tune`.
-        backend: Optional cost-backend spec forwarded to
-            :meth:`~repro.tuners.base.Tuner.tune` (``None`` keeps the
-            config default, analytic). A :class:`BackendSpec` is plain
-            primitives, so it pickles across the pool; the worker rebuilds
-            the live backend locally.
+        config: The run's settings, resolved in the parent and forwarded
+            whole to :meth:`~repro.tuners.base.Tuner.tune`, so a worker
+            never reads its environment. A config is plain primitives, so
+            it pickles across the pool; the worker rebuilds the live
+            backend locally.
     """
 
     label: str
@@ -62,8 +59,7 @@ class CellSpec:
     budget: int | None
     constraints: TuningConstraints
     seed: int
-    budget_policy: str | None = None
-    backend: BackendSpec | None = None
+    config: ReproConfig
 
 
 @dataclass

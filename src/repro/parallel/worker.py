@@ -2,9 +2,9 @@
 
 :func:`run_seed` is the module-level entry point a process pool imports and
 executes. It rebuilds all prepared optimizer state locally (the tuner's
-``tune()`` resolves a fresh :class:`~repro.backend.base.CostBackend` from
-the spec's picklable backend selection over the shipped workload, exactly
-as the serial path does per seed), evaluates the ground-truth improvement
+``tune()`` builds a fresh :class:`~repro.backend.base.CostBackend` from
+the spec's picklable config over the shipped workload, exactly as the
+serial path does per seed), evaluates the ground-truth improvement
 worker-side, and returns a compact
 :class:`~repro.parallel.spec.SeedOutcome`.
 
@@ -37,8 +37,7 @@ def run_seed_with_result(spec: CellSpec) -> tuple[SeedOutcome, TuningResult]:
         budget=spec.budget,
         constraints=spec.constraints,
         candidates=list(spec.candidates),
-        budget_policy=spec.budget_policy,
-        backend=spec.backend,
+        optimizer_config=spec.config,
     )
     elapsed = time.perf_counter() - start
     improvement = result.true_improvement()

@@ -15,7 +15,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from repro.backend.base import CostBackend
-from repro.backend.factory import BackendSpec, build_backend
+from repro.backend.factory import build_backend
 from repro.budget.events import EventLog, SessionEvent
 from repro.budget.policy import BudgetPolicy, SliceAllowance, build_policy
 from repro.catalog import Index
@@ -56,15 +56,13 @@ class TuningSession:
         budget: What-if call budget ``B`` (mutually exclusive with
             ``policy``; builds an FCFS policy).
         policy: Budget policy to draw counted calls through.
-        optimizer: Pre-built cost backend to adopt (back-compat alias for
-            ``backend``; mutually exclusive with ``budget``/``policy``).
-        backend: Cost backend selection — a backend *name* (see
-            :data:`repro.backend.factory.BACKEND_NAMES`), a picklable
-            :class:`~repro.backend.factory.BackendSpec`, or a live
-            :class:`~repro.backend.base.CostBackend` instance to adopt
-            (``budget``/``policy`` must then be ``None``). Defaults to the
-            config's ``backend`` knob (analytic).
-        optimizer_config: Engine knobs for a session-built backend.
+        backend: A live :class:`~repro.backend.base.CostBackend` to adopt
+            (``budget``/``policy`` must then be ``None``; the backend owns
+            its policy) — the seam tests drive an engine through. Without
+            one, the session builds the backend its config selects.
+        optimizer_config: The run's settings: the backend a session builds,
+            its persistent cache and the sanitizers. Read from the
+            environment when omitted.
         events: Event stream to use (a fresh one is created when omitted).
     """
 
@@ -76,54 +74,36 @@ class TuningSession:
         *,
         budget: int | None = None,
         policy: BudgetPolicy | None = None,
-        optimizer: CostBackend | None = None,
-        backend: CostBackend | BackendSpec | str | None = None,
+        backend: CostBackend | None = None,
         optimizer_config: ReproConfig | None = None,
         events: EventLog | None = None,
     ):
+        config = optimizer_config or ReproConfig.from_env()
         self._workload = workload
         self._candidates = list(candidates) if candidates is not None else []
         self._constraints = constraints or TuningConstraints()
-        if optimizer is not None:
-            if backend is not None:
-                raise TuningError(
-                    "pass either optimizer (back-compat alias) or backend to "
-                    "TuningSession, not both"
-                )
-            backend = optimizer
-        if backend is not None and not isinstance(backend, (str, BackendSpec)):
-            # A live backend instance: adopt it (back-compat wrapping).
-            if budget is not None or policy is not None:
-                raise TuningError(
-                    "pass either a pre-built backend or budget/policy to "
-                    "TuningSession, not both"
-                )
-            # Re-wrapping a backend another session drives must keep its
-            # event stream — the stream is part of the backend's identity.
-            if events is None:
-                events = backend.events
-            self._optimizer = backend
-        self._events = events if events is not None else EventLog()
-        if backend is None or isinstance(backend, (str, BackendSpec)):
-            self._optimizer = build_backend(
-                backend, workload, budget=budget, policy=policy, config=optimizer_config
+        if backend is None:
+            backend = build_backend(
+                config.backend, workload, budget=budget, policy=policy, config=config
             )
+        elif budget is not None or policy is not None:
+            raise TuningError(
+                "pass either a pre-built backend or budget/policy to "
+                "TuningSession, not both"
+            )
+        self._optimizer = backend
+        self._events = events if events is not None else EventLog()
         self._optimizer.attach_events(self._events)
         self.policy.bind(workload)
         self._history: list[tuple[int, frozenset[Index]]] = []
         self._baseline: float | None = None
         self._stop_emitted = False
-        if (optimizer_config or ReproConfig.from_env()).sanitize:
+        if config.sanitize:
             # Deferred import: the lint package is a consumer of the tuner
             # layer's public API, not a dependency of it.
             from repro.lint.sanitizers import install_session_sanitizers
 
             install_session_sanitizers(self)
-
-    @classmethod
-    def wrap(cls, optimizer: CostBackend) -> "TuningSession":
-        """Adopt a bare backend (back-compat for pre-session callers)."""
-        return cls(optimizer.workload, backend=optimizer)
 
     # ------------------------------------------------------------------ #
     # owned state
@@ -143,12 +123,7 @@ class TuningSession:
 
     @property
     def optimizer(self) -> CostBackend:
-        """The session's cost backend (historic name kept for callers)."""
-        return self._optimizer
-
-    @property
-    def backend(self) -> CostBackend:
-        """The session's cost backend (alias of :attr:`optimizer`)."""
+        """The session's cost backend."""
         return self._optimizer
 
     @property
@@ -267,13 +242,6 @@ class TuningSession:
             self._optimizer.policy = inner
 
 
-def as_session(source: TuningSession | CostBackend) -> TuningSession:
-    """Coerce a bare backend into a session (back-compat helper)."""
-    if isinstance(source, TuningSession):
-        return source
-    return TuningSession.wrap(source)
-
-
 @dataclass
 class TuningResult:
     """Outcome of one tuning run.
@@ -348,9 +316,9 @@ class Tuner(abc.ABC):
     """Base class for budget-aware configuration enumeration algorithms.
 
     Subclasses implement :meth:`_enumerate` against a
-    :class:`TuningSession`; the base class handles budget-policy selection,
-    candidate generation/validation/deduplication, session construction,
-    and result assembly.
+    :class:`TuningSession`; the base class handles candidate
+    generation/validation/deduplication, building the config's budget
+    policy and the session, and result assembly.
     """
 
     #: Human-readable algorithm name (appears in reports).
@@ -363,8 +331,6 @@ class Tuner(abc.ABC):
         constraints: TuningConstraints | None = None,
         candidates: list[Index] | None = None,
         optimizer_config: ReproConfig | None = None,
-        budget_policy: BudgetPolicy | str | None = None,
-        backend: CostBackend | BackendSpec | str | None = None,
     ) -> TuningResult:
         """Run the tuner.
 
@@ -379,23 +345,14 @@ class Tuner(abc.ABC):
                 when omitted. Duplicates are dropped (first occurrence
                 wins), so repeated candidates never change the outcome or
                 the spent budget.
-            optimizer_config: Engine knobs for the what-if optimizer (the
-                persistent cache) and the default budget policy and
-                backend selection (see :class:`~repro.config.ReproConfig`;
-                which calls count is no knob, DESIGN §1). When omitted,
-                the environment is read once here and the same config is
-                passed to the session, the backend factory and the
-                engine.
-            budget_policy: Budget discipline: a policy *name* (see
-                :data:`repro.budget.policy.POLICY_NAMES`) built over
-                ``budget``, or a pre-built policy instance (``budget`` must
-                then be ``None``; the policy's own meter governs). Defaults
-                to the config's ``budget_policy`` (FCFS).
-            backend: Cost backend: a backend *name* (see
-                :data:`repro.backend.factory.BACKEND_NAMES`), a picklable
-                :class:`~repro.backend.factory.BackendSpec`, or a live
-                backend instance. Defaults to the config's ``backend``
-                (analytic, the bit-identical baseline).
+            optimizer_config: The run's settings (see
+                :class:`~repro.config.ReproConfig`): the budget policy
+                built over ``budget`` (FCFS by default), the cost backend
+                (analytic, the bit-identical baseline), the persistent
+                cache and the sanitizers. Which calls count is no knob
+                (DESIGN §1). When omitted, the environment is read once
+                here and the same config reaches the session, the backend
+                factory and the engine.
 
         Returns:
             The tuning result, carrying the backend for evaluation.
@@ -416,31 +373,16 @@ class Tuner(abc.ABC):
                     f"{workload.schema.name!r}"
                 )
         config = optimizer_config or ReproConfig.from_env()
-        policy = self._resolve_policy(budget, budget_policy, config)
-        if backend is not None and not isinstance(backend, (str, BackendSpec)):
-            # Adopting a live backend: it owns its policy; the resolved one
-            # would conflict inside TuningSession.
-            if budget is not None or budget_policy is not None:
-                raise TuningError(
-                    "a pre-built backend carries its own budget policy; "
-                    "pass budget=None without budget_policy"
-                )
-            session = TuningSession(
-                workload,
-                candidates,
-                constraints,
-                backend=backend,
-                optimizer_config=config,
-            )
-        else:
-            session = TuningSession(
-                workload,
-                candidates,
-                constraints,
-                policy=policy,
-                backend=backend,
-                optimizer_config=config,
-            )
+        policy = build_policy(
+            config.budget_policy,
+            budget,
+            wii_release_rate=config.wii_release_rate,
+            esc_patience=config.esc_patience,
+            esc_min_delta=config.esc_min_delta,
+        )
+        session = TuningSession(
+            workload, candidates, constraints, policy=policy, optimizer_config=config
+        )
         optimizer = session.optimizer
         baseline = session.baseline_cost
         configuration = self._enumerate(session)
@@ -462,29 +404,6 @@ class Tuner(abc.ABC):
             optimizer=optimizer,
             events=session.events.events,
             stop_reason=session.stop_reason,
-        )
-
-    @staticmethod
-    def _resolve_policy(
-        budget: int | None,
-        budget_policy: BudgetPolicy | str | None,
-        config: ReproConfig,
-    ) -> BudgetPolicy:
-        """Select the budget policy for one run (see :meth:`tune`)."""
-        if isinstance(budget_policy, BudgetPolicy):
-            if budget is not None:
-                raise TuningError(
-                    "a pre-built budget policy carries its own meter; "
-                    "pass budget=None with a policy instance"
-                )
-            return budget_policy
-        name = budget_policy if budget_policy is not None else config.budget_policy
-        return build_policy(
-            name,
-            budget,
-            wii_release_rate=config.wii_release_rate,
-            esc_patience=config.esc_patience,
-            esc_min_delta=config.esc_min_delta,
         )
 
     @abc.abstractmethod

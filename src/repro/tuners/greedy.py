@@ -20,13 +20,12 @@ from __future__ import annotations
 
 from repro.catalog import Index, index_sort_key
 from repro.config import TuningConstraints
-from repro.backend.base import CostBackend
-from repro.tuners.base import Tuner, TuningSession, as_session
+from repro.tuners.base import Tuner, TuningSession
 from repro.workload.query import Workload
 
 
 def greedy_enumerate(
-    session: TuningSession | CostBackend,
+    session: TuningSession,
     candidates: list[Index],
     constraints: TuningConstraints,
     workload: Workload | None = None,
@@ -37,8 +36,7 @@ def greedy_enumerate(
     """Algorithm 1 over ``workload`` (default: the session's workload).
 
     Args:
-        session: The tuning session (a bare optimizer is wrapped for
-            pre-session callers such as MCTS extraction).
+        session: The running tuning session.
         candidates: Candidate indexes ``I``.
         constraints: Cardinality/storage constraints ``Γ``.
         workload: Optional sub-workload (the two-phase variant tunes each
@@ -54,7 +52,6 @@ def greedy_enumerate(
     Returns:
         The best configuration found, honouring ``constraints``.
     """
-    session = as_session(session)
     optimizer = session.optimizer
     queries = list(workload or optimizer.workload)
 

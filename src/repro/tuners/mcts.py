@@ -40,11 +40,7 @@ class MCTSTuner(Tuner):
         return self._last_search
 
     def _enumerate(self, session: TuningSession) -> frozenset[Index]:
-        search = MCTSSearch(
-            session=session,
-            config=self._config,
-            seed=self._seed,
-        )
+        search = MCTSSearch(session, self._config, self._seed)
         self._last_search = search
         best, _ = search.run()
         return best

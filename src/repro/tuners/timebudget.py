@@ -12,7 +12,6 @@ for the workload.
 
 from __future__ import annotations
 
-from repro.backend.factory import BackendSpec
 from repro.catalog import Index
 from repro.config import ReproConfig, TuningConstraints
 from repro.eval.timemodel import WhatIfTimeModel
@@ -46,7 +45,6 @@ class TimeBudgetedTuner:
         constraints: TuningConstraints | None = None,
         candidates: list[Index] | None = None,
         optimizer_config: ReproConfig | None = None,
-        backend: BackendSpec | str | None = None,
     ) -> TuningResult:
         """Tune under a wall-clock budget, mapped to a what-if call budget.
 
@@ -55,9 +53,8 @@ class TimeBudgetedTuner:
             minutes: Tuning-time budget in minutes (the DTA-style knob).
             constraints: Outcome constraints ``Γ``.
             candidates: Optional pre-built candidate set.
-            optimizer_config: Engine knobs forwarded to the inner tuner.
-            backend: Cost-backend selection forwarded to the inner tuner
-                (``None`` keeps the config default, analytic).
+            optimizer_config: The run's settings (budget policy, backend,
+                cache), forwarded to the inner tuner.
 
         Raises:
             TuningError: If the time budget affords no what-if calls at all
@@ -78,5 +75,4 @@ class TimeBudgetedTuner:
             constraints=constraints,
             candidates=candidates,
             optimizer_config=optimizer_config,
-            backend=backend,
         )

@@ -14,6 +14,7 @@ import pytest
 
 from repro.backend import BACKEND_NAMES, BackendSpec, build_backend
 from repro.backend.dbms import materialize_workload, psycopg_available
+from repro.config import ReproConfig
 
 #: Number of leading toy candidates the conformance universe is built from.
 N_CANDIDATES = 4
@@ -37,7 +38,7 @@ def toy_trace(tmp_path_factory, toy_workload, toy_candidates):
     """A shard covering the whole conformance universe for every query."""
     cache = tmp_path_factory.mktemp("backend") / "pcache"
     recorder = build_backend(
-        BackendSpec(name="analytic", whatif_cache=str(cache)), toy_workload
+        "analytic", toy_workload, config=ReproConfig(whatif_cache=str(cache))
     )
     for query in toy_workload:
         for config in covered_configs(toy_candidates):

@@ -37,6 +37,7 @@ from repro.backend.cache import (
 from repro.backend.concurrent import PricingExecutor, plan_shards
 from repro.backend.dbms.connection import POOL_SIZE
 from repro.budget.events import EventLog
+from repro.config import ReproConfig
 from repro.optimizer.cost_model import CostModel
 from repro.optimizer.whatif import WhatIfOptimizer
 
@@ -267,7 +268,7 @@ def test_golden_cases_with_concurrent_pricing(
     result = factory(seed).tune(
         _GEN.build_toy_workload(),
         budget=budget,
-        backend=BackendSpec(name="analytic"),
+        optimizer_config=ReproConfig.from_env(backend=BackendSpec(name="analytic")),
     )
     snapshot = _GEN.snapshot_result(result)
     assert snapshot["configuration"] == expected["configuration"]
@@ -323,7 +324,6 @@ class TestPersistentCache:
         include, different sizes) keep both strings in the engine's key."""
         from repro.backend.cache import canonical_key
         from repro.catalog import Index
-        from repro.config import ReproConfig
 
         engine = WhatIfOptimizer(
             toy_workload, config=ReproConfig(whatif_cache=str(tmp_path))
@@ -419,21 +419,14 @@ class TestPersistentCache:
         cache = str(tmp_path / "pcache")
 
         def shard_path(spec):
-            backend = build_backend(spec, toy_workload)
+            config = ReproConfig(whatif_cache=cache)
+            backend = build_backend(spec, toy_workload, config=config)
             return backend._persistent_cache().path
 
         paths = {
-            shard_path(BackendSpec(name="analytic", whatif_cache=cache)),
-            shard_path(
-                BackendSpec(
-                    name="noisy", noise=0.2, noise_seed=7, whatif_cache=cache
-                )
-            ),
-            shard_path(
-                BackendSpec(
-                    name="noisy", noise=0.2, noise_seed=8, whatif_cache=cache
-                )
-            ),
+            shard_path(BackendSpec(name="analytic")),
+            shard_path(BackendSpec(name="noisy", noise=0.2, noise_seed=7)),
+            shard_path(BackendSpec(name="noisy", noise=0.2, noise_seed=8)),
         }
         assert len(paths) == 3
 
@@ -449,7 +442,7 @@ class TestPersistentCache:
 
         monkeypatch.setattr(CostModel, "cost", boom)
         recorder = build_backend(
-            BackendSpec(name="analytic", whatif_cache=cache), toy_workload
+            "analytic", toy_workload, config=ReproConfig(whatif_cache=cache)
         )
         query = toy_workload.queries[0]
         config = _configs(toy_candidates)[0]

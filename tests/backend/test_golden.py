@@ -1,9 +1,10 @@
 """AnalyticBackend bit-identity: the factory path vs the pre-backend oracle.
 
 ``tests/budget/test_fcfs_golden.py`` pins the *default* tune path against
-``fcfs_golden.json``; this suite pins the explicit backend selections —
-``backend="analytic"`` and ``backend=BackendSpec(name="analytic")`` — and
-the parallel executor carrying a backend spec across the process pool.
+``fcfs_golden.json``; this suite pins an explicit config selecting
+``BackendSpec(name="analytic")`` — with the environment clear and with it
+selecting another backend and policy, which an explicit config ignores —
+and the parallel executor carrying a config across the process pool.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from repro.backend import BackendSpec
-from repro.config import TuningConstraints
+from repro.config import ReproConfig, TuningConstraints
 from repro.eval.runner import ExperimentRunner
 from repro.tuners import MCTSTuner
 
@@ -46,17 +47,27 @@ def workloads(tpch):
     ids=[case[0] for case in _GEN.CASES],
 )
 @pytest.mark.parametrize(
-    "backend",
-    ["analytic", BackendSpec(name="analytic")],
-    ids=["name", "spec"],
+    "environment",
+    [{}, {"REPRO_BACKEND": "noisy", "REPRO_BUDGET_POLICY": "wii"}],
+    ids=["clear", "overridden"],
 )
 def test_explicit_analytic_backend_matches_the_oracle(
-    workloads, label, workload_name, factory, budget, seed, backend
+    workloads, label, workload_name, factory, budget, seed, environment, monkeypatch
 ):
+    # The sanitizers follow the suite's REPRO_SANITIZE, read before the
+    # overrides: an explicit config takes nothing else from the environment.
+    sanitize = ReproConfig.from_env().sanitize
+    for name, value in environment.items():
+        monkeypatch.setenv(name, value)
     expected = _GOLDEN[label]
     result = factory(seed).tune(
-        workloads[workload_name], budget=budget, backend=backend
+        workloads[workload_name],
+        budget=budget,
+        optimizer_config=ReproConfig(
+            backend=BackendSpec(name="analytic"), sanitize=sanitize
+        ),
     )
+    assert bool(result.optimizer.cost_observers) is sanitize
     snapshot = _GEN.snapshot_result(result)
     assert snapshot["configuration"] == expected["configuration"]
     assert snapshot["estimated_cost"] == expected["estimated_cost"]
@@ -67,7 +78,7 @@ def test_explicit_analytic_backend_matches_the_oracle(
 
 
 def test_backend_spec_survives_the_process_pool(toy_workload, toy_candidates):
-    """A noisy spec shipped to 2 workers reproduces the serial cell exactly."""
+    """A noisy config shipped to 2 workers reproduces the serial cell exactly."""
 
     def cell(jobs):
         runner = ExperimentRunner(
@@ -81,7 +92,9 @@ def test_backend_spec_survives_the_process_pool(toy_workload, toy_candidates):
             lambda seed: MCTSTuner(seed=seed),
             budget=30,
             constraints=TuningConstraints(max_indexes=3),
-            backend=BackendSpec(name="noisy", noise=0.2, noise_seed=5),
+            config=ReproConfig.from_env(
+                backend=BackendSpec(name="noisy", noise=0.2, noise_seed=5)
+            ),
         )
 
     serial, pooled = cell(1), cell(2)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from repro.backend import BackendSpec, build_backend
+from repro.config import ReproConfig
 from repro.tuners import MCTSTuner, VanillaGreedyTuner
 
 
@@ -33,8 +34,16 @@ def test_perturbation_is_order_independent(toy_workload, counting_pairs):
 
 
 def test_noise_zero_is_the_analytic_backend(toy_workload):
-    noisy = MCTSTuner(seed=0).tune(toy_workload, budget=60, backend=_spec(0.0))
-    exact = MCTSTuner(seed=0).tune(toy_workload, budget=60, backend="analytic")
+    noisy = MCTSTuner(seed=0).tune(
+        toy_workload,
+        budget=60,
+        optimizer_config=ReproConfig.from_env(backend=_spec(0.0)),
+    )
+    exact = MCTSTuner(seed=0).tune(
+        toy_workload,
+        budget=60,
+        optimizer_config=ReproConfig.from_env(backend=BackendSpec(name="analytic")),
+    )
     assert noisy.configuration == exact.configuration
     assert noisy.estimated_cost == exact.estimated_cost
     assert noisy.calls_used == exact.calls_used
@@ -73,7 +82,9 @@ def test_empty_configuration_is_never_perturbed(toy_workload):
 
 def test_improvement_reported_against_clean_costs(toy_workload):
     result = VanillaGreedyTuner().tune(
-        toy_workload, budget=60, backend=_spec(0.4, seed=3)
+        toy_workload,
+        budget=60,
+        optimizer_config=ReproConfig.from_env(backend=_spec(0.4, seed=3)),
     )
     clean = build_backend("analytic", toy_workload)
     assert result.optimizer.true_workload_cost(

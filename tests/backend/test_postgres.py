@@ -30,6 +30,7 @@ from repro.backend.dbms import (
 from repro.backend.dbms.connection import POOL_SIZE
 from repro.backend.postgres import PostgresBackend
 from repro.catalog import Index
+from repro.config import ReproConfig
 from repro.exceptions import (
     BackendUnavailableError,
     OptimizerError,
@@ -580,12 +581,9 @@ class TestPostgresBackend:
 
 def _pg_recorder(server, workload, cache):
     return build_backend(
-        BackendSpec(
-            name="postgres",
-            pg_dsn="postgresql://fake/db",
-            whatif_cache=str(cache),
-        ),
+        BackendSpec(name="postgres", pg_dsn="postgresql://fake/db"),
         workload,
+        config=ReproConfig(whatif_cache=str(cache)),
         connector=lambda dsn: FakeConnection(server),
     )
 

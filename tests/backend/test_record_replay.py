@@ -13,6 +13,7 @@ import pytest
 
 from repro.backend import BackendSpec, ReplayBackend, build_backend
 from repro.backend.cache import PersistentWhatIfCache, canonical_key, workload_fingerprint
+from repro.config import ReproConfig
 from repro.exceptions import TraceError, TraceMissError, TuningError
 from repro.optimizer.cost_model import CostModel
 from repro.optimizer.whatif import WhatIfOptimizer
@@ -20,14 +21,18 @@ from repro.tuners import MCTSTuner, VanillaGreedyTuner
 from repro.workload.suites.real import real_d_workload
 
 
-def _tune(workload, backend_spec, tuner):
-    return tuner.tune(workload, budget=60, backend=backend_spec)
+def _tune(workload, config, tuner):
+    return tuner.tune(workload, budget=60, optimizer_config=config)
 
 
 def _recorder(workload, tmp_path, name="analytic", budget=None, **spec):
     """A backend recording into a fresh cache directory."""
-    spec = BackendSpec(name=name, whatif_cache=str(tmp_path / "pcache"), **spec)
-    return build_backend(spec, workload, budget=budget)
+    return build_backend(
+        BackendSpec(name=name, **spec),
+        workload,
+        budget=budget,
+        config=ReproConfig(whatif_cache=str(tmp_path / "pcache")),
+    )
 
 
 def _replayer(workload, shard, budget=None, **spec):
@@ -58,7 +63,7 @@ def test_replay_reproduces_the_session_without_the_cost_model(
 ):
     recorded = _tune(
         toy_workload,
-        BackendSpec(name="analytic", whatif_cache=str(tmp_path / "pcache")),
+        ReproConfig.from_env(whatif_cache=str(tmp_path / "pcache")),
         tuner_factory(),
     )
     recorded_improvement = recorded.true_improvement()
@@ -68,8 +73,9 @@ def test_replay_reproduces_the_session_without_the_cost_model(
     shard = recorded.optimizer.whatif_shard
 
     _no_cost_model(monkeypatch)
+    replay = BackendSpec(name="replay", trace_path=str(shard))
     replayed = _tune(
-        toy_workload, BackendSpec(name="replay", trace_path=str(shard)), tuner_factory()
+        toy_workload, ReproConfig.from_env(backend=replay), tuner_factory()
     )
 
     assert replayed.configuration == recorded.configuration

@@ -7,14 +7,18 @@ from repro.config import MCTSConfig, TuningConstraints
 from repro.core.search import MCTSSearch
 from repro.exceptions import ConstraintError
 from repro.optimizer.whatif import WhatIfOptimizer
+from repro.tuners.base import TuningSession
 
 
 def run_search(workload, candidates, config, budget=50, k=4, seed=0):
     optimizer = WhatIfOptimizer(workload, budget=budget)
     search = MCTSSearch(
-        optimizer=optimizer,
-        candidates=candidates,
-        constraints=TuningConstraints(max_indexes=k),
+        TuningSession(
+            workload,
+            candidates,
+            TuningConstraints(max_indexes=k),
+            backend=optimizer,
+        ),
         config=config,
         seed=seed,
     )
@@ -88,9 +92,12 @@ class TestRAVE:
     def test_rave_accumulates_amaf_stats(self, toy_workload, toy_candidates):
         optimizer = WhatIfOptimizer(toy_workload, budget=50)
         search = MCTSSearch(
-            optimizer=optimizer,
-            candidates=toy_candidates,
-            constraints=TuningConstraints(max_indexes=4),
+            TuningSession(
+                toy_workload,
+                toy_candidates,
+                TuningConstraints(max_indexes=4),
+                backend=optimizer,
+            ),
             config=MCTSConfig(rave_weight=0.5),
             seed=0,
         )
@@ -100,9 +107,12 @@ class TestRAVE:
     def test_zero_weight_disables_amaf(self, toy_workload, toy_candidates):
         optimizer = WhatIfOptimizer(toy_workload, budget=50)
         search = MCTSSearch(
-            optimizer=optimizer,
-            candidates=toy_candidates,
-            constraints=TuningConstraints(max_indexes=4),
+            TuningSession(
+                toy_workload,
+                toy_candidates,
+                TuningConstraints(max_indexes=4),
+                backend=optimizer,
+            ),
             config=MCTSConfig(rave_weight=0.0),
             seed=0,
         )

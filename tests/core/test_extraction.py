@@ -11,6 +11,12 @@ from repro.core.extraction import (
     extract_bg,
 )
 from repro.optimizer.whatif import WhatIfOptimizer
+from repro.tuners.base import TuningSession
+
+
+def _session(optimizer, candidates, constraints):
+    """The running session extraction draws through."""
+    return TuningSession(optimizer.workload, candidates, constraints, backend=optimizer)
 
 
 @pytest.fixture
@@ -77,7 +83,7 @@ class TestExtraction:
         except BudgetExhaustedError:  # repro-lint: off[REP002]
             pass  # exhausting the budget is this test's setup, not a failure
         calls_before = optimizer.calls_used
-        config = extract_bg(optimizer, toy_candidates, constraints)
+        config = extract_bg(_session(optimizer, toy_candidates, constraints))
         # BG may use leftover budget (FCFS); with the budget spent it is free.
         assert optimizer.calls_used >= calls_before
         assert len(config) <= constraints.max_indexes
@@ -87,7 +93,7 @@ class TestExtraction:
     ):
         optimizer = WhatIfOptimizer(toy_workload, budget=1000)
         self.seed_knowledge(optimizer, toy_candidates)
-        config = extract_bg(optimizer, toy_candidates, constraints)
+        config = extract_bg(_session(optimizer, toy_candidates, constraints))
         assert optimizer.derived_workload_cost(config) < optimizer.empty_workload_cost()
 
     def test_dispatch_bce(self, optimizer, constraints, toy_candidates):
@@ -95,7 +101,7 @@ class TestExtraction:
         config = frozenset(toy_candidates[:1])
         tracker.observe(config, 0.0)
         chosen = extract_best(
-            "bce", optimizer, toy_candidates, constraints, tracker
+            "bce", _session(optimizer, toy_candidates, constraints), tracker
         )
         assert chosen == config
         assert extract_bce(tracker) == config
@@ -104,10 +110,9 @@ class TestExtraction:
         optimizer = WhatIfOptimizer(toy_workload, budget=1000)
         self.seed_knowledge(optimizer, toy_candidates)
         tracker = BestExploredTracker(optimizer, constraints)
-        hybrid = extract_best(
-            "bg", optimizer, toy_candidates, constraints, tracker, hybrid=True
-        )
-        bg_only = extract_bg(optimizer, toy_candidates, constraints)
+        session = _session(optimizer, toy_candidates, constraints)
+        hybrid = extract_best("bg", session, tracker, hybrid=True)
+        bg_only = extract_bg(session)
         assert optimizer.derived_workload_cost(hybrid) <= optimizer.derived_workload_cost(
             bg_only
         )

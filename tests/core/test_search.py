@@ -6,14 +6,18 @@ import pytest
 from repro.config import MCTSConfig, TuningConstraints
 from repro.core.search import MCTSSearch
 from repro.optimizer.whatif import WhatIfOptimizer
+from repro.tuners.base import TuningSession
 
 
 def make_search(workload, candidates, budget=60, k=5, config=None, seed=0):
     optimizer = WhatIfOptimizer(workload, budget=budget)
     search = MCTSSearch(
-        optimizer=optimizer,
-        candidates=candidates,
-        constraints=TuningConstraints(max_indexes=k),
+        TuningSession(
+            workload,
+            candidates,
+            TuningConstraints(max_indexes=k),
+            backend=optimizer,
+        ),
         config=config or MCTSConfig(),
         seed=seed,
     )
@@ -149,9 +153,12 @@ class TestStorageConstraint:
         cap = 3 * min(ix.estimated_size_bytes for ix in toy_candidates)
         optimizer = WhatIfOptimizer(toy_workload, budget=50)
         search = MCTSSearch(
-            optimizer=optimizer,
-            candidates=toy_candidates,
-            constraints=TuningConstraints(max_indexes=5, max_storage_bytes=cap),
+            TuningSession(
+                toy_workload,
+                toy_candidates,
+                TuningConstraints(max_indexes=5, max_storage_bytes=cap),
+                backend=optimizer,
+            ),
             seed=0,
         )
         config, _ = search.run()
@@ -167,9 +174,12 @@ class TestUCTSlowProgress:
         config = MCTSConfig(selection_policy="uct", use_priors=False)
         optimizer = WhatIfOptimizer(toy_workload, budget=len(toy_candidates) // 2)
         search = MCTSSearch(
-            optimizer=optimizer,
-            candidates=toy_candidates,
-            constraints=TuningConstraints(max_indexes=5),
+            TuningSession(
+                toy_workload,
+                toy_candidates,
+                TuningConstraints(max_indexes=5),
+                backend=optimizer,
+            ),
             config=config,
             seed=0,
         )
@@ -184,9 +194,12 @@ class TestUCTSlowProgress:
         def depth_of(config):
             optimizer = WhatIfOptimizer(toy_workload, budget=60)
             search = MCTSSearch(
-                optimizer=optimizer,
-                candidates=toy_candidates,
-                constraints=TuningConstraints(max_indexes=5),
+                TuningSession(
+                    toy_workload,
+                    toy_candidates,
+                    TuningConstraints(max_indexes=5),
+                    backend=optimizer,
+                ),
                 config=config,
                 seed=0,
             )

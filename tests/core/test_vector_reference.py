@@ -39,6 +39,7 @@ from repro.core.search import MCTSSearch
 from repro.core.selection import BoltzmannPolicy, EpsilonGreedyPriorPolicy, UCTPolicy
 from repro.optimizer.derivation import CostDerivation
 from repro.optimizer.whatif import WhatIfOptimizer
+from repro.tuners.base import TuningSession
 
 # --------------------------------------------------------------------------- #
 # references
@@ -400,7 +401,8 @@ _derived_values = st.one_of(
 @pytest.fixture(scope="module")
 def episode_search(toy_workload, toy_candidates):
     """A search at the paper's defaults: cost-proportional episode queries."""
-    return MCTSSearch(WhatIfOptimizer(toy_workload, budget=None), candidates=toy_candidates)
+    engine = WhatIfOptimizer(toy_workload, budget=None)
+    return MCTSSearch(TuningSession(toy_workload, toy_candidates, backend=engine))
 
 
 def _same_draw_as_choices(search: MCTSSearch, derived: list[float], seed: int) -> None:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.backend import BackendSpec
+from repro.config import ReproConfig
 from repro.eval.experiments import (
     NOISE_GRID,
     ExperimentSettings,
@@ -13,20 +14,7 @@ from repro.eval.experiments import (
     robustness,
     table1_workload_statistics,
 )
-from repro.eval.report import record_to_dict
 from repro.exceptions import ConstraintError
-
-#: Wall-clock fields: they measure time, so they differ between equal runs.
-_TIMING = ("seconds", "cost_seconds")
-
-
-def _untimed(record) -> dict:
-    row = {k: v for k, v in record_to_dict(record).items() if k not in _TIMING}
-    row["seed_metrics"] = [
-        {k: v for k, v in metrics.items() if k not in _TIMING}
-        for metrics in row["seed_metrics"]
-    ]
-    return row
 
 
 @pytest.fixture(scope="module")
@@ -225,22 +213,28 @@ class TestRegistry:
 
 
 class TestBackendSelection:
-    def test_settings_hold_one_spec_from_the_environment(self, monkeypatch):
+    def test_settings_hold_one_config_from_the_environment(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "noisy")
         monkeypatch.setenv("REPRO_NOISE", "0.3")
         monkeypatch.setenv("REPRO_WHATIF_CACHE", "pcache")
+        monkeypatch.setenv("REPRO_BUDGET_POLICY", "wii")
         settings = ExperimentSettings.from_env()
-        assert settings.backend == BackendSpec.from_env()
-        assert (settings.backend.name, settings.backend.noise) == ("noisy", 0.3)
-        assert settings.backend.whatif_cache == "pcache"
-        explicit = BackendSpec(name="postgres", pg_dsn="postgresql://x/y")
-        assert ExperimentSettings.from_env(explicit).backend is explicit
+        assert settings.config == ReproConfig.from_env()
+        backend = settings.config.backend
+        assert (backend.name, backend.noise) == ("noisy", 0.3)
+        assert settings.config.whatif_cache == "pcache"
+        assert settings.config.budget_policy == "wii"
+        explicit = ReproConfig(
+            backend=BackendSpec(name="postgres", pg_dsn="postgresql://x/y")
+        )
+        assert ExperimentSettings.from_env(explicit).config is explicit
 
     def test_grids_reject_replay(self):
+        replay = BackendSpec(name="replay", trace_path="s.jsonl")
         with pytest.raises(ConstraintError, match="replay serves one recorded session"):
-            ExperimentSettings(backend=BackendSpec(name="replay", trace_path="s.jsonl"))
+            ExperimentSettings(config=ReproConfig(backend=replay))
 
-    def test_robustness_baseline_is_the_analytic_engine(self, monkeypatch):
+    def test_robustness_baseline_is_the_analytic_engine(self, monkeypatch, untimed):
         """σ = 0 runs the exact engine even when the grid's backend is noisy."""
         monkeypatch.setenv("REPRO_SCALE", "0.02")
         monkeypatch.setenv("REPRO_SEEDS", "1")
@@ -250,6 +244,6 @@ class TestBackendSelection:
         noisy, _, _ = robustness("tpch", ExperimentSettings.from_env())
         baseline = slice(None, None, len(NOISE_GRID))  # the σ = 0 cell per tuner
         assert [r.backend for r in noisy[baseline]] == ["analytic"] * 3
-        assert [_untimed(r) for r in noisy[baseline]] == [
-            _untimed(r) for r in analytic[baseline]
+        assert [untimed(r) for r in noisy[baseline]] == [
+            untimed(r) for r in analytic[baseline]
         ]

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.backend import BackendSpec
-from repro.config import TuningConstraints
+from repro.config import ReproConfig, TuningConstraints
 from repro.eval.runner import ExperimentRunner
 from repro.exceptions import TuningError
 from repro.tuners import DTATuner, MCTSTuner, VanillaGreedyTuner
@@ -93,7 +93,7 @@ class TestBudgetPolicies:
             budget=40,
             constraints=TuningConstraints(max_indexes=3),
             stochastic=False,
-            budget_policy="wii",
+            config=ReproConfig.from_env(budget_policy="wii"),
         )
         assert record.budget_policy == "wii"
         assert record.calls_used <= 40
@@ -107,6 +107,7 @@ class TestBudgetPolicies:
     ):
         # An unreachable min_delta forces the plateau stop as early as the
         # patience guard allows; the knobs flow in via the env config.
+        monkeypatch.setenv("REPRO_BUDGET_POLICY", "esc")
         monkeypatch.setenv("REPRO_ESC_PATIENCE", "1")
         monkeypatch.setenv("REPRO_ESC_MIN_DELTA", "100.0")
         runner = ExperimentRunner(toy_workload, candidates=toy_candidates, seeds=[1])
@@ -115,7 +116,6 @@ class TestBudgetPolicies:
             budget=5000,
             constraints=TuningConstraints(max_indexes=3),
             stochastic=False,
-            budget_policy="esc",
         )
         assert record.budget_policy == "esc"
         assert record.stop_reasons and "plateau" in record.stop_reasons[0]
@@ -130,7 +130,7 @@ class TestBudgetPolicies:
             {"vanilla": (lambda seed: VanillaGreedyTuner(), False)},
             budgets=[30],
             k_values=[3],
-            budget_policy="wii",
+            config=ReproConfig.from_env(budget_policy="wii"),
         )
         assert [r.budget_policy for r in records] == ["wii"]
 
@@ -139,21 +139,23 @@ class TestBackendResolution:
     """A cell resolves its backend once, in the parent, and records it."""
 
     @staticmethod
-    def _dta_cell(backend=None):
+    def _dta_cell(config=None):
         runner = ExperimentRunner(get_workload("toy"), seeds=[1])
         return runner.run_cell(
             lambda seed: DTATuner(),
             40,
             TuningConstraints(max_indexes=5),
             stochastic=False,
-            backend=backend,
+            config=config,
         )
 
     def test_default_backend_is_the_one_recorded(self, monkeypatch):
         for name in ("REPRO_BACKEND", "REPRO_NOISE", "REPRO_NOISE_SEED"):
             monkeypatch.delenv(name, raising=False)
         analytic = self._dta_cell()
-        noisy = self._dta_cell("noisy")
+        noisy = self._dta_cell(
+            ReproConfig.from_env(backend=BackendSpec(name="noisy"))
+        )
         monkeypatch.setenv("REPRO_BACKEND", "noisy")
         resolved = self._dta_cell()
         assert (analytic.backend, round(analytic.improvement_mean, 4)) == (
@@ -172,4 +174,48 @@ class TestBackendResolution:
 
         monkeypatch.setattr(ExperimentRunner, "_cell_specs", no_cells)
         with pytest.raises(TuningError, match="requires a trace path"):
-            self._dta_cell(BackendSpec(name="replay"))
+            self._dta_cell(ReproConfig(backend=BackendSpec(name="replay")))
+
+
+class TestPolicyResolution:
+    """A cell resolves its budget policy once, in the parent, runs every
+    seed under it and records it — serial and pooled alike."""
+
+    @pytest.mark.parametrize("parallel", [1, 2])
+    def test_environment_policy_runs_and_is_recorded(
+        self, monkeypatch, untimed, parallel
+    ):
+        outcomes = []
+        aggregate = ExperimentRunner._aggregate
+
+        def spy(self, cell_outcomes, *args):
+            outcomes.extend(cell_outcomes)
+            return aggregate(self, cell_outcomes, *args)
+
+        monkeypatch.setattr(ExperimentRunner, "_aggregate", spy)
+
+        def cell(config=None):
+            runner = ExperimentRunner(
+                get_workload("toy"), seeds=[1, 2], keep_results=False, parallel=parallel
+            )
+            return runner.run_cell(
+                lambda seed: MCTSTuner(seed=seed),
+                30,
+                TuningConstraints(max_indexes=3),
+                config=config,
+            )
+
+        monkeypatch.setenv("REPRO_BUDGET_POLICY", "wii")
+        resolved = cell()
+        assert resolved.budget_policy == "wii"
+        grants = [
+            event.payload["policy"]
+            for outcome in outcomes
+            for event in outcome.events
+            if event.kind == "budget_grant"
+        ]
+        assert len(outcomes) == 2
+        assert grants and set(grants) == {"wii"}
+        monkeypatch.delenv("REPRO_BUDGET_POLICY")
+        explicit = cell(ReproConfig.from_env(budget_policy="wii"))
+        assert untimed(resolved) == untimed(explicit)

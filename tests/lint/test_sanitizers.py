@@ -86,7 +86,7 @@ class TestMonotonicityIntegration:
             cost_model=_NonMonotoneModel(CostModel(toy_workload.schema)),
         )
         session = TuningSession(
-            toy_workload, toy_candidates, small_constraints, optimizer=optimizer
+            toy_workload, toy_candidates, small_constraints, backend=optimizer
         )
         install_session_sanitizers(session)
         with pytest.raises(InvariantViolationError, match="monotonicity"):

@@ -10,7 +10,7 @@ import os
 
 import pytest
 
-from repro.config import TuningConstraints
+from repro.config import ReproConfig, TuningConstraints
 from repro.eval.runner import ExperimentRunner
 from repro.exceptions import ParallelExecutionError, ReproError, TuningError
 from repro.parallel import CellSpec, execute_specs
@@ -23,7 +23,7 @@ class FailingTuner:
     name = "failing"
 
     def tune(self, workload, *, budget=None, constraints=None,
-             candidates=None, budget_policy=None, backend=None):
+             candidates=None, optimizer_config=None):
         raise RuntimeError("simulated tuner failure")
 
 
@@ -33,7 +33,7 @@ class HardCrashTuner:
     name = "hard_crash"
 
     def tune(self, workload, *, budget=None, constraints=None,
-             candidates=None, budget_policy=None, backend=None):
+             candidates=None, optimizer_config=None):
         os._exit(17)
 
 
@@ -46,6 +46,7 @@ def _spec(tuner, seed=3, label="cell"):
         budget=10,
         constraints=TuningConstraints(max_indexes=2),
         seed=seed,
+        config=ReproConfig.from_env(),
     )
 
 
@@ -109,6 +110,7 @@ class TestWorkerFailures:
             budget=10,
             constraints=TuningConstraints(max_indexes=2),
             seed=1,
+            config=ReproConfig.from_env(),
         )
         with pytest.raises(ParallelExecutionError):
             execute_specs([good, _spec(FailingTuner(), label="bad")], jobs=2)
@@ -125,6 +127,7 @@ class TestSuccessPath:
                 budget=20,
                 constraints=TuningConstraints(max_indexes=2),
                 seed=seed,
+                config=ReproConfig.from_env(),
             )
             for seed in (5, 3, 8)
         ]

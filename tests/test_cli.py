@@ -514,6 +514,38 @@ def test_tune_backend_flag_wins_over_environment(built_backend, env, flags, expe
 
 
 @pytest.mark.parametrize(
+    "budget", [["--budget", "5"], ["--minutes", "30"]], ids=["budget", "minutes"]
+)
+@pytest.mark.parametrize(
+    "env, flags, expected",
+    [
+        ({}, [], "fcfs"),
+        ({"REPRO_BUDGET_POLICY": "wii"}, [], "wii"),
+        ({}, ["--budget-policy", "wii"], "wii"),
+        ({"REPRO_BUDGET_POLICY": "wii"}, ["--budget-policy", "fcfs"], "fcfs"),
+    ],
+    ids=["unset", "env", "flag", "both"],
+)
+def test_tune_policy_flag_wins_over_environment(
+    clean_backend_env, capsys, env, flags, expected, budget
+):
+    import json
+
+    clean_backend_env.delenv("REPRO_BUDGET_POLICY", raising=False)
+    for name, value in env.items():
+        clean_backend_env.setenv(name, value)
+    argv = ["tune", "--workload", "toy", "--algo", "vanilla", *budget, *flags]
+    assert main([*argv, "--trace", "-"]) == 0
+    events = [
+        json.loads(line)
+        for line in capsys.readouterr().out.splitlines()
+        if line.startswith("{")
+    ]
+    policies = [event["policy"] for event in events if event["kind"] == "budget_grant"]
+    assert policies and set(policies) == {expected}
+
+
+@pytest.mark.parametrize(
     "env, flags",
     [
         ({}, ["--backend", "replay"]),

@@ -139,6 +139,37 @@ class TestReproConfigBudgetKnobs:
         with pytest.raises(ConstraintError):
             ReproConfig.from_env()
 
+    def test_from_env_flags_win_and_none_defers(self, monkeypatch):
+        from repro.config import ReproConfig
+
+        monkeypatch.setenv("REPRO_BUDGET_POLICY", "esc")
+        monkeypatch.setenv("REPRO_ESC_PATIENCE", "5")
+        monkeypatch.setenv("REPRO_WHATIF_CACHE", "env-cache")
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        config = ReproConfig.from_env(
+            budget_policy="wii", whatif_cache=None, sanitize=None, esc_min_delta=0.5
+        )
+        assert config == ReproConfig(
+            whatif_cache="env-cache",
+            budget_policy="wii",
+            esc_patience=5,
+            esc_min_delta=0.5,
+            sanitize=True,
+        )
+        monkeypatch.delenv("REPRO_BUDGET_POLICY")
+        assert ReproConfig.from_env().budget_policy == "fcfs"
+        assert ReproConfig.from_env(sanitize=False).sanitize is False
+
+    def test_from_env_takes_a_built_backend(self, monkeypatch):
+        from repro.config import BackendSpec, ReproConfig
+
+        monkeypatch.setenv("REPRO_BACKEND", "bogus")
+        spec = BackendSpec(name="noisy", noise=0.4)
+        # A built spec wins whole: the backend's variables are not read.
+        assert ReproConfig.from_env(backend=spec).backend is spec
+        with pytest.raises(ConstraintError, match="unknown backend"):
+            ReproConfig.from_env()
+
 
 #: Each backend setting's variable, with a value that is not its default.
 _BACKEND_ENV = {
@@ -148,7 +179,6 @@ _BACKEND_ENV = {
     "REPRO_NOISE_SEED": "7",
     "REPRO_PG_DSN": "postgresql://host/db",
     "REPRO_PG_SCHEMA": "tuning",
-    "REPRO_WHATIF_CACHE": "pcache",
 }
 
 
@@ -173,7 +203,6 @@ class TestBackendSpec:
             ("REPRO_NOISE_SEED", "noise_seed", 7),
             ("REPRO_PG_DSN", "pg_dsn", "postgresql://host/db"),
             ("REPRO_PG_SCHEMA", "pg_schema", "tuning"),
-            ("REPRO_WHATIF_CACHE", "whatif_cache", "pcache"),
         ],
     )
     def test_from_env_reads_each_variable(self, env, variable, field, value):
@@ -197,7 +226,6 @@ class TestBackendSpec:
             noise_seed=7,
             pg_dsn="postgresql://host/db",
             pg_schema="tuning",
-            whatif_cache="pcache",
         )
 
     @pytest.mark.parametrize(
@@ -227,7 +255,7 @@ class TestBackendSpec:
 
         from repro.config import BackendSpec
 
-        spec = BackendSpec(name="noisy", noise=0.2, noise_seed=3, whatif_cache="d")
+        spec = BackendSpec(name="noisy", noise=0.2, noise_seed=3)
         assert pickle.loads(pickle.dumps(spec)) == spec
 
     def test_explicit_config_keeps_the_analytic_backend(self, env):
@@ -242,9 +270,10 @@ class TestBackendSpec:
 
         for name, value in _BACKEND_ENV.items():
             env.setenv(name, value)
+        env.setenv("REPRO_WHATIF_CACHE", "pcache")
         config = ReproConfig.from_env()
         assert config.backend == BackendSpec.from_env()
-        assert config.whatif_cache == config.backend.whatif_cache == "pcache"
+        assert config.whatif_cache == "pcache"
 
     def test_reexported_by_the_backend_package(self):
         import repro

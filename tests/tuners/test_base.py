@@ -100,42 +100,92 @@ class TestCandidateValidation:
             )
 
 
+def _cli_tuner(algo):
+    """A fresh tuner exactly as ``python -m repro tune --algo ALGO`` builds it."""
+    from repro.cli import _ALGORITHMS, _build_parser
+
+    args = _build_parser().parse_args(
+        ["tune", "--workload", "toy", "--budget", "30", "--algo", algo]
+    )
+    return _ALGORITHMS[algo](args)
+
+
+def _cli_algorithms():
+    from repro.cli import _ALGORITHMS
+
+    return sorted(_ALGORITHMS)
+
+
 class TestOneEnvironmentRead:
     """``tune()`` without a config reads the environment once and passes that
-    config to the session, the backend factory and the engine; a grid run
-    reads it once more for its backend and sanitize flag."""
+    config to the session, the backend factory and the engine; with a config
+    it reads nothing. A grid run reads it once, in the parent, and its cells
+    run on that config."""
 
     @pytest.fixture
     def env_reads(self, monkeypatch):
-        from repro.config import ReproConfig
+        """Environment reads: calls of either ``from_env`` not made by the
+        other (``ReproConfig.from_env`` reads the backend's variables
+        through ``BackendSpec.from_env``)."""
+        from repro.config import BackendSpec, ReproConfig
 
         reads = []
-        original = ReproConfig.from_env.__func__
+        depth = [0]
 
-        def counting(cls):
-            reads.append(cls)
-            return original(cls)
+        def counting(owner):
+            original = owner.from_env.__func__
 
-        monkeypatch.setattr(ReproConfig, "from_env", classmethod(counting))
+            def from_env(cls, **flags):
+                if not depth[0]:
+                    reads.append(cls)
+                depth[0] += 1
+                try:
+                    return original(cls, **flags)
+                finally:
+                    depth[0] -= 1
+
+            monkeypatch.setattr(owner, "from_env", classmethod(from_env))
+
+        counting(ReproConfig)
+        counting(BackendSpec)
         return reads
 
-    def test_tune_without_config_reads_once(self, env_reads, toy_workload, toy_candidates):
-        from repro.tuners import DTATuner
-
-        DTATuner().tune(toy_workload, 60, candidates=list(toy_candidates))
+    @pytest.mark.parametrize("algo", _cli_algorithms())
+    def test_tune_without_config_reads_once(
+        self, env_reads, toy_workload, toy_candidates, algo
+    ):
+        _cli_tuner(algo).tune(toy_workload, 30, candidates=list(toy_candidates))
         assert len(env_reads) == 1
 
-    def test_tune_with_config_reads_nothing(self, env_reads, toy_workload, toy_candidates):
+    @pytest.mark.parametrize("algo", _cli_algorithms())
+    def test_tune_with_config_reads_nothing(
+        self, env_reads, toy_workload, toy_candidates, algo
+    ):
         from repro.config import ReproConfig
-        from repro.tuners import DTATuner
 
-        DTATuner().tune(
+        _cli_tuner(algo).tune(
             toy_workload,
-            60,
+            30,
             candidates=list(toy_candidates),
             optimizer_config=ReproConfig(),
         )
         assert env_reads == []
+
+    @pytest.mark.parametrize("algo", _cli_algorithms())
+    def test_explicit_config_installs_no_sanitizer(
+        self, monkeypatch, toy_workload, toy_candidates, algo
+    ):
+        from repro.config import ReproConfig
+
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        result = _cli_tuner(algo).tune(
+            toy_workload,
+            30,
+            candidates=list(toy_candidates),
+            optimizer_config=ReproConfig(),
+        )
+        assert result.optimizer.cost_observers == ()
+        assert result.optimizer.events.observers == ()
 
     def test_grid_reads_once_per_run(self, env_reads, toy_workload, toy_candidates):
         from repro.eval.runner import ExperimentRunner
@@ -146,4 +196,4 @@ class TestOneEnvironmentRead:
             {"dta": (lambda seed: DTATuner(), False)}, budgets=[30, 60], k_values=[3]
         )
         assert len(records) == 2
-        assert len(env_reads) == 1 + len(records)  # the run, then one per tune()
+        assert len(env_reads) == 1  # the run; every cell runs on its config

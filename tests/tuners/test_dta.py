@@ -212,8 +212,9 @@ class TestShardKeysBuiltOnce:
                 workload,
                 5000,
                 TuningConstraints(max_indexes=20, max_storage_bytes=cap),
-                optimizer_config=ReproConfig(whatif_cache=str(tmp_path)),
-                budget_policy="wii",
+                optimizer_config=ReproConfig(
+                    budget_policy="wii", whatif_cache=str(tmp_path)
+                ),
             )
             result.optimizer.close()
             (shard,) = tmp_path.glob("whatif-*.jsonl")
@@ -246,8 +247,7 @@ class TestRealDSessionPin:
             workload,
             5000,
             TuningConstraints(max_indexes=20, max_storage_bytes=cap),
-            optimizer_config=ReproConfig(whatif_cache=str(tmp_path)),
-            budget_policy="wii",
+            optimizer_config=ReproConfig(budget_policy="wii", whatif_cache=str(tmp_path)),
         )
         summary = session_summary(result)
         improvement = result.true_improvement()
@@ -325,8 +325,7 @@ class TestRealDStoragePin:
             workload,
             5000,
             TuningConstraints(max_indexes=20, max_storage_bytes=cap),
-            optimizer_config=ReproConfig(whatif_cache=str(tmp_path)),
-            budget_policy="wii",
+            optimizer_config=ReproConfig(budget_policy="wii", whatif_cache=str(tmp_path)),
         )
         summary = session_summary(result)
         improvement = result.true_improvement()

@@ -8,7 +8,14 @@ import pytest
 from repro.config import TuningConstraints
 from repro.optimizer.whatif import WhatIfOptimizer
 from repro.tuners import VanillaGreedyTuner
+from repro.tuners.base import TuningSession
 from repro.tuners.greedy import greedy_enumerate
+
+
+def _greedy(optimizer, candidates, constraints):
+    """Algorithm 1 in a session over a live engine."""
+    session = TuningSession(optimizer.workload, candidates, constraints, backend=optimizer)
+    return greedy_enumerate(session, candidates, constraints)
 
 
 class TestBasicBehaviour:
@@ -103,9 +110,7 @@ class TestTheorem2GreedyGuarantee:
             derived_benefit(frozenset(combo))
             for combo in itertools.combinations(pool, k)
         )
-        greedy_config = greedy_enumerate(
-            optimizer, pool, TuningConstraints(max_indexes=k)
-        )
+        greedy_config = _greedy(optimizer, pool, TuningConstraints(max_indexes=k))
         greedy_benefit = derived_benefit(greedy_config)
         assert greedy_benefit >= (1 - 1 / 2.718281828) * best_benefit - 1e-6
 
@@ -127,7 +132,7 @@ class TestTheorem3OrderInsensitivity:
             for query in toy_workload:
                 for index in shuffled:
                     optimizer.whatif_cost(query, frozenset({index}))
-            config = greedy_enumerate(optimizer, shuffled, constraints)
+            config = _greedy(optimizer, shuffled, constraints)
             costs.add(round(optimizer.derived_workload_cost(config), 6))
         assert len(costs) == 1
 
@@ -150,7 +155,7 @@ class TestTheorem3OrderInsensitivity:
             for query, config in ordering:
                 optimizer.whatif_cost(query, config)
             # Budget exhausted: greedy is purely derived-cost driven.
-            config = greedy_enumerate(optimizer, pool, constraints)
+            config = _greedy(optimizer, pool, constraints)
             costs.add(round(optimizer.derived_workload_cost(config), 6))
         assert len(costs) == 1
 

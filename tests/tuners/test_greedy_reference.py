@@ -23,7 +23,7 @@ from repro.budget.policy import POLICY_NAMES, build_policy
 from repro.catalog import Index, index_sort_key
 from repro.config import TuningConstraints
 from repro.optimizer.whatif import WhatIfOptimizer
-from repro.tuners.base import TuningSession, as_session
+from repro.tuners.base import TuningSession
 from repro.tuners.greedy import greedy_enumerate
 from repro.workload import CandidateGenerator
 from repro.workload.query import Workload
@@ -42,7 +42,6 @@ def ref_greedy_enumerate(
     checkpoints: bool = False,
 ) -> frozenset[Index]:
     """Algorithm 1 with the per-index relevance scan and per-trial admits."""
-    session = as_session(session)
     optimizer = session.optimizer
     queries = list(workload or optimizer.workload)
     pool: list[Index] = sorted(candidates, key=index_sort_key)

@@ -2,28 +2,25 @@
 
 import pytest
 
-from repro.budget import BudgetMeter, FCFSPolicy, build_policy
 from repro.budget.events import EVENT_KINDS
+from repro.config import ReproConfig
 from repro.exceptions import TuningError
 from repro.optimizer.whatif import WhatIfOptimizer
 from repro.tuners import VanillaGreedyTuner
-from repro.tuners.base import TuningResult, TuningSession, as_session
+from repro.tuners.base import TuningResult, TuningSession
 
 
 class TestSessionConstruction:
-    def test_rejects_optimizer_with_budget(self, toy_workload):
+    def test_rejects_backend_with_budget(self, toy_workload):
         optimizer = WhatIfOptimizer(toy_workload, budget=10)
         with pytest.raises(TuningError, match="not both"):
-            TuningSession(toy_workload, optimizer=optimizer, budget=5)
+            TuningSession(toy_workload, backend=optimizer, budget=5)
 
-    def test_wrap_reuses_the_optimizer_event_stream(self, toy_workload):
+    def test_adopts_a_live_backend(self, toy_workload):
         optimizer = WhatIfOptimizer(toy_workload, budget=10)
-        outer = TuningSession(toy_workload, optimizer=optimizer)
-        rewrapped = as_session(optimizer)
-        # Extraction re-wraps the session's optimizer: the stream must be
-        # the same object, or mid-session events would vanish.
-        assert rewrapped.events is outer.events
-        assert as_session(outer) is outer
+        session = TuningSession(toy_workload, backend=optimizer)
+        assert session.optimizer is optimizer
+        assert optimizer.events is session.events
 
     def test_budget_passthrough(self, toy_workload):
         session = TuningSession(toy_workload, budget=7)
@@ -85,30 +82,15 @@ class TestAllowance:
 
 
 class TestPolicySelection:
-    def test_policy_instance_with_budget_rejected(self, toy_workload):
-        policy = FCFSPolicy(BudgetMeter(10))
-        with pytest.raises(TuningError, match="budget=None"):
-            VanillaGreedyTuner().tune(
-                toy_workload, budget=10, budget_policy=policy
-            )
-
-    def test_policy_instance_governs_the_run(self, toy_workload, toy_candidates):
-        policy = FCFSPolicy(BudgetMeter(30))
-        result = VanillaGreedyTuner().tune(
-            toy_workload,
-            budget=None,
-            candidates=toy_candidates,
-            budget_policy=policy,
-        )
-        assert result.budget == 30
-        assert result.calls_used <= 30
-
     def test_policy_name_is_resolved(self, toy_workload, toy_candidates):
         result = VanillaGreedyTuner().tune(
             toy_workload, budget=50, candidates=toy_candidates,
-            budget_policy="wii",
+            optimizer_config=ReproConfig.from_env(budget_policy="wii"),
         )
         assert result.calls_used <= 50
+        grants = [e for e in result.events if e.kind == "budget_grant"]
+        assert grants
+        assert {e.payload["policy"] for e in grants} == {"wii"}
 
 
 class TestResultEvents:
@@ -177,8 +159,8 @@ class TestEarlyStopIntegration:
             budget=None,
             candidates=toy_candidates,
             constraints=small_constraints,
-            budget_policy=build_policy(
-                "esc", None, esc_patience=1, esc_min_delta=0.0
+            optimizer_config=ReproConfig.from_env(
+                budget_policy="esc", esc_patience=1, esc_min_delta=0.0
             ),
         )
         checkpoints = [e for e in result.events if e.kind == "checkpoint"]
@@ -190,12 +172,13 @@ class TestEarlyStopIntegration:
     def test_esc_stop_emits_a_stop_event(self, toy_workload, toy_candidates):
         # min_delta=100pp is unreachable: the policy must stop as soon as
         # the min-checkpoint guard allows and record why.
-        policy = build_policy("esc", 5000, esc_patience=1, esc_min_delta=100.0)
         result = VanillaGreedyTuner().tune(
             toy_workload,
-            budget=None,
+            budget=5000,
             candidates=toy_candidates,
-            budget_policy=policy,
+            optimizer_config=ReproConfig.from_env(
+                budget_policy="esc", esc_patience=1, esc_min_delta=100.0
+            ),
         )
         assert result.stop_reason is not None
         assert "plateau" in result.stop_reason
