@@ -330,14 +330,14 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         return _cmd_tune_multi_seed(args, workload, constraints, config)
     tuner = _ALGORITHMS[args.algo](args)
     if args.minutes is not None:
-        adapter = TimeBudgetedTuner(tuner)
+        model = WhatIfTimeModel(workload)
+        adapter = TimeBudgetedTuner(tuner, model)
         result = adapter.tune_for_minutes(
             workload,
             args.minutes,
             constraints=constraints,
             optimizer_config=config,
         )
-        model = WhatIfTimeModel(workload)
         print(
             f"time budget {args.minutes:.0f} min -> "
             f"{result.budget} what-if calls "

@@ -61,6 +61,34 @@ def int_env(name: str, default: int) -> int:
         raise ConstraintError(f"{name} must be an integer, got {raw!r}") from None
 
 
+#: Case-insensitive spellings :func:`bool_env` reads as off and as on.
+_FALSE_WORDS = ("", "0", "false", "no", "off")
+_TRUE_WORDS = ("1", "true", "yes", "on")
+
+
+def bool_env(name: str, default: bool) -> bool:
+    """Switch of environment variable ``name``, or ``default`` if unset.
+
+    Case-insensitive: ``""``, ``0``, ``false``, ``no`` and ``off`` mean off;
+    ``1``, ``true``, ``yes`` and ``on`` mean on.
+
+    Raises:
+        ConstraintError: When the variable is set to anything else.
+    """
+    raw = os.environ.get(name)
+    if raw is None:
+        return default
+    word = raw.lower()
+    if word in _FALSE_WORDS:
+        return False
+    if word in _TRUE_WORDS:
+        return True
+    raise ConstraintError(
+        f"{name} must be one of {_TRUE_WORDS + _FALSE_WORDS[1:]} "
+        f"(any case) or empty, got {raw!r}"
+    )
+
+
 @dataclass(frozen=True)
 class BackendSpec:
     """The cost-backend selection: the one home of the backend settings.
@@ -238,8 +266,7 @@ class ReproConfig:
             "wii_release_rate": float_env("REPRO_WII_RELEASE_RATE", 0.5),
             "esc_patience": int_env("REPRO_ESC_PATIENCE", 3),
             "esc_min_delta": float_env("REPRO_ESC_MIN_DELTA", 0.1),
-            "sanitize": os.environ.get("REPRO_SANITIZE", "0")
-            not in ("", "0", "false", "no"),
+            "sanitize": bool_env("REPRO_SANITIZE", False),
         }
         settings.update(
             (field, value) for field, value in flags.items() if value is not None

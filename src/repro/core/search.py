@@ -231,19 +231,31 @@ class MCTSSearch:
                 return node.state
             if node.is_leaf and not node.rolled_out:
                 node.rolled_out = True
-                return self._rollout.rollout(node.state, node.actions, self._rng)
+                configuration = self._rollout.rollout(
+                    node.state, node.actions, self._rng
+                )
+                if path:
+                    # Most rolled-out leaves are never entered again; one
+                    # that is gets its actions back below.
+                    node.actions = None
+                return configuration
             slot = self._policy.select(node, self._rng)
             path.append((node, slot))
-            position = int(node.actions[slot])
+            actions = node.actions
+            position = int(actions[slot])
             child = node.children.get(position)
             if child is None:
                 child_state = self._mdp.transition(node.state, candidates[position])
                 child = TreeNode.create(
                     child_state,
-                    self._mdp.child_actions(node.actions, slot, child_state),
+                    self._mdp.child_actions(actions, slot, child_state),
                     self._prior_vector,
                 )
                 node.children[position] = child
+            elif child.actions is None:
+                # The array the child was created with: the same parent
+                # actions, slot and state.
+                child.actions = self._mdp.child_actions(actions, slot, child.state)
             node = child
 
     def _pick_episode_query(self, derived: list[float]) -> int:

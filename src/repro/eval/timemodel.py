@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.backend.factory import build_backend
+from repro.optimizer.cost_model import CostModel
 from repro.workload.query import Query, Workload
 
 
@@ -72,14 +72,19 @@ class WhatIfTimeModel:
         self._per_scan = per_scan_seconds
         self._startup = startup_seconds_per_query
         self._bookkeeping = bookkeeping_fraction
-        # Always the analytic backend: the time model reads plan shapes
-        # (table accesses), which only the analytic engine defines.
-        self._optimizer = build_backend("analytic", workload)
+        # Plan shapes (table accesses) come from the analytic cost model
+        # whatever backend a run prices with. It needs no backend, so the
+        # model reads no run settings and no environment variable.
+        self._model = CostModel(workload.schema)
+        self._accesses: dict[str, int] = {}
 
     def call_seconds(self, query: Query) -> float:
         """Latency of one what-if call on ``query``."""
-        prepared = self._optimizer.prepared(query)
-        return self._base + self._per_scan * len(prepared.accesses)
+        accesses = self._accesses.get(query.qid)
+        if accesses is None:
+            prepared = self._model.prepare(query.bind(self._workload.schema))
+            accesses = self._accesses[query.qid] = len(prepared.accesses)
+        return self._base + self._per_scan * accesses
 
     @property
     def mean_call_seconds(self) -> float:

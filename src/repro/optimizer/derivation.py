@@ -67,8 +67,18 @@ class CostDerivation:
 
     # ------------------------------------------------------------------ #
 
-    def record(self, qid: str, configuration: int, cost: float) -> None:
-        """Record an observed what-if cost ``c(q, C)`` (``C`` as a mask)."""
+    def record(
+        self,
+        qid: str,
+        configuration: int,
+        cost: float,
+        members: list[int] | None = None,
+    ) -> None:
+        """Record an observed what-if cost ``c(q, C)`` (``C`` as a mask).
+
+        ``members`` are ``mask_positions(configuration)`` when the caller
+        has them already.
+        """
         exact = self._exact.get(qid)
         if exact is None:
             exact = self._exact[qid] = {}
@@ -80,15 +90,35 @@ class CostDerivation:
             self._empty[qid] = cost
             return
         entry = (configuration, cost, qid)
-        members = mask_positions(configuration)
+        if members is None:
+            members = mask_positions(configuration)
         if len(members) == 1:
-            self._singletons.setdefault(qid, {})[members[0]] = cost
+            singletons = self._singletons.get(qid)
+            if singletons is None:
+                singletons = self._singletons[qid] = {}
+            singletons[members[0]] = cost
         else:
-            self._compound.setdefault(qid, []).append(entry)
+            compound = self._compound.get(qid)
+            if compound is None:
+                self._compound[qid] = [entry]
+            else:
+                compound.append(entry)
         by_member, by_member_query = self._by_member, self._by_member_query
         for member in members:
-            by_member.setdefault(member, []).append(entry)
-            by_member_query.setdefault(member, {}).setdefault(qid, []).append(entry)
+            flat = by_member.get(member)
+            if flat is None:
+                by_member[member] = [entry]
+            else:
+                flat.append(entry)
+            per_query = by_member_query.get(member)
+            if per_query is None:
+                by_member_query[member] = {qid: [entry]}
+                continue
+            entries = per_query.get(qid)
+            if entries is None:
+                per_query[qid] = [entry]
+            else:
+                entries.append(entry)
 
     def known_cost(self, qid: str, configuration: int) -> float | None:
         """The recorded what-if cost for the exact pair, if any.

@@ -395,15 +395,20 @@ class WhatIfOptimizer:
             mask |= 1 << position
         return mask
 
-    def _configuration(self, mask: int) -> frozenset[Index]:
+    def _configuration(
+        self, mask: int, members: list[int] | None = None
+    ) -> frozenset[Index]:
         """The indexes of ``mask``, as a frozenset built in position order.
 
         Built only where a consumer needs indexes (pricing, the call log,
         cost observers, plans): costs are minima of per-index values plus a
         sum over the fixed join order, so the order of construction never
-        changes a price.
+        changes a price. ``members`` are ``mask_positions(mask)`` when the
+        caller has them already.
         """
-        return frozenset([self._indexes[position] for position in mask_positions(mask)])
+        if members is None:
+            members = mask_positions(mask)
+        return frozenset([self._indexes[position] for position in members])
 
     def _norm(self, qid: str, mask: int) -> int:
         """``mask ∩ relevant(q)``: the key a call is cached and counted under.
@@ -482,22 +487,27 @@ class WhatIfOptimizer:
             )
         return self._pcache
 
-    def _shard_key(self, norm: int) -> tuple[str, ...]:
+    def _shard_key(self, norm: int, members: list[int] | None = None) -> tuple[str, ...]:
         """The canonical shard key of a normalized mask.
 
         Equal to :func:`~repro.backend.cache.canonical_key` of the mask's
         configuration: the sorted display strings of its indexes, read
         from :attr:`_displays`, which is filled the first time a key
         reaches a position. This is the engine's one shard-key builder.
+        ``members`` are ``mask_positions(norm)`` when the caller has them.
         """
         displays = self._displays
         if norm.bit_length() > len(displays):
             displays.extend(
                 index.display() for index in self._indexes[len(displays) : norm.bit_length()]
             )
-        return tuple(sorted([displays[position] for position in mask_positions(norm)]))
+        if members is None:
+            members = mask_positions(norm)
+        return tuple(sorted([displays[position] for position in members]))
 
-    def _recall(self, qid: str, norm: int) -> tuple[float | None, tuple]:
+    def _recall(
+        self, qid: str, norm: int, members: list[int]
+    ) -> tuple[float | None, tuple]:
         """The persistent cache's cost for a pair (``None`` on a miss) and its entry.
 
         Only called with the persistent cache enabled. Serving a cost here
@@ -505,9 +515,9 @@ class WhatIfOptimizer:
         caches, and emit events exactly as for a fresh evaluation
         (REP001/REP101 discipline). A miss's fresh pricing is stored under
         the returned entry (:meth:`_store`), so a pair's shard key is built
-        once.
+        once. ``members`` are ``mask_positions(norm)``.
         """
-        entry = (qid, self._shard_key(norm))
+        entry = (qid, self._shard_key(norm, members))
         cost = self._persistent_cache().recall(entry)
         if cost is not None:
             self._stats.persistent_hits += 1
@@ -517,16 +527,21 @@ class WhatIfOptimizer:
         """Queue a fresh pricing under the entry :meth:`_recall` returned."""
         self._persistent_cache().put_entry(entry, cost)
 
-    def _price(self, prepared: PreparedQuery, norm: int) -> float:
+    def _price(
+        self, prepared: PreparedQuery, norm: int, members: list[int] | None = None
+    ) -> float:
         """One instrumented cost evaluation of a normalized mask
-        (persistent-cache aware; indexes are built only to evaluate)."""
+        (persistent-cache aware; indexes are built only to evaluate).
+        ``members`` are ``mask_positions(norm)`` when the caller has them."""
+        if members is None:
+            members = mask_positions(norm)
         entry = None
         if self._whatif_cache is not None:
-            cost, entry = self._recall(prepared.qid, norm)
+            cost, entry = self._recall(prepared.qid, norm, members)
             if cost is not None:
                 self._stats.cost_evaluations += 1
                 return cost
-        key = self._configuration(norm)
+        key = self._configuration(norm, members)
         start = perf_counter()
         cost = self._evaluate(prepared, key)
         self._stats.cost_seconds += perf_counter() - start
@@ -535,17 +550,20 @@ class WhatIfOptimizer:
             self._store(entry, cost)
         return cost
 
-    def _commit_call(self, qid: str, norm: int, cost: float) -> None:
+    def _commit_call(
+        self, qid: str, norm: int, cost: float, members: list[int] | None = None
+    ) -> None:
         """Record one counted call: derivation store and layout log.
 
         ``norm`` is the normalized mask; cost observers get it as indexes.
         The store's exact cost for ``(qid, norm)`` is what makes the pair
-        cached from now on.
+        cached from now on. ``members`` are ``mask_positions(norm)`` when
+        the caller has them already.
         """
-        self._derivation.record(qid, norm, cost)
+        self._derivation.record(qid, norm, cost, members)
         self._log.append((qid, norm, cost))
         if self._cost_observers:
-            self._notify_cost(qid, self._configuration(norm), cost)
+            self._notify_cost(qid, self._configuration(norm, members), cost)
         if self._events is not None:
             self._events.emit(
                 "whatif_call",
@@ -617,10 +635,13 @@ class WhatIfOptimizer:
                 self._stats.normalized_hits += 1
             return cached
         self._policy.check(qid)
-        cost = self._price(prepared, norm)
+        # A fresh counted call: its positions serve the shard key, the
+        # priced indexes and the store's member lists.
+        members = mask_positions(norm)
+        cost = self._price(prepared, norm, members)
         self._policy.charge(qid)
         self._stats.cache_misses += 1
-        self._commit_call(qid, norm, cost)
+        self._commit_call(qid, norm, cost, members)
         return cost
 
     def trial_cost(self, query: Query, base_cost: float, trial: int, extra: int) -> float:
@@ -808,13 +829,14 @@ class WhatIfOptimizer:
         policy = self._policy
         pairs_iter = iter(pairs)
         seen: set[tuple[str, int]] = set()
-        granted: list[tuple[str, int, float]] = []
+        granted: list[tuple[str, int, float, list[int]]] = []
         try:
             while limit is None or len(granted) < limit:
                 room = wave_size if limit is None else min(wave_size, limit - len(granted))
-                # The wave's pairs as (qid, norm, admitted), in issue order;
-                # ``taken`` also counts the refused pairs denied on the spot.
-                wave: list[tuple[str, int, bool]] = []
+                # The wave's pairs as (qid, norm, admitted, positions of
+                # norm), in issue order; ``taken`` also counts the refused
+                # pairs denied on the spot.
+                wave: list[tuple[str, int, bool, list[int]]] = []
                 taken = 0
                 for query, configuration in pairs_iter:
                     mask = (
@@ -837,7 +859,7 @@ class WhatIfOptimizer:
                     taken += 1
                     admitted = policy.admits(qid)
                     if admitted or wave:
-                        wave.append((qid, norm, admitted))
+                        wave.append((qid, norm, admitted, mask_positions(norm)))
                     else:
                         # Only refusals precede it in its wave, so nothing
                         # is charged before its decision: deny it now.
@@ -850,21 +872,23 @@ class WhatIfOptimizer:
                     continue
                 costs = self._price_wave(wave, executor)
                 for pair, cost in zip(wave, costs, strict=True):
-                    qid, norm, _ = pair
+                    qid, norm, _, members = pair
                     if cost is None and policy.admits(qid):
                         # Refused when the wave was priced, admitted now (no
                         # shipped policy does this): price before charging.
-                        (cost,) = self._price_wave([(qid, norm, True)], executor)
+                        (cost,) = self._price_wave(
+                            [(qid, norm, True, members)], executor
+                        )
                     if not policy.try_charge(qid):
                         if cost is not None:
                             self._stats.speculation_wasted += 1
                         continue
                     self._stats.cost_evaluations += 1
-                    granted.append((qid, norm, cost))
+                    granted.append((qid, norm, cost, members))
         finally:
-            for qid, norm, cost in granted:
+            for qid, norm, cost, members in granted:
                 self._stats.cache_misses += 1
-                self._commit_call(qid, norm, cost)
+                self._commit_call(qid, norm, cost, members)
             if granted:
                 self._stats.batch_calls += 1
                 self._stats.batched_pairs += len(granted)
@@ -873,7 +897,8 @@ class WhatIfOptimizer:
     def _price_wave(self, wave, executor) -> list[float | None]:
         """Resolve one wave's costs; ``None`` where the policy refused the query.
 
-        ``wave`` holds ``(qid, norm, admitted)``; only admitted pairs are
+        ``wave`` holds ``(qid, norm, admitted, members)``, ``members``
+        being ``norm``'s positions; only admitted pairs are
         priced, so a one-pair wave is never priced ahead of its own budget
         decision. Persistent-cache recalls happen here, on the main thread,
         keyed by mask; only fresh evaluations build their indexes and go
@@ -884,14 +909,14 @@ class WhatIfOptimizer:
         misses: list[int] = []
         speculative = executor.jobs > 1
         recall = self._whatif_cache is not None
-        for position, (qid, norm, admitted) in enumerate(wave):
+        for position, (qid, norm, admitted, members) in enumerate(wave):
             if not admitted:
                 continue
             if speculative:
                 self._stats.speculative_priced += 1
             recalled = None
             if recall:
-                recalled, entries[position] = self._recall(qid, norm)
+                recalled, entries[position] = self._recall(qid, norm, members)
             if recalled is None:
                 misses.append(position)
             else:
@@ -899,8 +924,8 @@ class WhatIfOptimizer:
         if misses:
             shard = []
             for position in misses:
-                qid, norm, _ = wave[position]
-                shard.append((qid, self._prepared[qid], self._configuration(norm)))
+                qid, norm, _, members = wave[position]
+                shard.append((qid, self._prepared[qid], self._configuration(norm, members)))
             start = perf_counter()
             fresh = executor.map_shards(self._price_shard, shard)
             self._stats.cost_seconds += perf_counter() - start

@@ -83,6 +83,35 @@ def _library_defaults():
         yield
 
 
+@pytest.fixture
+def env_reads(monkeypatch):
+    """Environment reads: calls of either ``from_env`` not made by the
+    other (``ReproConfig.from_env`` reads the backend's variables through
+    ``BackendSpec.from_env``), as a list of the classes called."""
+    from repro.config import BackendSpec, ReproConfig
+
+    reads = []
+    depth = [0]
+
+    def counting(owner):
+        original = owner.from_env.__func__
+
+        def from_env(cls, **flags):
+            if not depth[0]:
+                reads.append(cls)
+            depth[0] += 1
+            try:
+                return original(cls, **flags)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(owner, "from_env", classmethod(from_env))
+
+    counting(ReproConfig)
+    counting(BackendSpec)
+    return reads
+
+
 @pytest.fixture(scope="session")
 def star_schema():
     """A 1M-row fact table with two dimensions — the standard test schema.

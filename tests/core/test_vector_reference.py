@@ -10,9 +10,10 @@ positions, and derive exactly equal costs.
 
 The episode loop's own shortcuts are checked the same way: the search's
 inline episode-query draw against ``random.choices``, a child's action set
-taken from its parent's against :meth:`IndexTuningMDP.actions`, and the
-flat member-keyed ``lowest_within`` against a minimum over every recorded
-observation.
+taken from its parent's against :meth:`IndexTuningMDP.actions`, a
+re-entered leaf's re-derived actions and first selection against its
+creation array and the per-action references, and the flat member-keyed
+``lowest_within`` against a minimum over every recorded observation.
 
 One deliberate difference: the sampling references total their weights
 with a left-to-right accumulation (``itertools.accumulate``), not builtin
@@ -26,13 +27,14 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import accumulate
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.backend.noisy import NoisyBackend
-from repro.config import TuningConstraints
+from repro.config import MCTSConfig, TuningConstraints
 from repro.core.mdp import IndexTuningMDP
 from repro.core.node import TreeNode
 from repro.core.search import MCTSSearch
@@ -480,6 +482,104 @@ def test_child_actions_match_actions(data, toy_candidates):
         assert child.dtype == expected.dtype
         assert child.tolist() == expected.tolist()
         actions = child
+
+
+class _RecordingPolicy:
+    """The search's policy, recording each selection with the RNG state
+    before and after it."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.selections: list = []
+
+    def select(self, node, rng):
+        before = rng.getstate()
+        slot = self._inner.select(node, rng)
+        self.selections.append((node, node.actions, before, slot, rng.getstate()))
+        return slot
+
+
+@pytest.mark.parametrize("capped", [False, True], ids=["uncapped", "capped"])
+@pytest.mark.parametrize("policy", ["epsilon_greedy", "uct"])
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32))
+def test_reentered_leaf_matches_reference(policy, capped, seed, toy_workload, toy_candidates):
+    """A leaf drops its actions after its rollout; when an episode enters it
+    again the search re-derives them. They must equal ``actions(state)``
+    and the array the node was created with, and its first selection must
+    pick the reference's slot and leave the RNG in the same state."""
+    sizes = sorted(index.estimated_size_bytes for index in toy_candidates)
+    constraints = TuningConstraints(
+        max_indexes=5,
+        # Three median indexes: binds below the root.
+        max_storage_bytes=3 * sizes[len(sizes) // 2] if capped else None,
+    )
+    # UCT enters a root child again only once all 35 have been visited.
+    engine = WhatIfOptimizer(toy_workload, budget=200)
+    search = MCTSSearch(
+        TuningSession(toy_workload, toy_candidates, constraints, backend=engine),
+        config=MCTSConfig(selection_policy=policy),
+        seed=seed,
+    )
+    recorder = _RecordingPolicy(search._policy)
+    search._policy = recorder
+    created = {}
+    create = TreeNode.create.__func__
+
+    def recording_create(cls, state, actions, priors=None):
+        node = create(cls, state, actions, priors)
+        created[node] = actions
+        return node
+
+    with mock.patch.object(TreeNode, "create", classmethod(recording_create)):
+        search.run()
+
+    mdp = search._mdp
+    priors = search._prior_vector
+    selected: set = set()
+    reentered = bound = 0
+    for node, actions, before, slot, after in recorder.selections:
+        if node in selected or node is search.root:
+            selected.add(node)
+            continue
+        # A non-root node's first selection comes when an episode enters it
+        # again: its rollout dropped the array it was created with.
+        selected.add(node)
+        reentered += 1
+        assert actions is not created[node]
+        expected = mdp.actions(node.state)
+        assert actions.dtype == created[node].dtype == expected.dtype
+        assert actions.tolist() == created[node].tolist() == expected.tolist()
+        assert [mdp.candidates[p] for p in actions] == ref_actions(
+            mdp.candidates, constraints, node.state
+        )
+        bound += len(actions) + len(node.state) < len(mdp.candidates)
+        ref = RefNode(
+            actions=list(range(len(actions))),
+            stats={
+                slot: RefStats(
+                    prior=0.0 if priors is None else max(0.0, float(priors[position]))
+                )
+                for slot, position in enumerate(actions.tolist())
+            },
+        )
+        ref_rng = random.Random()
+        ref_rng.setstate(before)
+        if policy == "uct":
+            ref_slot = ref_uct(ref, ref_rng, 2.0**0.5)
+        else:
+            ref_slot = ref_epsilon_greedy(ref, ref_rng)
+        assert slot == ref_slot
+        assert after == ref_rng.getstate()
+    assert reentered
+    # Only the root and the nodes entered again hold actions; terminal
+    # leaves keep their empty array.
+    for node in created:
+        assert (node.actions is None) == (
+            node not in selected and node is not search.root and len(created[node]) > 0
+        )
+    if capped:
+        assert bound
 
 
 @settings(max_examples=200, deadline=None)

@@ -546,6 +546,32 @@ def test_tune_policy_flag_wins_over_environment(
 
 
 @pytest.mark.parametrize(
+    "budget", [["--budget", "5"], ["--minutes", "30"]], ids=["budget", "minutes"]
+)
+def test_tune_policy_flag_wins_over_a_bad_variable(clean_backend_env, capsys, budget):
+    """The time model reads no variable, so under ``--minutes`` too the
+    flag is all that decides the policy."""
+    clean_backend_env.setenv("REPRO_BUDGET_POLICY", "bogus")
+    argv = ["tune", "--workload", "toy", "--algo", "vanilla", *budget]
+    assert main([*argv, "--budget-policy", "wii"]) == 0
+    assert "error" not in capsys.readouterr().err
+    assert main(argv) == 2
+    assert "unknown budget_policy 'bogus'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "budget", [["--budget", "30"], ["--minutes", "30"]], ids=["budget", "minutes"]
+)
+def test_tune_reads_the_environment_once(clean_backend_env, env_reads, budget):
+    """One backend spec and one config, both in ``_cmd_tune``: the time
+    model and the session read nothing more."""
+    from repro.config import BackendSpec, ReproConfig
+
+    assert main(["tune", "--workload", "toy", "--algo", "vanilla", *budget]) == 0
+    assert env_reads == [BackendSpec, ReproConfig]
+
+
+@pytest.mark.parametrize(
     "env, flags",
     [
         ({}, ["--backend", "replay"]),

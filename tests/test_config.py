@@ -160,6 +160,34 @@ class TestReproConfigBudgetKnobs:
         assert ReproConfig.from_env().budget_policy == "fcfs"
         assert ReproConfig.from_env(sanitize=False).sanitize is False
 
+    @pytest.mark.parametrize("value", ["", "0", "false", "False", "no", "NO", "off", "Off"])
+    def test_sanitize_off_words(self, monkeypatch, value):
+        from repro.config import ReproConfig
+
+        monkeypatch.setenv("REPRO_SANITIZE", value)
+        assert ReproConfig.from_env().sanitize is False
+
+    @pytest.mark.parametrize("value", ["1", "true", "TRUE", "yes", "Yes", "on", "ON"])
+    def test_sanitize_on_words(self, monkeypatch, value):
+        from repro.config import ReproConfig
+
+        monkeypatch.setenv("REPRO_SANITIZE", value)
+        assert ReproConfig.from_env().sanitize is True
+
+    def test_sanitize_unset_is_off(self, monkeypatch):
+        from repro.config import ReproConfig
+
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+        assert ReproConfig.from_env().sanitize is False
+
+    @pytest.mark.parametrize("value", ["2", "enabled", "y", "n", " 1", "of"])
+    def test_sanitize_rejects_other_words(self, monkeypatch, value):
+        from repro.config import ReproConfig
+
+        monkeypatch.setenv("REPRO_SANITIZE", value)
+        with pytest.raises(ConstraintError, match="REPRO_SANITIZE"):
+            ReproConfig.from_env()
+
     def test_from_env_takes_a_built_backend(self, monkeypatch):
         from repro.config import BackendSpec, ReproConfig
 

@@ -122,34 +122,6 @@ class TestOneEnvironmentRead:
     it reads nothing. A grid run reads it once, in the parent, and its cells
     run on that config."""
 
-    @pytest.fixture
-    def env_reads(self, monkeypatch):
-        """Environment reads: calls of either ``from_env`` not made by the
-        other (``ReproConfig.from_env`` reads the backend's variables
-        through ``BackendSpec.from_env``)."""
-        from repro.config import BackendSpec, ReproConfig
-
-        reads = []
-        depth = [0]
-
-        def counting(owner):
-            original = owner.from_env.__func__
-
-            def from_env(cls, **flags):
-                if not depth[0]:
-                    reads.append(cls)
-                depth[0] += 1
-                try:
-                    return original(cls, **flags)
-                finally:
-                    depth[0] -= 1
-
-            monkeypatch.setattr(owner, "from_env", classmethod(from_env))
-
-        counting(ReproConfig)
-        counting(BackendSpec)
-        return reads
-
     @pytest.mark.parametrize("algo", _cli_algorithms())
     def test_tune_without_config_reads_once(
         self, env_reads, toy_workload, toy_candidates, algo

@@ -190,14 +190,17 @@ class TestShardKeysBuiltOnce:
 
         from repro.backend.cache import canonical_key
         from repro.config import ReproConfig
+        from repro.optimizer.derivation import mask_positions
         from repro.optimizer.whatif import WhatIfOptimizer
         from repro.workload.suites.real import real_d_workload
 
         built = []
         original = WhatIfOptimizer._shard_key
 
-        def counting(self, norm):
-            key = original(self, norm)
+        def counting(self, norm, members=None):
+            # The engine hands over the positions it computed once.
+            assert members == mask_positions(norm)
+            key = original(self, norm, members)
             assert key == canonical_key(self._configuration(norm))
             built.append(key)
             return key
