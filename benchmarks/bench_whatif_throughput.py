@@ -10,17 +10,31 @@ Protocol (rng seed 0, matching the seed baseline):
   one singleton call per (query, candidate) for the first 40 candidates,
   plus 3000 random size-2..4 configurations drawn from the first 60
   candidates; empty-configuration costs pre-warmed; unlimited budget.
+
+A counted-call row reads what a counted call costs beyond pricing: one
+``whatif_prefetch`` of every relevant (query, singleton candidate) pair of
+Real-D at 791 tables, each granted under an unlimited FCFS budget with an
+event stream attached, and each recalled from a copy of a persistent
+store that priced them, so no cost-model work is timed. It reports µs per
+granted pair, the median over fresh sessions.
 """
 
 import os
 import random
+import shutil
+import statistics
+import tempfile
 import time
+from pathlib import Path
 
 from conftest import run_once
 
+from repro.budget.events import EventLog
+from repro.config import ReproConfig
 from repro.optimizer.whatif import WhatIfOptimizer
 from repro.workload.candidates import CandidateGenerator
 from repro.workload.suites.job import job_workload
+from repro.workload.suites.real import real_d_workload
 from repro.workload.suites.tpch import tpch_workload
 
 #: Seed-path throughput (calls/sec) from reports/whatif_throughput_seed.txt,
@@ -82,6 +96,64 @@ def _measure_concurrent(workload):
             }
         )
     return rows
+
+
+#: Fresh sessions the counted-call row takes the median over.
+COUNTED_ROUNDS = 15
+
+
+def _counted_session(workload, candidates, store: Path) -> WhatIfOptimizer:
+    """An unlimited FCFS engine on ``store`` with its set-up done: the
+    candidates interned, every query prepared with its relevance decided
+    and its empty cost known (which loads the store)."""
+    optimizer = WhatIfOptimizer(
+        workload, config=ReproConfig(whatif_cache=str(store)), events=EventLog()
+    )
+    every = 0
+    for index in candidates:
+        every |= 1 << optimizer.position(index)
+    for query in workload:
+        optimizer.empty_cost(query)
+        optimizer.is_cached(query, every)
+    return optimizer
+
+
+def _measure_counted():
+    """µs per granted pair of a warm-store prefetch (see the module doc)."""
+    workload = real_d_workload(num_tables=791)
+    candidates = CandidateGenerator(workload.schema).for_workload(workload)
+    with tempfile.TemporaryDirectory() as scratch:
+        root = Path(scratch)
+        filler = _counted_session(workload, candidates, root / "store")
+        pairs = [
+            (query, 1 << filler.position(index))
+            for index in candidates
+            for query in workload
+            if not filler.is_cached(query, 1 << filler.position(index))
+        ]
+        filler.whatif_prefetch(pairs)
+        filler.close()
+        rounds = []
+        for number in range(COUNTED_ROUNDS):
+            copy = root / f"round{number}"
+            shutil.copytree(root / "store", copy)
+            optimizer = _counted_session(workload, candidates, copy)
+            recalled = optimizer.stats.persistent_hits
+            start = time.perf_counter()
+            granted = optimizer.whatif_prefetch(pairs)
+            elapsed = time.perf_counter() - start
+            # Every pair counted, and every one recalled, not priced.
+            assert granted == len(pairs)
+            assert optimizer.stats.persistent_hits - recalled == granted
+            rounds.append(1e6 * elapsed / granted)
+            shutil.rmtree(copy)
+    return {
+        "workload": "real_d-791",
+        "pairs": len(pairs),
+        "rounds": COUNTED_ROUNDS,
+        "us_per_pair": statistics.median(rounds),
+        "us_per_pair_min": min(rounds),
+    }
 
 
 def _call_stream(workload, candidates):
@@ -147,9 +219,9 @@ def test_whatif_throughput(benchmark, archive):
             workload = factory()
             rows.append(_measure(name, workload))
             rows.append((name, _measure_batched(workload)))
-        return rows, _measure_concurrent(tpch_workload())
+        return rows, _measure_concurrent(tpch_workload()), _measure_counted()
 
-    rows, concurrent_rows = run_once(benchmark, run)
+    rows, concurrent_rows, counted = run_once(benchmark, run)
 
     lines = [
         "What-if throughput — fast path (cache normalization + memoized pricing)",
@@ -203,6 +275,16 @@ def test_whatif_throughput(benchmark, archive):
         )
     lines.append("")
     lines.append(
+        f"  counted calls on {counted['workload']}: {counted['pairs']} relevant "
+        "(query, singleton) pairs prefetched from a copy of a store that priced "
+        "them, unlimited FCFS, events attached"
+    )
+    lines.append(
+        f"  {counted['us_per_pair']:.1f} µs per granted pair (median of "
+        f"{counted['rounds']} fresh sessions; fastest {counted['us_per_pair_min']:.1f})"
+    )
+    lines.append("")
+    lines.append(
         "  seed baselines (calls/sec): "
         + ", ".join(f"{k}={v:,}" for k, v in SEED_CALLS_PER_SEC.items())
     )
@@ -213,6 +295,7 @@ def test_whatif_throughput(benchmark, archive):
         },
         "speedup_vs_seed": speedups,
         "concurrent_pricing": concurrent_rows,
+        "counted_call": counted,
     }
     archive("whatif_throughput", "\n".join(lines), series=series)
 

@@ -143,7 +143,7 @@ class CostBackend(Protocol):
         self, trials, current: dict[str, float], best_cost: float
     ) -> list[float]: ...
 
-    def whatif_prefetch(self, pairs, *, limit: int | None = None) -> int: ...
+    def whatif_prefetch(self, pairs) -> int: ...
 
     def whatif_workload_costs(
         self, configurations, *, on_exhausted: str = "raise"

@@ -303,13 +303,19 @@ class PersistentWhatIfCache:
         The caller builds the entry once (the what-if engine from display
         strings it keeps per index position, equal to :func:`canonical_key`)
         and stores a miss's fresh pricing under it with :meth:`put_entry`.
+        The shard is loaded on the first lookup only.
         """
-        return self._load().get(entry)
+        costs = self._costs
+        if costs is None:
+            costs = self._load()
+        return costs.get(entry)
 
     def put_entry(self, entry: tuple[str, TraceKey], cost: float) -> None:
         """Remember a fresh pricing under its ``(qid, canonical key)``
         entry (queued for the next :meth:`flush`)."""
-        costs = self._load()
+        costs = self._costs
+        if costs is None:
+            costs = self._load()
         if entry in costs:
             return
         costs[entry] = cost

@@ -5,8 +5,9 @@ work (lint rules REP007/REP106 flag raw ``threading`` /
 ``concurrent.futures`` use for pricing anywhere else). It deliberately
 knows nothing about budgets, caches, stats, or events: callers hand it a
 pure *shard function* that computes costs, and it returns them in
-submission order. Every batch wave goes through it — inline at one job,
-where a wave is one pair, and over worker threads otherwise. The
+submission order. Every batch wave goes through it: a one-pair wave (each
+wave at one job) inline through :meth:`PricingExecutor.price_one`, and a
+larger one over worker threads. The
 speculate-then-commit discipline lives in
 :meth:`~repro.optimizer.whatif.WhatIfOptimizer.whatif_prefetch` —
 workers only compute; a single serial commit loop replays the results
@@ -55,6 +56,14 @@ def plan_shards(count: int, shards: int) -> list[tuple[int, int]]:
         spans.append((start, stop))
         start = stop
     return spans
+
+
+def _check_count(returned: int, expected: int) -> None:
+    """Raise unless a pricing shard returned one result per item."""
+    if returned != expected:
+        raise ValueError(
+            f"pricing shard returned {returned} results for {expected} items"
+        )
 
 
 class PricingExecutor:
@@ -125,14 +134,20 @@ class PricingExecutor:
             results.extend(self._collect(future.result(), stop - start))
         return results
 
+    def price_one(self, price_shard: Callable[[list[T]], Sequence[R]], item: T) -> R:
+        """``map_shards(price_shard, [item])[0]`` without its list copies.
+
+        One item is one shard at any job count, so it is priced inline;
+        the shard must still return exactly one result.
+        """
+        results = price_shard([item])
+        _check_count(len(results), 1)
+        return results[0]
+
     @staticmethod
     def _collect(shard_results: Sequence[R], expected: int) -> list[R]:
         results = list(shard_results)
-        if len(results) != expected:
-            raise ValueError(
-                f"pricing shard returned {len(results)} results "
-                f"for {expected} items"
-            )
+        _check_count(len(results), expected)
         return results
 
     def shutdown(self) -> None:

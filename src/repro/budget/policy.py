@@ -17,7 +17,9 @@ Contract every policy must honour:
   cache cannot answer, so a policy must not rely on how often, or for
   which pairs, it is asked.
 * :meth:`~BudgetPolicy.charge` consumes exactly one unit of the global meter
-  (plus policy-specific bookkeeping) and emits a ``budget_grant`` event.
+  (plus policy-specific bookkeeping) and emits a ``budget_grant`` event;
+  :meth:`~BudgetPolicy.grant` is that without the check, for a caller that
+  has had ``admits`` say yes and charged nothing since.
 * A denial raises :class:`~repro.exceptions.BudgetExhaustedError` (or
   returns ``False`` from :meth:`~BudgetPolicy.try_charge`) and emits a
   ``budget_deny`` event at most once per query per denial regime.
@@ -64,7 +66,7 @@ class BudgetPolicy(abc.ABC):
 
     @property
     def spent(self) -> int:
-        return self.meter.spent
+        return self._meter.spent
 
     @property
     def remaining(self) -> int | None:
@@ -77,7 +79,7 @@ class BudgetPolicy(abc.ABC):
         ``True`` means no further counted call will ever be granted to any
         query; per-query denials (e.g. a spent Wii slice) do not count.
         """
-        return self.meter.exhausted
+        return self._meter.exhausted
 
     # ------------------------------------------------------------------ #
     # session wiring
@@ -136,8 +138,7 @@ class BudgetPolicy(abc.ABC):
             BudgetExhaustedError: If the policy denies the call.
         """
         self.check(qid)
-        self._consume(qid)
-        self._emit_grant(qid)
+        self.grant(qid)
 
     def try_charge(self, qid: str) -> bool:
         """Consume one counted call for ``qid``, or return ``False``.
@@ -148,23 +149,29 @@ class BudgetPolicy(abc.ABC):
         if not self.admits(qid):
             self._emit_deny(qid)
             return False
-        self._consume(qid)
-        self._emit_grant(qid)
+        self.grant(qid)
         return True
+
+    def grant(self, qid: str) -> None:
+        """Consume one counted call for ``qid`` without asking again.
+
+        Only for a call :meth:`admits` said yes to with nothing charged
+        since: ``admits`` is pure, so its answer still holds, and this is
+        the rest of :meth:`charge`. :meth:`charge` and :meth:`try_charge`
+        call it after their own check.
+        """
+        self._consume(qid)
+        events = self._events
+        if events is not None:
+            events.emit("budget_grant", self._meter.spent, qid=qid, policy=self.name)
 
     def _consume(self, qid: str) -> None:
         """Policy bookkeeping for one granted call (meter charge included)."""
-        self.meter.charge()
+        self._meter.charge()
 
     # ------------------------------------------------------------------ #
     # event helpers
     # ------------------------------------------------------------------ #
-
-    def _emit_grant(self, qid: str) -> None:
-        if self._events is not None:
-            self._events.emit(
-                "budget_grant", calls_used=self.spent, qid=qid, policy=self.name
-            )
 
     def _emit_deny(self, qid: str) -> None:
         if qid in self._denied:
@@ -187,14 +194,15 @@ class FCFSPolicy(BudgetPolicy):
     name = "fcfs"
 
     def admits(self, qid: str) -> bool:
-        return not self.meter.exhausted
+        return not self._meter.exhausted
 
 
 class DelegatingPolicy(BudgetPolicy):
     """Base for wrapper policies that add discipline on top of another.
 
-    The wrapper shares the inner policy's meter; consuming delegates to the
-    inner policy so its bookkeeping (e.g. Wii slices) stays correct.
+    The wrapper shares the inner policy's meter (its :attr:`meter` is the
+    inner one's, fixed at construction); consuming delegates to the inner
+    policy so its bookkeeping (e.g. Wii slices) stays correct.
     """
 
     def __init__(self, inner: BudgetPolicy):
@@ -204,10 +212,6 @@ class DelegatingPolicy(BudgetPolicy):
     @property
     def inner(self) -> BudgetPolicy:
         return self._inner
-
-    @property
-    def meter(self) -> BudgetMeter:
-        return self._inner.meter
 
     def attach(self, events: EventLog | None) -> None:
         super().attach(events)

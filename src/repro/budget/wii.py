@@ -96,7 +96,7 @@ class WiiReallocationPolicy(BudgetPolicy):
         self._sliced = True
 
     def admits(self, qid: str) -> bool:
-        if self.meter.exhausted:
+        if self._meter.exhausted:
             return False
         if not self._sliced:
             # Unlimited budget or unbound session: no slicing to enforce.
@@ -106,7 +106,7 @@ class WiiReallocationPolicy(BudgetPolicy):
         return self._pool > 0
 
     def _consume(self, qid: str) -> None:
-        self.meter.charge()
+        self._meter.charge()
         if not self._sliced:
             return
         self._active.add(qid)

@@ -237,26 +237,34 @@ def _choose_join_order(
     step prefers bindings connected to the current prefix by a join edge
     (falling back to a cross product only when the join graph is
     disconnected), picking the connected binding with the fewest rows.
+    Ties on rows go to the smaller binding name.
+
+    The connected bindings are kept as a frontier, the remaining
+    neighbours of the joined prefix, grown from each new member's
+    adjacency list, so a step costs that member's edges.
     """
+    adjacency: dict[str, list[str]] = {}
+    for join in joins:
+        adjacency.setdefault(join.left_binding, []).append(join.right_binding)
+        adjacency.setdefault(join.right_binding, []).append(join.left_binding)
+
+    def rank(binding: str) -> tuple[float, str]:
+        return (accesses[binding].output_rows, binding)
+
     remaining = set(accesses)
+    frontier: set[str] = set()
     order: list[str] = []
-    current = min(remaining, key=lambda b: (accesses[b].output_rows, b))
-    order.append(current)
-    remaining.discard(current)
-    joined = {current}
-    while remaining:
-        connected = {
-            join.other_binding(binding)
-            for join in joins
-            for binding in joined
-            if join.touches(binding) and join.other_binding(binding) in remaining
-        }
-        pool = connected or remaining
-        nxt = min(pool, key=lambda b: (accesses[b].output_rows, b))
-        order.append(nxt)
-        remaining.discard(nxt)
-        joined.add(nxt)
-    return order
+    current = min(remaining, key=rank)
+    while True:
+        order.append(current)
+        remaining.discard(current)
+        if not remaining:
+            return order
+        frontier.discard(current)
+        frontier.update(
+            binding for binding in adjacency.get(current, ()) if binding in remaining
+        )
+        current = min(frontier or remaining, key=rank)
 
 
 def prepare_query(schema: Schema, bound: BoundQuery) -> PreparedQuery:

@@ -47,15 +47,16 @@ the key a call is counted under (DESIGN §1):
 * **Batched costing** — :meth:`whatif_prefetch` (and
   :meth:`whatif_workload_costs` on top of it) is one pipeline: uncached
   (query, key) pairs are gathered into waves of normalized masks, each
-  wave is priced through the
+  asking the policy's ``admits`` once, each wave is priced through the
   :class:`~repro.backend.concurrent.PricingExecutor`, then a serial loop
-  issues the policy ``try_charge`` sequence and commits store / log /
-  events strictly in issue order. The pricer sets the job count
+  decides each pair's counted call (a wave's admitted opener is granted
+  outright, a later pair goes through ``try_charge``) and commits store /
+  log / events strictly in issue order. The pricer sets the job count
   (:attr:`WhatIfOptimizer.pricing_jobs`): on a serial pricer (analytic,
   noisy, replay) a wave is one pair, priced inline right before its
-  budget decision; the postgres backend prices ``jobs × 8`` pairs
-  concurrently over its connection pool. Grants, denials, stats, and the
-  event stream are bit-identical for every job count.
+  grant; the postgres backend prices ``jobs × 8`` pairs concurrently over
+  its connection pool. Grants, denials, stats, and the event stream are
+  bit-identical for every job count.
 
 A further layer removes pricing work without changing any outcome:
 
@@ -518,14 +519,18 @@ class WhatIfOptimizer:
         once. ``members`` are ``mask_positions(norm)``.
         """
         entry = (qid, self._shard_key(norm, members))
-        cost = self._persistent_cache().recall(entry)
+        store = self._pcache
+        if store is None:
+            store = self._persistent_cache()
+        cost = store.recall(entry)
         if cost is not None:
             self._stats.persistent_hits += 1
         return cost, entry
 
     def _store(self, entry: tuple, cost: float) -> None:
-        """Queue a fresh pricing under the entry :meth:`_recall` returned."""
-        self._persistent_cache().put_entry(entry, cost)
+        """Queue a fresh pricing under the entry :meth:`_recall` returned
+        (which opened the store)."""
+        self._pcache.put_entry(entry, cost)
 
     def _price(
         self, prepared: PreparedQuery, norm: int, members: list[int] | None = None
@@ -550,28 +555,37 @@ class WhatIfOptimizer:
             self._store(entry, cost)
         return cost
 
-    def _commit_call(
-        self, qid: str, norm: int, cost: float, members: list[int] | None = None
-    ) -> None:
-        """Record one counted call: derivation store and layout log.
+    def _commit_calls(self, granted) -> None:
+        """Record granted counted calls, in issue order: each one's cache
+        miss, derivation-store entry, layout-log entry, cost observers and
+        ``whatif_call`` event.
 
-        ``norm`` is the normalized mask; cost observers get it as indexes.
-        The store's exact cost for ``(qid, norm)`` is what makes the pair
-        cached from now on. ``members`` are ``mask_positions(norm)`` when
-        the caller has them already.
+        ``granted`` holds ``(qid, norm, cost, members)``: the normalized
+        mask, its cost and ``mask_positions(norm)``. The store's exact cost
+        for ``(qid, norm)`` is what makes the pair cached from now on; cost
+        observers get the mask as indexes. Store, log, observers, stream
+        and meter are read once per batch, not once per call.
         """
-        self._derivation.record(qid, norm, cost, members)
-        self._log.append((qid, norm, cost))
-        if self._cost_observers:
-            self._notify_cost(qid, self._configuration(norm, members), cost)
-        if self._events is not None:
-            self._events.emit(
-                "whatif_call",
-                calls_used=self._policy.spent,
-                qid=qid,
-                size=norm.bit_count(),
-                cost=cost,
-            )
+        stats = self._stats
+        record = self._derivation.record
+        log = self._log
+        observers = self._cost_observers
+        events = self._events
+        meter = self._policy.meter
+        for qid, norm, cost, members in granted:
+            stats.cache_misses += 1
+            record(qid, norm, cost, members)
+            log.append((qid, norm, cost))
+            if observers:
+                self._notify_cost(qid, self._configuration(norm, members), cost)
+            if events is not None:
+                events.emit(
+                    "whatif_call",
+                    meter.spent,
+                    qid=qid,
+                    size=norm.bit_count(),
+                    cost=cost,
+                )
 
     # ------------------------------------------------------------------ #
     # costing
@@ -634,14 +648,15 @@ class WhatIfOptimizer:
             if norm != mask:
                 self._stats.normalized_hits += 1
             return cached
-        self._policy.check(qid)
+        policy = self._policy
+        policy.check(qid)
         # A fresh counted call: its positions serve the shard key, the
-        # priced indexes and the store's member lists.
+        # priced indexes and the store's member lists. Pricing charges
+        # nothing, so the check's answer still holds at the grant.
         members = mask_positions(norm)
         cost = self._price(prepared, norm, members)
-        self._policy.charge(qid)
-        self._stats.cache_misses += 1
-        self._commit_call(qid, norm, cost, members)
+        policy.grant(qid)
+        self._commit_calls(((qid, norm, cost, members),))
         return cost
 
     def trial_cost(self, query: Query, base_cost: float, trial: int, extra: int) -> float:
@@ -787,37 +802,41 @@ class WhatIfOptimizer:
     # batched costing
     # ------------------------------------------------------------------ #
 
-    def whatif_prefetch(self, pairs, *, limit: int | None = None) -> int:
+    def whatif_prefetch(self, pairs) -> int:
         """Price and commit uncached (query, configuration) pairs in bulk.
 
-        Pairs are normalized and deduplicated *in issue order* and gathered
-        into waves of :attr:`~repro.backend.concurrent.PricingExecutor.wave_size`
-        pairs (one when :attr:`pricing_jobs` is 1), never more than what is
-        left of ``limit``. The scan is lean because most pairs are cached:
-        an ``int`` configuration is its own mask, and a query is prepared
-        only the first time one is seen. A wave carries each pair as its
-        normalized mask, with whether the policy admits its query (nothing
-        is charged while a wave is gathered, so that is the answer at
-        pricing time too); a pair that would be a wave's first decision and
-        is refused is denied on the spot, without building the wave.
-        :meth:`_price_wave` prices a wave's admitted pairs, then each pair
-        reserves its counted call through the budget policy's
-        :meth:`~repro.budget.policy.BudgetPolicy.try_charge` in issue order
-        (denied pairs are skipped and left uncached). Granted pairs are
-        committed to the derivation store and call log in issue
-        order when the batch ends — also when a pricing raises, so no
-        charge is left without its commit. Under FCFS the granted set is
-        exactly the budget-sized prefix, so the result is bit-identical to
-        issuing :meth:`whatif_cost` sequentially for the same pairs, for
-        every job count.
+        One gather → price → decide → commit loop for every job count.
+        Pairs are normalized, looked up and deduplicated *in issue order*
+        and gathered into waves of
+        :attr:`~repro.backend.concurrent.PricingExecutor.wave_size` pairs
+        (one when :attr:`pricing_jobs` is 1). The scan is lean because most
+        pairs are cached: an ``int`` configuration is its own mask, and a
+        query is prepared only the first time one is seen. A wave carries
+        each pair as its normalized mask, with whether the policy admits
+        its query (nothing is charged while a wave is gathered, so that is
+        the answer at pricing time too); a pair that would be a wave's
+        first decision and is refused is denied on the spot, without
+        building the wave. :meth:`_price_wave` prices a wave's admitted
+        pairs; then each pair's counted call is decided in issue order.
+        A wave's first decision is its admitted opener, with nothing
+        charged since ``admits`` said yes, so the policy grants it
+        (:meth:`~repro.budget.policy.BudgetPolicy.grant`) without asking
+        again: every decision at one job. A later decision of a larger
+        wave goes through
+        :meth:`~repro.budget.policy.BudgetPolicy.try_charge`, since earlier
+        grants may have changed the answer (denied pairs are skipped and
+        left uncached). Granted pairs are committed to the derivation
+        store and call log in issue order when the batch ends — also when
+        a pricing raises, so no charge is left without its commit. Under
+        FCFS the granted set is exactly the budget-sized prefix, so the
+        result is bit-identical to issuing :meth:`whatif_cost`
+        sequentially for the same pairs, for every job count.
 
         Unlike :meth:`whatif_cost` this never raises on exhaustion: it
         prices what fits and leaves the rest uncached.
 
         Args:
             pairs: Iterable of ``(query, configuration)``.
-            limit: Optional extra cap on counted calls (scoped allowances
-                use this to enforce local slices).
 
         Returns:
             Number of counted calls issued.
@@ -827,12 +846,12 @@ class WhatIfOptimizer:
         relevance = self._relevance
         known_cost = self._derivation.known_cost
         policy = self._policy
+        stats = self._stats
         pairs_iter = iter(pairs)
         seen: set[tuple[str, int]] = set()
         granted: list[tuple[str, int, float, list[int]]] = []
         try:
-            while limit is None or len(granted) < limit:
-                room = wave_size if limit is None else min(wave_size, limit - len(granted))
+            while True:
                 # The wave's pairs as (qid, norm, admitted, positions of
                 # norm), in issue order; ``taken`` also counts the refused
                 # pairs denied on the spot.
@@ -864,51 +883,74 @@ class WhatIfOptimizer:
                         # Only refusals precede it in its wave, so nothing
                         # is charged before its decision: deny it now.
                         policy.try_charge(qid)
-                    if taken >= room:
+                    if taken >= wave_size:
                         break
                 if not taken:
                     break
                 if not wave:
                     continue
                 costs = self._price_wave(wave, executor)
-                for pair, cost in zip(wave, costs, strict=True):
-                    qid, norm, _, members = pair
+                # The opener was admitted when gathered, and nothing has been
+                # charged since: grant it without asking again.
+                qid, norm, _, members = wave[0]
+                policy.grant(qid)
+                stats.cost_evaluations += 1
+                granted.append((qid, norm, costs[0], members))
+                for position in range(1, len(wave)):
+                    qid, norm, _, members = wave[position]
+                    cost = costs[position]
                     if cost is None and policy.admits(qid):
                         # Refused when the wave was priced, admitted now (no
                         # shipped policy does this): price before charging.
-                        (cost,) = self._price_wave(
-                            [(qid, norm, True, members)], executor
-                        )
+                        (cost,) = self._price_wave([(qid, norm, True, members)], executor)
                     if not policy.try_charge(qid):
                         if cost is not None:
-                            self._stats.speculation_wasted += 1
+                            stats.speculation_wasted += 1
                         continue
-                    self._stats.cost_evaluations += 1
+                    stats.cost_evaluations += 1
                     granted.append((qid, norm, cost, members))
         finally:
-            for qid, norm, cost, members in granted:
-                self._stats.cache_misses += 1
-                self._commit_call(qid, norm, cost, members)
             if granted:
-                self._stats.batch_calls += 1
-                self._stats.batched_pairs += len(granted)
+                self._commit_calls(granted)
+                stats.batch_calls += 1
+                stats.batched_pairs += len(granted)
         return len(granted)
 
     def _price_wave(self, wave, executor) -> list[float | None]:
         """Resolve one wave's costs; ``None`` where the policy refused the query.
 
         ``wave`` holds ``(qid, norm, admitted, members)``, ``members``
-        being ``norm``'s positions; only admitted pairs are
-        priced, so a one-pair wave is never priced ahead of its own budget
-        decision. Persistent-cache recalls happen here, on the main thread,
-        keyed by mask; only fresh evaluations build their indexes and go
-        through the executor to :meth:`_price_shard` (inline at one job).
+        being ``norm``'s positions; only admitted pairs are priced, so a
+        one-pair wave is never priced ahead of its own budget decision.
+        Persistent-cache recalls happen here, on the main thread, keyed by
+        mask; only fresh evaluations build their indexes and go to
+        :meth:`_price_shard`, through the executor for a wave of many pairs
+        and directly for a one-pair wave (every wave at one job), whose
+        pair is admitted: it opened its wave.
         """
+        if len(wave) == 1:
+            ((qid, norm, _, members),) = wave
+            if executor.jobs > 1:
+                self._stats.speculative_priced += 1
+            entry = None
+            if self._whatif_cache is not None:
+                cost, entry = self._recall(qid, norm, members)
+                if cost is not None:
+                    return [cost]
+            start = perf_counter()
+            cost = executor.price_one(
+                self._price_shard,
+                (qid, self._prepared[qid], self._configuration(norm, members)),
+            )
+            self._stats.cost_seconds += perf_counter() - start
+            if entry is not None:
+                self._store(entry, cost)
+            return [cost]
+        speculative = executor.jobs > 1
+        recall = self._whatif_cache is not None
         costs: list[float | None] = [None] * len(wave)
         entries: dict[int, tuple] = {}
         misses: list[int] = []
-        speculative = executor.jobs > 1
-        recall = self._whatif_cache is not None
         for position, (qid, norm, admitted, members) in enumerate(wave):
             if not admitted:
                 continue

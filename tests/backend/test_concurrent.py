@@ -158,7 +158,7 @@ def _configs(candidates):
     return configs
 
 
-def _prefetch_run(workload, candidates, jobs, budget, *, limit=None, cache=None):
+def _prefetch_run(workload, candidates, jobs, budget, *, cache=None):
     events = EventLog()
     optimizer = _at_jobs(jobs)(
         workload,
@@ -171,7 +171,7 @@ def _prefetch_run(workload, candidates, jobs, budget, *, limit=None, cache=None)
         for config in _configs(candidates)
         for query in workload
     )
-    granted = optimizer.whatif_prefetch(pairs, limit=limit)
+    granted = optimizer.whatif_prefetch(pairs)
     optimizer.close()
     return optimizer, events, granted
 
@@ -209,18 +209,6 @@ class TestSpeculateCommitParity:
         # Grant *and* deny events replay in the exact serial order.
         assert pooled_events.events == serial_events.events
         assert _accounting(pooled.stats) == _accounting(serial.stats)
-
-    @pytest.mark.parametrize("jobs", [2, 4])
-    def test_limit_parity(self, toy_workload, toy_candidates, jobs):
-        serial, serial_events, serial_granted = _prefetch_run(
-            toy_workload, toy_candidates, 1, budget=None, limit=5
-        )
-        pooled, pooled_events, pooled_granted = _prefetch_run(
-            toy_workload, toy_candidates, jobs, budget=None, limit=5
-        )
-        assert serial_granted == pooled_granted == 5
-        assert pooled.call_log == serial.call_log
-        assert pooled_events.events == serial_events.events
 
     def test_exhaustion_mid_batch_discards_speculation_uncharged(
         self, toy_workload, toy_candidates

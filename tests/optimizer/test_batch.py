@@ -74,15 +74,6 @@ class TestPrefetch:
             q.qid for q in list(toy_workload)[:3]
         ]
 
-    def test_limit_caps_below_budget(self, toy_workload, toy_relevant):
-        optimizer = WhatIfOptimizer(toy_workload, budget=10)
-        configs = _singletons(toy_relevant)
-        issued = optimizer.whatif_prefetch(
-            ((q, configs[q.qid]) for q in toy_workload), limit=2
-        )
-        assert issued == 2
-        assert optimizer.meter.remaining == 8
-
     def test_ordinals_contiguous_across_batches(self, toy_workload, toy_relevant):
         optimizer = WhatIfOptimizer(toy_workload)
         a = _singletons(toy_relevant)

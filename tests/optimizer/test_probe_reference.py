@@ -1,31 +1,40 @@
-"""Differential tests: greedy probes at cache speed against policy-first references.
+"""Differential tests: greedy probes and counted calls against policy-first references.
 
 ``WhatIfOptimizer.trial_cost`` answers a cached ``(qid, normalized key)``
 before it consults the budget policy; ``whatif_prefetch``'s pair scan
 takes an ``int`` configuration as its mask, prepares a query only the first
 time it sees one, carries each pair of a wave as its normalized mask, and
-denies a refused pair that would open a wave without building it; and
+denies a refused pair that would open a wave without building it; a wave's
+first decision is granted without asking the policy again; a one-pair wave
+is priced without the executor's containers; granted calls are committed
+in one pass over the batch; events are built by setting their slots; and
 ``greedy_step_costs`` answers a whole greedy step from one scan, sending
 only the pairs the store cannot answer on to the prefetch and the probe.
 :class:`RefProbeOptimizer` keeps the loops these replaced — the
 policy-first ``trial_cost``, the ``_mask``/``prepared``/``_norm`` scan
-with its frozenset waves (and its own copy of the wave pricer), and a
-step as a prefetch of every pair followed by one ``trial_cost`` per pair
-— as executable specifications. Hypothesis drives both engines through the
+with its frozenset waves (and its own copy of the wave pricer), a decide
+loop that calls ``try_charge`` for every pair (:func:`ref_try_charge`, its
+own copy), a counted ``whatif_cost`` that checks and charges, a
+per-call commit, keyword-built events (:class:`RefEventLog`), and a step
+as a prefetch of every pair followed by one ``trial_cost`` per pair — as
+executable specifications. Hypothesis drives both engines through the
 same sessions over toy and small synthesized workloads, each with a cold
-or a partly warm persistent store: prefetches (with limits, masks and
-index sets), trial probes, greedy steps, counted calls, scoped slice
-allowances and checkpoints (Wii's pool release can re-admit a query),
-under every budget policy. Return values (step totals bit for bit),
-raised denials, ``WhatIfStats``, call logs, event streams and the
-store's shard bytes must agree exactly.
+or a partly warm persistent store and, when drawn, a cost observer:
+prefetches (with masks and index sets, some with a pricing fault
+injected mid-batch), trial probes, greedy steps, counted calls, scoped
+slice allowances and checkpoints (Wii's pool release can re-admit a
+query), under every budget policy. Return values (step totals bit for
+bit), raised denials and faults, ``WhatIfStats``, call logs, ordered
+event streams with their payloads, observed costs and the store's shard
+bytes must agree exactly, and every charged call must be committed.
 """
 
 from __future__ import annotations
 
+import itertools
 import shutil
 import tempfile
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager, nullcontext
 from functools import cache
 from pathlib import Path
 from time import perf_counter
@@ -34,12 +43,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.backend.cache import canonical_key
-from repro.budget.events import EventLog
+from repro.budget.events import EVENT_KINDS, EventLog, SessionEvent
 from repro.budget.meter import BudgetMeter
 from repro.budget.policy import POLICY_NAMES, FCFSPolicy, build_policy
 from repro.catalog import Index, index_sort_key
 from repro.config import ReproConfig
-from repro.exceptions import BudgetExhaustedError
+from repro.exceptions import BudgetExhaustedError, TuningError
 from repro.optimizer.prepared import PreparedQuery
 from repro.optimizer.whatif import WhatIfOptimizer
 from repro.tuners.base import TuningSession
@@ -53,8 +62,50 @@ from repro.workload.synthesis import SynthesisProfile, WorkloadSynthesizer
 # --------------------------------------------------------------------------- #
 
 
+class RefEventLog(EventLog):
+    """The event stream with each event built by its keyword ``__init__``."""
+
+    def emit(self, kind: str, calls_used: int, **payload) -> SessionEvent:
+        if kind not in EVENT_KINDS:
+            raise TuningError(f"unknown session event kind {kind!r}")
+        event = SessionEvent(
+            ordinal=len(self._events) + 1,
+            kind=kind,
+            calls_used=calls_used,
+            payload=payload,
+        )
+        self._events.append(event)
+        for observer in self._observers:
+            observer(event)
+        return event
+
+
+def _ref_grant(policy, qid: str) -> None:
+    policy._consume(qid)
+    if policy._events is not None:
+        policy._events.emit(
+            "budget_grant", calls_used=policy.spent, qid=qid, policy=policy.name
+        )
+
+
+def ref_try_charge(policy, qid: str) -> bool:
+    """``BudgetPolicy.try_charge`` as it was: ask, then consume and log."""
+    if not policy.admits(qid):
+        policy._emit_deny(qid)
+        return False
+    _ref_grant(policy, qid)
+    return True
+
+
+def ref_charge(policy, qid: str) -> None:
+    """``BudgetPolicy.charge`` as it was: check, then consume and log."""
+    policy.check(qid)
+    _ref_grant(policy, qid)
+
+
 class RefProbeOptimizer(WhatIfOptimizer):
-    """The engine with its policy-first probe and full prefetch scan."""
+    """The engine with its policy-first probe, full prefetch scan,
+    ``try_charge`` per pair and per-call commits."""
 
     def trial_cost(self, query, base_cost: float, trial: int, extra: int) -> float:
         if self._policy.admits(query.qid):
@@ -73,15 +124,52 @@ class RefProbeOptimizer(WhatIfOptimizer):
             query.qid, base_cost, trial, extra
         )
 
-    def whatif_prefetch(self, pairs, *, limit: int | None = None) -> int:
+    def whatif_cost(self, query, configuration) -> float:
+        mask = self._mask(configuration)
+        if not mask:
+            return self.empty_cost(query)
+        qid = query.qid
+        prepared = self.prepared(query)
+        norm = self._norm(qid, mask)
+        if not norm:
+            self._stats.cache_hits += 1
+            self._stats.normalized_hits += 1
+            return self.empty_cost(query)
+        cached = self._derivation.known_cost(qid, norm)
+        if cached is not None:
+            self._stats.cache_hits += 1
+            if norm != mask:
+                self._stats.normalized_hits += 1
+            return cached
+        self._policy.check(qid)
+        cost = self._price(prepared, norm)
+        ref_charge(self._policy, qid)
+        self._stats.cache_misses += 1
+        self._commit_call(qid, norm, cost)
+        return cost
+
+    def _commit_call(self, qid: str, norm: int, cost: float) -> None:
+        self._derivation.record(qid, norm, cost)
+        self._log.append((qid, norm, cost))
+        if self._cost_observers:
+            self._notify_cost(qid, self._configuration(norm), cost)
+        if self._events is not None:
+            self._events.emit(
+                "whatif_call",
+                calls_used=self._policy.spent,
+                qid=qid,
+                size=norm.bit_count(),
+                cost=cost,
+            )
+
+    def whatif_prefetch(self, pairs) -> int:
         executor = self._ensure_pricing_executor()
         wave_size = executor.wave_size
         pairs_iter = iter(pairs)
         seen: set[tuple[str, int]] = set()
         granted: list[tuple[str, int, frozenset[Index], float]] = []
         try:
-            while limit is None or len(granted) < limit:
-                room = wave_size if limit is None else min(wave_size, limit - len(granted))
+            while True:
                 wave: list[tuple[str, PreparedQuery, frozenset[Index]]] = []
                 norms: list[int] = []
                 for query, configuration in pairs_iter:
@@ -99,7 +187,7 @@ class RefProbeOptimizer(WhatIfOptimizer):
                     seen.add(cache_key)
                     wave.append((qid, prepared, self._configuration(norm)))
                     norms.append(norm)
-                    if len(wave) >= room:
+                    if len(wave) >= wave_size:
                         break
                 if not wave:
                     break
@@ -108,7 +196,7 @@ class RefProbeOptimizer(WhatIfOptimizer):
                     qid, _, key = pair
                     if cost is None and self._policy.admits(qid):
                         (cost,) = self._price_wave([pair], executor)
-                    if not self._policy.try_charge(qid):
+                    if not ref_try_charge(self._policy, qid):
                         if cost is not None:
                             self._stats.speculation_wasted += 1
                         continue
@@ -209,7 +297,12 @@ def _fixture(name: str):
     return workload, candidates
 
 
-def _session(engine_cls, workload, candidates, policy: str, budget: int, store=None):
+def _session(
+    engine_cls, workload, candidates, policy: str, budget: int, store=None, observed=None
+):
+    """A session on a fresh ``engine_cls``; the reference gets its
+    keyword-built event stream. ``observed``, when given, collects every
+    cost the engine reports to cost observers."""
     engine = engine_cls(
         workload,
         policy=build_policy(policy, budget),
@@ -218,7 +311,12 @@ def _session(engine_cls, workload, candidates, policy: str, budget: int, store=N
     # Intern the pool in one order for both engines, as greedy does.
     for index in candidates:
         engine.position(index)
-    return TuningSession(workload, candidates, backend=engine)
+    if observed is not None:
+        engine.add_cost_observer(
+            lambda qid, key, cost: observed.append((qid, key, cost.hex()))
+        )
+    events = RefEventLog() if isinstance(engine, RefProbeOptimizer) else None
+    return TuningSession(workload, candidates, backend=engine, events=events)
 
 
 def _observed(session) -> tuple:
@@ -227,6 +325,33 @@ def _observed(session) -> tuple:
     del stats["cost_seconds"]
     calls = [(c.ordinal, c.qid, c.configuration, c.cost) for c in engine.call_log]
     return stats, calls, list(session.events), engine.calls_used
+
+
+class InjectedFault(RuntimeError):
+    """A pricing fault planted by :func:`_fault_at`."""
+
+
+@contextmanager
+def _fault_at(engine, evaluation: int):
+    """Make the engine's ``evaluation``-th fresh pricing from now raise, once.
+
+    Every fresh pricing goes through ``_evaluate``; an instance attribute
+    shadows it for the block. The count is shared by a wave's pricing
+    threads, and the fault fires once, so which wave it aborts does not
+    depend on scheduling."""
+    evaluate = engine._evaluate
+    count = itertools.count(1)
+
+    def faulty(prepared, key):
+        if next(count) == evaluation:
+            raise InjectedFault(f"pricing fault at evaluation {evaluation}")
+        return evaluate(prepared, key)
+
+    engine._evaluate = faulty
+    try:
+        yield
+    finally:
+        del engine._evaluate
 
 
 _op = st.tuples(
@@ -260,7 +385,6 @@ def _drive(session, ops, candidates, step=fast_step_costs) -> list:
             for pick in picks:
                 mask |= 1 << positions[pick % len(positions)]
             if kind == "prefetch":
-                limit = None if arg % 3 == 0 else arg % 7
                 pairs = []
                 for offset in range(len(picks) + 1):
                     sub = mask
@@ -273,7 +397,14 @@ def _drive(session, ops, candidates, step=fast_step_costs) -> list:
                     pair_query = queries[(qpick + offset) % len(queries)]
                     pairs.append((pair_query, configuration))
                     asked.append((pair_query, sub))
-                answers.append(("prefetch", engine.whatif_prefetch(pairs, limit=limit)))
+                # One prefetch in four has a pricing fault planted at one
+                # of its first three fresh pricings.
+                planted = arg % 4 == 1
+                with _fault_at(engine, 1 + arg // 4 % 3) if planted else nullcontext():
+                    try:
+                        answers.append(("prefetch", engine.whatif_prefetch(pairs)))
+                    except InjectedFault:
+                        answers.append(("prefetch", "fault"))
             elif kind == "trial":
                 extra = positions[arg % len(positions)]
                 if asked and arg % 3 == 0:
@@ -330,7 +461,10 @@ def _drive(session, ops, candidates, step=fast_step_costs) -> list:
                     depth = 0
             else:
                 session.checkpoint(engine._configuration(mask))
-            answers.append(_observed(session))
+            observed = _observed(session)
+            # No charge without its commit, faults included.
+            assert observed[3] == len(observed[1])
+            answers.append(observed)
     answers.append(_observed(session))
     return answers
 
@@ -353,10 +487,12 @@ def _shard_bytes(session) -> bytes | None:
     budget=st.integers(0, 40),
     ops=st.lists(_op, min_size=1, max_size=30),
     warm=st.none() | st.integers(0, 30),
+    observe=st.booleans(),
 )
-def test_probes_match_policy_first_reference(name, policy, budget, ops, warm):
+def test_probes_match_policy_first_reference(name, policy, budget, ops, warm, observe):
     """Both engines price through a persistent store: a cold one, or one a
-    plain session filled with the first ``warm`` ops."""
+    plain session filled with the first ``warm`` ops. With ``observe``,
+    each has a cost observer, and both must report the same costs."""
     workload, candidates = _fixture(name)
     with tempfile.TemporaryDirectory() as scratch:
         root = Path(scratch)
@@ -370,11 +506,17 @@ def test_probes_match_policy_first_reference(name, policy, budget, ops, warm):
         if (root / "warm").exists():
             for store in stores:
                 shutil.copytree(root / "warm", store)
-        fast = _session(WhatIfOptimizer, workload, candidates, policy, budget, stores[0])
-        ref = _session(RefProbeOptimizer, workload, candidates, policy, budget, stores[1])
+        observed = ([], []) if observe else (None, None)
+        fast = _session(
+            WhatIfOptimizer, workload, candidates, policy, budget, stores[0], observed[0]
+        )
+        ref = _session(
+            RefProbeOptimizer, workload, candidates, policy, budget, stores[1], observed[1]
+        )
         assert _drive(fast, ops, candidates) == _drive(
             ref, ops, candidates, step=ref_step_costs
         )
+        assert observed[0] == observed[1]
         assert _shard_bytes(fast) == _shard_bytes(ref)
 
 
@@ -459,7 +601,7 @@ def test_refused_opener_keeps_its_wave_slot(tmp_path):
             policy=_RefusesOne(BudgetMeter(10), refused.qid),
             config=ReproConfig(whatif_cache=str(tmp_path / store)),
         )
-        events = EventLog()
+        events = RefEventLog() if isinstance(engine, RefProbeOptimizer) else EventLog()
         engine.attach_events(events)
         positions = [engine.position(index) for index in candidates]
         for query in (refused, admitted):
