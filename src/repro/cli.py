@@ -35,7 +35,7 @@ from dataclasses import replace
 from repro.backend.factory import BACKEND_NAMES, BackendSpec, build_backend
 from repro.backend.replay import ReplayBackend
 from repro.config import POLICY_NAMES, MCTSConfig, ReproConfig, TuningConstraints
-from repro.eval.experiments import EXPERIMENTS, ExperimentSettings, run_experiment
+from repro.eval.experiments import EXPERIMENTS, ExperimentSettings, parse_k_values, run_experiment
 from repro.eval.report import bench_payload
 from repro.eval.runner import ExperimentRunner
 from repro.eval.timemodel import WhatIfTimeModel
@@ -404,9 +404,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if args.seeds is not None:
         overrides["seeds"] = args.seeds
     if args.ks is not None:
-        overrides["k_values"] = tuple(
-            int(k) for k in args.ks.split(",") if k.strip()
-        )
+        # Parsed as REPRO_KS is, so a bad or empty list fails the same way.
+        overrides["k_values"] = parse_k_values(args.ks, "--ks")
     if args.jobs is not None:
         if args.jobs < 1:
             print(f"error: --jobs must be positive, got {args.jobs}",
@@ -451,7 +450,8 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         budget=args.budget,
         constraints=TuningConstraints(max_indexes=args.max_indexes),
     )
-    optimizer = build_backend("analytic", workload)
+    # Rendering plans needs no run settings, so no REPRO_* variable reaches it.
+    optimizer = build_backend("analytic", workload, config=ReproConfig())
     print("--- query ---")
     print(query.sql)
     print("\n--- plan without hypothetical indexes ---")

@@ -59,6 +59,23 @@ SMALL_BUDGETS = [50, 100, 200, 500, 1000]
 _SMALL_GRID = {"tpch", "job"}
 
 
+def parse_k_values(raw: str, name: str) -> tuple[int, ...]:
+    """The cardinality grid ``raw`` spells (``"5,10,20"``); ``name`` is the
+    flag or variable it came from. ``eval --ks`` and ``REPRO_KS`` both parse
+    through here.
+
+    Raises:
+        ConstraintError: When ``raw`` holds a non-integer or no value at all.
+    """
+    try:
+        ks = tuple(int(k) for k in raw.split(",") if k.strip())
+    except ValueError:
+        ks = ()
+    if not ks:
+        raise ConstraintError(f"{name} must be comma-separated integers, got {raw!r}")
+    return ks
+
+
 @dataclass(frozen=True)
 class ExperimentSettings:
     """Environment-derived experiment scaling.
@@ -97,17 +114,10 @@ class ExperimentSettings:
         Raises:
             ConstraintError: When a variable is set to a malformed value.
         """
-        ks_raw = os.environ.get("REPRO_KS", "5,10,20")
-        try:
-            ks = tuple(int(k) for k in ks_raw.split(",") if k.strip())
-        except ValueError:
-            raise ConstraintError(
-                f"REPRO_KS must be comma-separated integers, got {ks_raw!r}"
-            ) from None
         return cls(
             scale=float_env("REPRO_SCALE", 0.1),
             seeds=int_env("REPRO_SEEDS", 3),
-            k_values=ks,
+            k_values=parse_k_values(os.environ.get("REPRO_KS", "5,10,20"), "REPRO_KS"),
             jobs=max(1, int_env("REPRO_JOBS", 1)),
             config=config or ReproConfig.from_env(),
         )

@@ -27,6 +27,7 @@ from itertools import combinations
 from repro.backend.base import CostBackend
 from repro.backend.factory import build_backend
 from repro.catalog import Index, index_sort_key
+from repro.config import ReproConfig
 from repro.workload.query import Query, Workload
 
 
@@ -79,8 +80,9 @@ def workload_interactions(
         max_pairs: Optional cap on the number of candidate pairs examined
             (pairs are enumerated in canonical order).
     """
-    # Interaction degrees are a ground-truth analysis: always analytic.
-    optimizer = build_backend("analytic", workload)
+    # Interaction degrees are a ground-truth analysis: always analytic, with
+    # the default settings, so no REPRO_* variable reaches it.
+    optimizer = build_backend("analytic", workload, config=ReproConfig())
     tables_of = {
         query.qid: frozenset(
             access.table.name

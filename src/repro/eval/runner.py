@@ -24,9 +24,8 @@ from repro.config import ReproConfig, TuningConstraints
 from repro.eval.metrics import mean_and_std
 from repro.exceptions import TuningError
 from repro.lint.sanitizers import EventStreamValidator
-from repro.parallel.executor import execute_specs
+from repro.parallel.executor import execute_specs, run_in_process
 from repro.parallel.spec import CellSpec, SeedOutcome
-from repro.parallel.worker import run_seed_with_result
 from repro.rng import DEFAULT_SEED, spawn_seeds
 from repro.tuners.base import Tuner, TuningResult
 from repro.workload.candidates import CandidateGenerator
@@ -280,11 +279,12 @@ class ExperimentRunner:
     def _run_specs_serial(
         self, specs: list[CellSpec]
     ) -> tuple[list[SeedOutcome], list[TuningResult]]:
-        """Run specs in-process, retaining live results when configured."""
+        """Run specs in-process, retaining live results when configured; a
+        failing cell raises the pool path's :class:`ParallelExecutionError`."""
         outcomes: list[SeedOutcome] = []
         results: list[TuningResult] = []
         for spec in specs:
-            outcome, result = run_seed_with_result(spec)
+            outcome, result = run_in_process(spec)
             outcomes.append(outcome)
             if self._keep_results:
                 results.append(result)

@@ -5,7 +5,6 @@ Usage:
     python -m repro.lint src/ --flow          # + whole-program flow rules
     python -m repro.lint src/ --format sarif  # code-scanning upload payload
     python -m repro.lint src/ --select REP004,REP005 --ignore REP005
-    python -m repro.lint src/ --flow --jobs 4 --cache .repro-lint-cache.json
     python -m repro.lint src/ --write-baseline lint-baseline.json
     python -m repro.lint --list-rules
 
@@ -55,14 +54,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--flow", action="store_true",
                         help="also run the whole-program flow rules "
                              "(REP101-REP106)")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes for parsing/indexing "
-                             "(default 1 = serial)")
-    parser.add_argument("--cache", default=None, metavar="PATH",
-                        help="flow summary cache file (use with --flow; "
-                             "warm runs re-index only changed files)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="ignore/skip the flow summary cache")
     parser.add_argument("--baseline", default=None, metavar="PATH",
                         help="baseline file of accepted findings "
                              f"(default: ./{DEFAULT_BASELINE} when present)")
@@ -77,8 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              "replaced)")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the registered rules and exit")
-    parser.add_argument("--stats", action="store_true",
-                        help="print flow cache/re-index statistics to stderr")
     return parser
 
 
@@ -128,9 +117,6 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_usage(sys.stderr)
         print("repro.lint: error: no paths given", file=sys.stderr)
         return 2
-    if args.jobs < 1:
-        print("repro.lint: error: --jobs must be >= 1", file=sys.stderr)
-        return 2
 
     select = _split_rules(args.select)
     ignore = _split_rules(args.ignore)
@@ -156,27 +142,13 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 2
 
-    findings = engine.check_paths(args.paths, jobs=args.jobs)
+    findings = engine.check_paths(args.paths)
 
     if args.flow and flow_run:
         from repro.lint.flow.rules import analyze_paths
 
-        cache_path = None if args.no_cache else args.cache
-        flow_findings, stats = analyze_paths(
-            args.paths,
-            select=flow_run,
-            jobs=args.jobs,
-            cache_path=cache_path,
-        )
-        findings.extend(flow_findings)
+        findings.extend(analyze_paths(args.paths, select=flow_run))
         findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-        if args.stats:
-            print(
-                f"repro.lint: flow: {stats.total_files} file(s), "
-                f"{len(stats.reindexed)} re-indexed, "
-                f"{stats.from_cache} from cache",
-                file=sys.stderr,
-            )
 
     excluded = _split_rules(args.exclude)
     if excluded:

@@ -14,7 +14,7 @@ rules run unchanged over ``src/repro/...`` and over the test fixture tree
 from __future__ import annotations
 
 import ast
-from pathlib import PurePosixPath
+from pathlib import Path, PurePosixPath
 from typing import ClassVar, Iterable
 
 from repro.lint.findings import Finding
@@ -211,44 +211,25 @@ class LintEngine:
 
     def check_file(self, path) -> list[Finding]:
         """Lint one file on disk."""
-        from pathlib import Path
-
         file_path = Path(path)
         source = file_path.read_text(encoding="utf-8")
         return self.check_source(source, file_path.as_posix())
 
-    def check_paths(self, paths: Iterable, jobs: int = 1) -> list[Finding]:
-        """Lint files and directory trees; directories are walked for
-        ``*.py`` in sorted order so output (and baselines) are stable.
-
-        ``jobs > 1`` fans the per-file work out to a process pool
-        (:func:`repro.parallel.pool.parallel_map`); results keep input
-        order, so parallel output is byte-identical to serial.
-        """
-        from pathlib import Path
-
-        files: list[Path] = []
-        for raw in paths:
-            path = Path(raw)
-            if path.is_dir():
-                files.extend(sorted(path.rglob("*.py")))
-            else:
-                files.append(path)
-        if jobs > 1 and len(files) > 1:
-            from repro.parallel.pool import parallel_map
-
-            per_file = parallel_map(
-                _check_file_task, [(self, file_path) for file_path in files], jobs
-            )
-        else:
-            per_file = [self.check_file(file_path) for file_path in files]
+    def check_paths(self, paths: Iterable) -> list[Finding]:
+        """Lint files and directory trees, each file once, in the sorted
+        order of :func:`iter_python_files` so output (and baselines) are
+        stable."""
         findings: list[Finding] = []
-        for file_findings in per_file:
-            findings.extend(file_findings)
+        for file_path in iter_python_files(paths):
+            findings.extend(self.check_file(file_path))
         return findings
 
 
-def _check_file_task(item) -> list[Finding]:
-    """Picklable per-file worker for the parallel ``check_paths`` path."""
-    engine, path = item
-    return engine.check_file(path)
+def iter_python_files(paths: Iterable) -> list[Path]:
+    """Expand files and directory trees into one sorted ``*.py`` list that
+    names each file once, however the arguments overlap."""
+    files: set[Path] = set()
+    for raw in paths:
+        path = Path(raw)
+        files.update(path.rglob("*.py") if path.is_dir() else (path,))
+    return sorted(files)

@@ -27,6 +27,7 @@ from repro.lint.flow.summary import (
     ClassSummary,
     FileSummary,
     FunctionSummary,
+    summarize_file,
 )
 
 #: Metered backend surface: calls into these never leak budget (REP101).
@@ -254,10 +255,6 @@ class ProjectIndex:
         return f"{short}.{qualname}"
 
 
-def build_index(paths: list[tuple[str, str]], jobs: int = 1) -> ProjectIndex:
-    """Index ``(path, module)`` pairs without caching (test/API helper)."""
-    from repro.lint.flow.summary import summarize_file
-    from repro.parallel.pool import parallel_map
-
-    summaries = parallel_map(summarize_file, paths, jobs)
-    return ProjectIndex(summaries)
+def build_index(paths: list[tuple[str, str]]) -> ProjectIndex:
+    """Index ``(path, module)`` pairs, summarizing each file once."""
+    return ProjectIndex([summarize_file(path, module) for path, module in paths])

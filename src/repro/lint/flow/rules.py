@@ -32,11 +32,14 @@ from __future__ import annotations
 
 from typing import ClassVar
 
+from repro.lint.engine import iter_python_files
 from repro.lint.findings import Finding
 from repro.lint.flow.index import (
     METERED_NAMES,
     METERED_SEGMENTS,
     ProjectIndex,
+    build_index,
+    module_name,
 )
 from repro.lint.flow.summary import (
     BACKEND_PROTOCOL_NAME,
@@ -683,12 +686,10 @@ def run_flow_rules(
     seen: set[tuple] = set()
     for finding in findings:
         summary = index.summaries.get(finding.path)
-        if summary is not None:
-            table = {
-                line: set(rules) for line, rules in summary.suppressions.items()
-            }
-            if is_suppressed(table, finding.line, finding.rule):
-                continue
+        if summary is not None and is_suppressed(
+            summary.suppressions, finding.line, finding.rule
+        ):
+            continue
         key = (finding.path, finding.line, finding.col, finding.rule,
                finding.message)
         if key in seen:
@@ -699,26 +700,18 @@ def run_flow_rules(
     return kept
 
 
-def analyze_paths(
-    paths,
-    select: set[str] | None = None,
-    jobs: int = 1,
-    cache_path=None,
-):
+def analyze_paths(paths, select: set[str] | None = None) -> list[Finding]:
     """Index ``paths`` and run the flow rules — the CLI entry point.
 
     Args:
-        paths: Files and/or directory trees to analyze as one program.
+        paths: Files and/or directory trees to analyze as one program; each
+            file is summarized once (:func:`~repro.lint.engine.iter_python_files`).
         select: Flow rule ids to run (``None`` = all of REP101–REP106).
-        jobs: Worker processes for the parse/summarize stage.
-        cache_path: Incremental cache file; ``None`` disables caching.
 
     Returns:
-        ``(findings, stats)`` — the suppression-filtered findings and the
-        :class:`~repro.lint.flow.cache.FlowStats` of the indexing stage.
+        The suppression-filtered findings, sorted by location.
     """
-    from repro.lint.flow.cache import load_summaries
-
-    summaries, stats = load_summaries(paths, cache_path=cache_path, jobs=jobs)
-    index = ProjectIndex(summaries)
-    return run_flow_rules(index, select=select), stats
+    index = build_index(
+        [(path.as_posix(), module_name(path)) for path in iter_python_files(paths)]
+    )
+    return run_flow_rules(index, select=select)

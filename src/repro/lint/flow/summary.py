@@ -1,23 +1,19 @@
 """Per-file extraction for the whole-program flow analysis.
 
 A :class:`FileSummary` is everything the link step needs to know about one
-module, computed from its source text alone — which is what makes the
-incremental cache sound: a summary is a pure function of file content, so
-it can be keyed on a content hash and reused verbatim until the file
-changes.
+module, computed from its source text alone.
 
 The summary records *raw* call references (dotted name chains as written,
 e.g. ``"self.optimizer.whatif_cost"``); resolving them against the module
 map and import table is the link step's job
-(:mod:`repro.lint.flow.index`), so resolution picks up renames in *other*
-files without re-parsing this one.
+(:mod:`repro.lint.flow.index`), which sees every file's summary at once.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
+from pathlib import Path
 
 from repro.lint.suppressions import parse_suppressions
 
@@ -53,11 +49,6 @@ BACKEND_REGISTRY_NAME = "BACKENDS"
 
 #: The protocol class registered backends must conform to (REP105).
 BACKEND_PROTOCOL_NAME = "CostBackend"
-
-
-def content_hash(source: str) -> str:
-    """Content key for the incremental cache (sha256 of the text)."""
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()
 
 
 def _render(node: ast.AST) -> str:
@@ -114,7 +105,7 @@ def _exception_names(node: ast.expr | None) -> list[str]:
 
 
 # --------------------------------------------------------------------- #
-# summary records (all JSON round-trippable via asdict/from_dict)
+# summary records
 # --------------------------------------------------------------------- #
 
 
@@ -216,101 +207,18 @@ class FileSummary:
 
     path: str
     module: str
-    sha256: str = ""
     imports: dict[str, str] = field(default_factory=dict)  # local -> dotted
-    import_modules: tuple[str, ...] = ()  # for the reverse-dependency cone
     functions: list[FunctionSummary] = field(default_factory=list)
     classes: list[ClassSummary] = field(default_factory=list)
     spec_sites: list[SpecSite] = field(default_factory=list)
     backend_registry: tuple[str, ...] = ()  # raw refs in BACKENDS = {...}
-    suppressions: dict[int, list[str]] = field(default_factory=dict)
+    suppressions: dict[int, set[str]] = field(default_factory=dict)
     error: str = ""  # syntax error message, "" = parsed fine
 
     @property
     def segments(self) -> frozenset[str]:
         """Directory segments, for path-scoped flow rules."""
         return frozenset(self.path.split("/")[:-1])
-
-    def to_json(self) -> dict:
-        data = asdict(self)
-        data["suppressions"] = {
-            str(line): sorted(rules) for line, rules in self.suppressions.items()
-        }
-        return data
-
-    @classmethod
-    def from_json(cls, data: dict) -> "FileSummary":
-        summary = cls(path=data["path"], module=data["module"])
-        summary.sha256 = data.get("sha256", "")
-        summary.imports = dict(data.get("imports", {}))
-        summary.import_modules = tuple(data.get("import_modules", ()))
-        summary.backend_registry = tuple(data.get("backend_registry", ()))
-        summary.error = data.get("error", "")
-        summary.suppressions = {
-            int(line): list(rules)
-            for line, rules in data.get("suppressions", {}).items()
-        }
-        for item in data.get("functions", ()):
-            summary.functions.append(
-                FunctionSummary(
-                    qualname=item["qualname"],
-                    name=item["name"],
-                    line=item["line"],
-                    owner_class=item.get("owner_class", ""),
-                    args=tuple(item.get("args", ())),
-                    required=item.get("required", 0),
-                    has_vararg=item.get("has_vararg", False),
-                    has_kwarg=item.get("has_kwarg", False),
-                    is_property=item.get("is_property", False),
-                    calls=tuple(CallSite(**c) for c in item.get("calls", ())),
-                    sinks=tuple(SinkSite(**s) for s in item.get("sinks", ())),
-                    raises_budget=item.get("raises_budget", False),
-                    unguarded_calls=tuple(item.get("unguarded_calls", ())),
-                    handlers=tuple(
-                        HandlerSummary(
-                            line=h["line"],
-                            col=h["col"],
-                            names=tuple(h.get("names", ())),
-                            body_raises=h.get("body_raises", False),
-                            converts_stop=h.get("converts_stop", False),
-                            trivial=h.get("trivial", False),
-                            try_calls=tuple(h.get("try_calls", ())),
-                        )
-                        for h in item.get("handlers", ())
-                    ),
-                    unseeded_rng=tuple(
-                        (entry[0], entry[1]) for entry in item.get("unseeded_rng", ())
-                    ),
-                    thread_spawns=tuple(
-                        (entry[0], entry[1]) for entry in item.get("thread_spawns", ())
-                    ),
-                    returns_unseeded=item.get("returns_unseeded", False),
-                    returned_calls=tuple(item.get("returned_calls", ())),
-                    unpicklable_return=item.get("unpicklable_return", ""),
-                    unpicklable_self=item.get("unpicklable_self", ""),
-                )
-            )
-        for item in data.get("classes", ()):
-            summary.classes.append(
-                ClassSummary(
-                    name=item["name"],
-                    line=item["line"],
-                    bases=tuple(item.get("bases", ())),
-                    methods=dict(item.get("methods", {})),
-                    is_protocol=item.get("is_protocol", False),
-                )
-            )
-        for item in data.get("spec_sites", ()):
-            summary.spec_sites.append(
-                SpecSite(
-                    ctor=item["ctor"],
-                    func=item.get("func", ""),
-                    line=item["line"],
-                    col=item["col"],
-                    args=tuple(SpecArg(**a) for a in item.get("args", ())),
-                )
-            )
-        return summary
 
 
 # --------------------------------------------------------------------- #
@@ -451,19 +359,14 @@ class _Extractor(ast.NodeVisitor):
     # ------------------------------ imports ------------------------------ #
 
     def visit_Import(self, node: ast.Import) -> None:
-        modules = list(self.summary.import_modules)
         for alias in node.names:
             local = alias.asname or alias.name.split(".")[0]
             target = alias.name if alias.asname else alias.name.split(".")[0]
             self.summary.imports[local] = target
-            modules.append(alias.name)
-        self.summary.import_modules = tuple(dict.fromkeys(modules))
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
         if node.module is None or node.level:
             return  # relative imports don't occur in this tree
-        modules = list(self.summary.import_modules)
-        modules.append(node.module)
         for alias in node.names:
             local = alias.asname or alias.name
             self.summary.imports[local] = f"{node.module}.{alias.name}"
@@ -471,7 +374,6 @@ class _Extractor(ast.NodeVisitor):
                 self.rng_ctors.add(local)
             if node.module in ("numpy.random",) and alias.name == "default_rng":
                 self.rng_ctors.add(local)
-        self.summary.import_modules = tuple(dict.fromkeys(modules))
 
     # ---------------------------- definitions ---------------------------- #
 
@@ -789,16 +691,13 @@ class _Extractor(ast.NodeVisitor):
 
 def summarize_source(path: str, module: str, source: str) -> FileSummary:
     """Extract the :class:`FileSummary` of one module from its text."""
-    summary = FileSummary(path=path, module=module, sha256=content_hash(source))
+    summary = FileSummary(path=path, module=module)
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as error:
         summary.error = f"syntax error: {error.msg}"
         return summary
-    summary.suppressions = {
-        line: sorted(rules)
-        for line, rules in parse_suppressions(source).items()
-    }
+    summary.suppressions = parse_suppressions(source)
     _Extractor(summary).visit(tree)
     summary.functions.sort(key=lambda f: (f.line, f.qualname))
     summary.classes.sort(key=lambda c: (c.line, c.name))
@@ -806,10 +705,6 @@ def summarize_source(path: str, module: str, source: str) -> FileSummary:
     return summary
 
 
-def summarize_file(item: tuple[str, str]) -> FileSummary:
-    """Worker entry point: ``(path, module) -> FileSummary`` (picklable)."""
-    path, module = item
-    from pathlib import Path
-
-    source = Path(path).read_text(encoding="utf-8")
-    return summarize_source(path, module, source)
+def summarize_file(path: str, module: str) -> FileSummary:
+    """Read and summarize the file at ``path`` as module ``module``."""
+    return summarize_source(path, module, Path(path).read_text(encoding="utf-8"))

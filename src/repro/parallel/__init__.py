@@ -18,12 +18,11 @@ same aggregation loop the serial path uses). Only wall-clock fields
 Entry points: ``ExperimentRunner(parallel=N)``, the ``REPRO_JOBS``
 environment knob consumed by :mod:`repro.eval.experiments`, and the
 ``--jobs`` flags of the ``tune``/``eval`` CLI commands and the benchmark
-suite.
+suite. :func:`execute_specs` is the package's one process pool.
 """
 
 from repro.exceptions import ParallelExecutionError
 from repro.parallel.executor import execute_specs
-from repro.parallel.pool import parallel_map
 from repro.parallel.spec import CellSpec, SeedOutcome
 from repro.parallel.worker import run_seed, run_seed_with_result
 
@@ -32,7 +31,6 @@ __all__ = [
     "ParallelExecutionError",
     "SeedOutcome",
     "execute_specs",
-    "parallel_map",
     "run_seed",
     "run_seed_with_result",
 ]

@@ -19,13 +19,16 @@ from concurrent.futures.process import BrokenProcessPool
 
 from repro.exceptions import ParallelExecutionError, ReproError
 from repro.parallel.spec import CellSpec, SeedOutcome
-from repro.parallel.worker import run_seed
+from repro.parallel.worker import run_seed, run_seed_with_result
+from repro.tuners.base import TuningResult
 
 
-def _run_in_process(spec: CellSpec) -> SeedOutcome:
-    """The no-pool path, with the same error surface as the pool path."""
+def run_in_process(spec: CellSpec) -> tuple[SeedOutcome, TuningResult]:
+    """Run one cell in this process and return its outcome and live result,
+    with the pool path's error surface: a failing cell raises
+    :class:`ParallelExecutionError` naming its label and seed."""
     try:
-        return run_seed(spec)
+        return run_seed_with_result(spec)
     except Exception as error:
         raise ParallelExecutionError(
             f"parallel cell {spec.label!r} (seed {spec.seed}) "
@@ -54,7 +57,7 @@ def execute_specs(
     if jobs < 1:
         raise ReproError(f"jobs must be at least 1, got {jobs}")
     if jobs == 1 or len(specs) <= 1:
-        return [_run_in_process(spec) for spec in specs]
+        return [run_in_process(spec)[0] for spec in specs]
 
     workers = min(jobs, len(specs))
     pool = ProcessPoolExecutor(max_workers=workers)

@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro.config import ReproConfig
 from repro.exceptions import TuningError
 from repro.workload.query import Query, Workload
 
@@ -129,8 +130,9 @@ class WorkloadCompressor:
 
         from repro.backend.factory import build_backend
 
-        # Signatures feed on clean empty-configuration costs: analytic.
-        optimizer = build_backend("analytic", workload)
+        # Signatures feed on clean empty-configuration costs: analytic, with
+        # the default settings, so no REPRO_* variable reaches them.
+        optimizer = build_backend("analytic", workload, config=ReproConfig())
         queries = list(workload)
         signatures = {q.qid: query_signature(optimizer, q) for q in queries}
         # Weighted importance: weight × cost — expensive frequent queries

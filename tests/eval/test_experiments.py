@@ -10,6 +10,7 @@ from repro.eval.experiments import (
     convergence,
     figure2_whatif_time,
     greedy_comparison,
+    parse_k_values,
     rl_comparison,
     robustness,
     table1_workload_statistics,
@@ -50,12 +51,27 @@ class TestSettings:
             ("REPRO_SEEDS", "x"),
             ("REPRO_JOBS", "x"),
             ("REPRO_KS", "a,b"),
+            ("REPRO_KS", " "),
         ],
     )
     def test_malformed_env_raises_constraint_error(self, monkeypatch, name, value):
         monkeypatch.setenv(name, value)
         with pytest.raises(ConstraintError, match=f"{name} must be"):
             ExperimentSettings.from_env()
+
+    @pytest.mark.parametrize("value", ["5,x", " "])
+    def test_malformed_ks_flag_is_the_same_error(self, capsys, monkeypatch, value):
+        """``eval --ks`` parses like ``REPRO_KS``: one error line, exit 2,
+        before any cell runs."""
+        from repro.cli import main
+
+        monkeypatch.setenv("REPRO_SCALE", "0.02")
+        assert main(["eval", "--figure", "fig17", "--seeds", "1", "--ks", value]) == 2
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line == f"error: --ks must be comma-separated integers, got {value!r}"
+
+    def test_k_values_skip_blanks_and_keep_order(self):
+        assert parse_k_values(" 20, 5,,10, ", "--ks") == (20, 5, 10)
 
     def test_budget_grids(self):
         settings = ExperimentSettings(scale=1.0)

@@ -64,6 +64,20 @@ class TestWorkloadInteractions:
         )
         assert len(records) <= 3
 
+    @pytest.mark.parametrize(
+        "name,value", [("REPRO_BUDGET_POLICY", "bogus"), ("REPRO_SANITIZE", "maybe")]
+    )
+    def test_reads_no_setting(
+        self, env_reads, monkeypatch, toy_workload, toy_candidates, name, value
+    ):
+        """A ground-truth analysis runs on the default settings, whatever the
+        environment holds."""
+        plain = workload_interactions(toy_workload, toy_candidates, threshold=1e-6)
+        monkeypatch.setenv(name, value)
+        assert plain
+        assert workload_interactions(toy_workload, toy_candidates, threshold=1e-6) == plain
+        assert env_reads == []
+
     def test_formatting(self, toy_workload, toy_candidates):
         records = workload_interactions(toy_workload, toy_candidates[:10])
         text = format_interactions(records)

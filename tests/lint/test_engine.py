@@ -8,7 +8,7 @@ import pytest
 
 from repro.lint import Baseline, BaselineEntry, LintEngine, REGISTRY
 from repro.lint.cli import main as lint_main
-from repro.lint.engine import SYNTAX_RULE
+from repro.lint.engine import SYNTAX_RULE, iter_python_files
 from repro.lint.findings import Finding
 from repro.lint.suppressions import ALL_RULES, is_suppressed, parse_suppressions
 
@@ -311,6 +311,31 @@ class TestBaselineFormat:
         assert entry_keys == sorted(entry_keys)
 
 
+class TestIterPythonFiles:
+    def _tree(self, tmp_path):
+        (tmp_path / "pkg" / "sub").mkdir(parents=True)
+        for name in ("pkg/a.py", "pkg/sub/b.py", "pkg/notes.txt", "top.py"):
+            (tmp_path / name).write_text("x = 1\n", encoding="utf-8")
+        return tmp_path
+
+    def test_overlapping_arguments_list_each_file_once(self, tmp_path):
+        root = self._tree(tmp_path)
+        files = iter_python_files(
+            [root, root / "pkg", root / "pkg" / "sub" / "b.py", root / "top.py"]
+        )
+        assert files == [
+            root / "pkg" / "a.py", root / "pkg" / "sub" / "b.py", root / "top.py"
+        ]
+
+    def test_argument_order_does_not_change_the_list(self, tmp_path):
+        root = self._tree(tmp_path)
+        arguments = [root / "top.py", root / "pkg" / "sub", root / "pkg"]
+        assert iter_python_files(arguments) == iter_python_files(arguments[::-1])
+        assert iter_python_files([str(a) for a in arguments]) == iter_python_files(
+            arguments
+        )
+
+
 class TestCliFlowSurface:
     def _write_dirty(self, tmp_path):
         target = tmp_path / "mod.py"
@@ -339,17 +364,31 @@ class TestCliFlowSurface:
         target = self._write_dirty(tmp_path)
         assert lint_main([str(target), "--ignore", "REP999"]) == 2
 
-    def test_jobs_flag_matches_serial(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "flag",
+        [["--jobs", "2"], ["--cache", "cache.json"], ["--no-cache"], ["--stats"]],
+        ids=["jobs", "cache", "no-cache", "stats"],
+    )
+    def test_removed_speed_flags_are_usage_errors(self, tmp_path, capsys, flag):
+        """The lint pass is one serial pass: a command line that still asks
+        for a pool or a summary cache is refused, not silently obeyed."""
         target = self._write_dirty(tmp_path)
-        (tmp_path / "other.py").write_text("y = 2\n", encoding="utf-8")
-        assert lint_main([str(tmp_path), "--no-baseline"]) == 1
-        serial = capsys.readouterr().out
-        assert lint_main([str(tmp_path), "--no-baseline", "--jobs", "2"]) == 1
-        assert capsys.readouterr().out == serial
+        with pytest.raises(SystemExit) as excinfo:
+            lint_main([str(target), "--no-baseline", *flag])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
 
-    def test_invalid_jobs_exit_2(self, tmp_path):
-        target = self._write_dirty(tmp_path)
-        assert lint_main([str(target), "--jobs", "0"]) == 2
+    @pytest.mark.parametrize("flow", [[], ["--flow"]])
+    def test_overlapping_paths_lint_each_file_once(self, tmp_path, capsys, flow):
+        project = self._write_flow_project(tmp_path)
+        dirty = project / "tuners" / "dirty.py"
+        dirty.write_text("def f(xs=[]):\n    return xs\n", encoding="utf-8")
+        args = ["--no-baseline", "--format", "json", *flow]
+        assert lint_main([str(project), *args]) == 1
+        union = capsys.readouterr().out
+        overlapping = [str(project / "tuners"), str(project), str(dirty)]
+        assert lint_main([*overlapping, *args]) == 1
+        assert capsys.readouterr().out == union
 
     def test_flow_flag_reports_flow_findings(self, tmp_path, capsys):
         project = self._write_flow_project(tmp_path)
@@ -378,21 +417,6 @@ class TestCliFlowSurface:
         doc = json.loads(capsys.readouterr().out)
         assert doc["version"] == "2.1.0"
         assert doc["runs"][0]["results"][0]["ruleId"] == "REP006"
-
-    def test_flow_cache_stats(self, tmp_path, capsys):
-        project = self._write_flow_project(tmp_path)
-        cache = tmp_path / "cache.json"
-        args = [
-            str(project), "--no-baseline", "--flow",
-            "--cache", str(cache), "--stats",
-        ]
-        assert lint_main(args) == 1
-        cold = capsys.readouterr()
-        assert lint_main(args) == 1
-        warm = capsys.readouterr()
-        assert warm.out == cold.out
-        assert "1 re-indexed" in cold.err
-        assert "0 re-indexed" in warm.err
 
     def test_list_rules_includes_flow(self, capsys):
         assert lint_main(["--list-rules"]) == 0

@@ -21,9 +21,7 @@ from pathlib import Path
 import pytest
 
 from repro.lint.flow import FLOW_REGISTRY, analyze_paths, build_index
-from repro.lint.flow.cache import DEFAULT_CACHE, FlowCache, load_summaries
 from repro.lint.flow.index import module_name
-from repro.lint.flow.summary import summarize_source
 
 FIXTURES = Path(__file__).parent / "fixtures_flow"
 
@@ -56,8 +54,7 @@ def _expected(project: Path) -> Counter:
 @pytest.fixture(scope="module")
 def flow_project(tmp_path_factory) -> tuple[Path, list]:
     project = _copy_fixtures(tmp_path_factory.mktemp("flow"))
-    findings, _ = analyze_paths([project])
-    return project, findings
+    return project, analyze_paths([project])
 
 
 class TestFixtureExpectations:
@@ -106,116 +103,39 @@ class TestFixtureExpectations:
 class TestSelect:
     def test_select_restricts_rules(self, tmp_path):
         project = _copy_fixtures(tmp_path)
-        findings, _ = analyze_paths([project], select={"REP104"})
+        findings = analyze_paths([project], select={"REP104"})
         assert findings
         assert {f.rule for f in findings} == {"REP104"}
 
 
-class TestIncrementalCache:
-    def _analyze(self, project: Path, cache: Path):
-        return analyze_paths([project], cache_path=cache)
-
-    def test_warm_run_is_byte_identical_and_fully_cached(self, tmp_path):
+class TestSummaries:
+    def test_syntax_error_file_is_tolerated(self, tmp_path):
         project = _copy_fixtures(tmp_path)
-        cache = tmp_path / DEFAULT_CACHE
-        cold_findings, cold_stats = self._analyze(project, cache)
-        warm_findings, warm_stats = self._analyze(project, cache)
-        assert [f.__dict__ for f in warm_findings] == [
-            f.__dict__ for f in cold_findings
-        ]
-        assert len(cold_stats.reindexed) == cold_stats.total_files
-        assert warm_stats.reindexed == []
-        assert warm_stats.from_cache == warm_stats.total_files
+        clean = analyze_paths([project])
+        (project / "broken.py").write_text("def broken(:\n", encoding="utf-8")
+        # The rest of the project still reports, exactly as before.
+        assert clean and analyze_paths([project]) == clean
 
-    def test_touched_file_dirties_only_its_reverse_cone(self, tmp_path):
+    def test_edit_changes_findings_on_the_next_run(self, tmp_path):
         project = _copy_fixtures(tmp_path)
-        cache = tmp_path / DEFAULT_CACHE
-        self._analyze(project, cache)
-        rng = project / "helpers" / "rng.py"
-        rng.write_text(
-            rng.read_text(encoding="utf-8") + "\n# touched\n", encoding="utf-8"
-        )
-        _, stats = self._analyze(project, cache)
-        reindexed = {
-            Path(p).relative_to(project).as_posix() for p in stats.reindexed
-        }
-        assert "helpers/rng.py" in reindexed
-        assert "tuners/search.py" in reindexed  # imports helpers.rng
-        assert "backend/base.py" not in reindexed
-        assert "sessions/driver.py" not in reindexed
-
-    def test_edit_changes_findings_through_the_cache(self, tmp_path):
-        project = _copy_fixtures(tmp_path)
-        cache = tmp_path / DEFAULT_CACHE
-        before, _ = self._analyze(project, cache)
+        before = analyze_paths([project])
         rng = project / "helpers" / "rng.py"
         fixed = rng.read_text(encoding="utf-8").replace(
             "def make_global_gen():\n    return random.Random()",
             "def make_global_gen(seed=0):\n    return random.Random(seed)",
         )
         rng.write_text(fixed, encoding="utf-8")
-        after, _ = self._analyze(project, cache)
-        gone = {
-            (f.path, f.line)
-            for f in before
-            if f.rule == "REP102" and "make_global_gen" in f.message
-        }
-        assert gone
-        still = {
-            (f.path, f.line)
-            for f in after
-            if f.rule == "REP102" and "make_global_gen" in f.message
-        }
-        assert still == set()
+        after = analyze_paths([project])
 
-    def test_version_mismatch_falls_back_to_cold(self, tmp_path):
-        project = _copy_fixtures(tmp_path)
-        cache = tmp_path / DEFAULT_CACHE
-        self._analyze(project, cache)
-        from repro.lint.flow.cache import CACHE_VERSION
+        def laundered(findings):
+            return {
+                (f.path, f.line)
+                for f in findings
+                if f.rule == "REP102" and "make_global_gen" in f.message
+            }
 
-        text = cache.read_text(encoding="utf-8")
-        cache.write_text(
-            text.replace(f'"version": {CACHE_VERSION}', '"version": 0')
-        )
-        _, stats = self._analyze(project, cache)
-        assert len(stats.reindexed) == stats.total_files
-
-    def test_corrupt_cache_falls_back_to_cold(self, tmp_path):
-        project = _copy_fixtures(tmp_path)
-        cache = tmp_path / DEFAULT_CACHE
-        cache.write_text("{not json", encoding="utf-8")
-        findings, stats = self._analyze(project, cache)
-        assert len(stats.reindexed) == stats.total_files
-        assert findings
-
-
-class TestSummaries:
-    def test_summary_round_trips_through_json(self, tmp_path):
-        project = _copy_fixtures(tmp_path)
-        path = project / "sessions" / "driver.py"
-        summary = summarize_source(
-            path.as_posix(),
-            module_name(path),
-            path.read_text(encoding="utf-8"),
-        )
-        from repro.lint.flow.summary import FileSummary
-
-        assert FileSummary.from_json(summary.to_json()) == summary
-
-    def test_parallel_indexing_matches_serial(self, tmp_path):
-        project = _copy_fixtures(tmp_path)
-        serial, _ = load_summaries([project], jobs=1)
-        parallel, _ = load_summaries([project], jobs=2)
-        assert [s.path for s in serial] == [s.path for s in parallel]
-        assert serial == parallel
-
-    def test_syntax_error_file_is_tolerated(self, tmp_path):
-        project = _copy_fixtures(tmp_path)
-        (project / "broken.py").write_text("def broken(:\n", encoding="utf-8")
-        findings, stats = analyze_paths([project])
-        assert stats.total_files == len(list(project.rglob("*.py")))
-        assert findings  # the rest of the project still reports
+        assert laundered(before)
+        assert laundered(after) == set()
 
     def test_build_index_resolves_cross_module_imports(self, tmp_path):
         project = _copy_fixtures(tmp_path)
@@ -228,15 +148,3 @@ class TestSummaries:
         ]
         targets = index.resolve_call(summary, "sneaky_price")
         assert targets == ("helpers.pricing:sneaky_price",)
-
-
-class TestFlowCacheUnit:
-    def test_cached_summary_rejects_stale_hash(self, tmp_path):
-        cache_file = tmp_path / "c.json"
-        source = "def f():\n    return 1\n"
-        summary = summarize_source("m.py", "m", source)
-        cache = FlowCache(cache_file)
-        cache.save([summary])
-        loaded = FlowCache(cache_file).load()
-        assert loaded.cached_summary("m.py", summary.sha256) == summary
-        assert loaded.cached_summary("m.py", "0" * 64) is None

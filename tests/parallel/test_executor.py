@@ -37,6 +37,32 @@ class HardCrashTuner:
         os._exit(17)
 
 
+class PidTuner:
+    """Fails with the id of the process it ran in."""
+
+    name = "pid"
+
+    def tune(self, workload, *, budget=None, constraints=None,
+             candidates=None, optimizer_config=None):
+        raise RuntimeError(f"ran in pid {os.getpid()}")
+
+
+def _failing_pid(specs, jobs):
+    """The process id the first (failing) cell of ``specs`` ran in."""
+    with pytest.raises(ParallelExecutionError) as excinfo:
+        execute_specs(specs, jobs=jobs)
+    return int(str(excinfo.value).rsplit(" ", 1)[1])
+
+
+class SearchFailingTuner(VanillaGreedyTuner):
+    """Raises inside its search, after the session is built."""
+
+    name = "search_failing"
+
+    def _enumerate(self, session):
+        raise RuntimeError("simulated search failure")
+
+
 def _spec(tuner, seed=3, label="cell"):
     return CellSpec(
         label=label,
@@ -116,7 +142,62 @@ class TestWorkerFailures:
             execute_specs([good, _spec(FailingTuner(), label="bad")], jobs=2)
 
 
+class TestRunnerFailures:
+    @pytest.mark.parametrize("parallel", [1, 2])
+    def test_failing_cell_names_itself_at_every_job_count(
+        self, toy_workload, toy_candidates, parallel
+    ):
+        runner = ExperimentRunner(
+            toy_workload,
+            candidates=toy_candidates,
+            seeds=[4, 7],
+            keep_results=parallel == 1,
+            parallel=parallel,
+        )
+        with pytest.raises(ParallelExecutionError) as excinfo:
+            runner.run_cell(
+                lambda seed: SearchFailingTuner(),
+                10,
+                TuningConstraints(max_indexes=2),
+                config=ReproConfig(),
+            )
+        assert (excinfo.value.label, excinfo.value.seed) == ("search_failing", 4)
+        assert "simulated search failure" in str(excinfo.value)
+
+
 class TestSuccessPath:
+    def test_pool_runs_cells_in_worker_processes(self):
+        specs = [_spec(PidTuner(), seed=s, label=f"pid{s}") for s in (1, 2)]
+        assert _failing_pid(specs, jobs=2) != os.getpid()
+
+    def test_single_spec_runs_in_process(self):
+        assert _failing_pid([_spec(PidTuner())], jobs=4) == os.getpid()
+
+    def test_serial_path_matches_the_pool(self, toy_workload, toy_candidates):
+        specs = [
+            CellSpec(
+                label=f"greedy{seed}",
+                workload=toy_workload,
+                candidates=tuple(toy_candidates),
+                tuner=VanillaGreedyTuner(),
+                budget=20,
+                constraints=TuningConstraints(max_indexes=2),
+                seed=seed,
+                config=ReproConfig(),
+            )
+            for seed in (2, 6)
+        ]
+
+        def scalars(jobs):
+            # Everything but ``seconds``, the one wall-clock field.
+            return [
+                (o.label, o.seed, o.tuner_name, o.improvement, o.calls_used,
+                 o.budget, o.stop_reason, o.event_counts())
+                for o in execute_specs(specs, jobs=jobs)
+            ]
+
+        assert scalars(1) == scalars(2)
+
     def test_outcomes_in_input_order(self, toy_workload, toy_candidates):
         specs = [
             CellSpec(

@@ -69,6 +69,11 @@ class TestExplainCommand:
         assert "plan without hypothetical indexes" in out
         assert "plan with the recommended configuration" in out
 
+    def test_plan_engine_reads_no_setting(self, capsys, env_reads):
+        argv = ["explain", "--workload", "tpch", "--query", "q6", "--budget", "40"]
+        assert main(argv) == 0
+        assert len(env_reads) == 1  # the tuning run's; the plans read none
+
     def test_unknown_query_is_clean_error(self, capsys):
         code = main(
             ["explain", "--workload", "tpch", "--query", "zz", "--budget", "10"]
@@ -83,6 +88,20 @@ class TestCompressCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "22 queries -> 5 representatives" in out
+
+    @pytest.mark.parametrize(
+        "name,value", [("REPRO_BUDGET_POLICY", "bogus"), ("REPRO_SANITIZE", "maybe")]
+    )
+    def test_reads_no_setting(self, capsys, monkeypatch, env_reads, name, value):
+        """Compression signatures come from the analytic engine on the default
+        settings: a variable compress has no use for cannot fail it."""
+        argv = ["compress", "--workload", "tpch", "--target", "5"]
+        assert main(argv) == 0
+        plain = capsys.readouterr()
+        monkeypatch.setenv(name, value)
+        assert main(argv) == 0
+        assert capsys.readouterr() == plain
+        assert env_reads == []
 
 
 class TestTuneFlags:
